@@ -1,6 +1,5 @@
 """Orthogonal wavelet systems on p-adic Vilenkin groups generated by rooted trees."""
 
-from .group import DigitVector, MeasureScale, add, dilate, digits_of, index_of, pair
 from .mask import MaskTable, check_row_condition, check_vanishing, mask_from_tree, mask_to_tree
 from .refinable import (
     SpectrumTable,
@@ -25,8 +24,6 @@ from .wavelet import (
 )
 
 __all__ = [
-    "DigitVector",
-    "MeasureScale",
     "MaskTable",
     "SpectrumTable",
     "StepFunction",
@@ -34,7 +31,6 @@ __all__ = [
     "CoeffPyramid",
     "RootedTree",
     "WaveletSystem",
-    "add",
     "analyze",
     "analyze_level",
     "beta_shifted",
@@ -43,16 +39,12 @@ __all__ = [
     "check_orthonormality_spectral",
     "check_row_condition",
     "check_vanishing",
-    "digits_of",
-    "dilate",
     "enumerate_trees",
     "forward_transform",
     "gram_matrix",
-    "index_of",
     "inverse_transform",
     "mask_from_tree",
     "mask_to_tree",
-    "pair",
     "phi_hat_from_tree",
     "project",
     "psi_freq",

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import serialize, transform, wavelet
 from .config import DEFAULT_TOL, SizeCapError
+from .group import is_prime
 from .mask import MaskError, mask_to_tree
 from .refinable import StepFunction
 from .tree import RootedTree, TreeError, enumerate_trees
@@ -91,6 +92,8 @@ def cmd_verify(args) -> int:
     spectral_only = args.level == "spectral"
     if args.all_trees is not None:
         p = args.all_trees
+        if not is_prime(p):
+            raise serialize.FormatError(f"--all-trees {p}: p must be prime")
         jobs = [(p, list(t.parent), spectral_only) for t in enumerate_trees(p, cap=max(p, 5))]
         t0 = time.time()
         if args.jobs > 1:
@@ -147,14 +150,7 @@ def cmd_transform(args) -> int:
 
 
 def cmd_mask_to_tree(args) -> int:
-    data = serialize.load_json(args.path)
-    if "lambda" not in data:
-        print("input file carries no mask table")
-        return EXIT_INPUT
-    from .mask import MaskTable
-
-    p = int(data["p"])
-    mask = MaskTable(p, serialize._cpx_in(data["lambda"]))
+    mask = serialize.mask_from_dict(serialize.load_json(args.path))
     try:
         tree, phases = mask_to_tree(mask, tol=args.tol)
     except (MaskError, TreeError) as exc:

@@ -6,28 +6,18 @@ product of Rademacher powers r_nu^alpha_nu and carries the exponents.  A
 point lies in the subgroup G_n iff its digits below position n vanish; a
 character lies in the annihilator of G_n iff its digits at positions >= n
 vanish.  Canonical table order is little-endian in position: the lowest
-position of a window is the least significant base-p digit.
+position of a window is the least significant base-p digit.  Points and
+characters exist only as such table indices: digit_table gives the digits
+of every index and char_kernel_apply applies the pairing between the two.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .config import SizeCapError, size_cap
-
-POINT = "point"
-CHARACTER = "character"
-
-
-class ModulusMismatchError(ValueError):
-    pass
-
-
-class TagMismatchError(ValueError):
-    pass
 
 
 def is_prime(p: int) -> bool:
@@ -64,142 +54,6 @@ def digit_table(p: int, w: int) -> np.ndarray:
     check_table_size(p**w)
     k = np.arange(p**w)
     return (k[:, None] // p ** np.arange(w)[None, :]) % p
-
-
-@dataclass(frozen=True)
-class DigitVector:
-    """A group point or character supported on the window [lo, lo + len(digits))."""
-
-    p: int
-    lo: int
-    digits: tuple[int, ...]
-    kind: str
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p={self.p} is not prime")
-        if self.kind not in (POINT, CHARACTER):
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if any(not (0 <= d < self.p) for d in self.digits):
-            raise ValueError(f"digits out of range for p={self.p}: {self.digits}")
-
-    @property
-    def hi(self) -> int:
-        return self.lo + len(self.digits)
-
-    def digit(self, nu: int) -> int:
-        """Digit at position nu; zero outside the window."""
-        if self.lo <= nu < self.hi:
-            return self.digits[nu - self.lo]
-        return 0
-
-    def is_zero(self) -> bool:
-        return all(d == 0 for d in self.digits)
-
-    def in_level(self, n: int) -> bool:
-        """Point: member of G_n.  Character: member of the annihilator of G_n."""
-        if self.kind == POINT:
-            return all(self.digit(nu) == 0 for nu in range(self.lo, min(n, self.hi)))
-        return all(self.digit(nu) == 0 for nu in range(max(n, self.lo), self.hi))
-
-    def widened(self, lo: int, hi: int) -> "DigitVector":
-        """Same element on an enclosing window."""
-        if lo > self.lo or hi < self.hi:
-            raise ValueError("widened() cannot shrink the window")
-        digits = tuple(self.digit(nu) for nu in range(lo, hi))
-        return DigitVector(self.p, lo, digits, self.kind)
-
-    def narrowed(self, lo: int, hi: int) -> "DigitVector":
-        """Restrict the window; error if a nonzero digit would be dropped."""
-        for nu in range(self.lo, self.hi):
-            if not (lo <= nu < hi) and self.digit(nu) != 0:
-                raise ValueError(f"nonzero digit at position {nu} outside [{lo},{hi})")
-        return DigitVector(self.p, lo, tuple(self.digit(nu) for nu in range(lo, hi)), self.kind)
-
-
-def point(p: int, lo: int, digits) -> DigitVector:
-    return DigitVector(p, lo, tuple(digits), POINT)
-
-
-def character(p: int, lo: int, digits) -> DigitVector:
-    return DigitVector(p, lo, tuple(digits), CHARACTER)
-
-
-def pair(chi: DigitVector, x: DigitVector) -> complex:
-    """Character value (chi, x) = exp((2 pi i / p) * sum alpha_nu * a_nu)."""
-    if chi.kind != CHARACTER or x.kind != POINT:
-        raise TagMismatchError("pair() wants (character, point)")
-    if chi.p != x.p:
-        raise ModulusMismatchError(f"p mismatch: {chi.p} != {x.p}")
-    lo, hi = max(chi.lo, x.lo), min(chi.hi, x.hi)
-    e = sum(chi.digit(nu) * x.digit(nu) for nu in range(lo, hi)) % chi.p
-    return complex(unit_roots(chi.p)[e])
-
-
-def add(x: DigitVector, y: DigitVector) -> DigitVector:
-    """Digitwise sum mod p, no carries (group product for characters)."""
-    if x.p != y.p:
-        raise ModulusMismatchError(f"p mismatch: {x.p} != {y.p}")
-    if x.kind != y.kind:
-        raise TagMismatchError(f"kind mismatch: {x.kind} != {y.kind}")
-    lo, hi = min(x.lo, y.lo), max(x.hi, y.hi)
-    digits = tuple((x.digit(nu) + y.digit(nu)) % x.p for nu in range(lo, hi))
-    return DigitVector(x.p, lo, digits, x.kind)
-
-
-def neg(x: DigitVector) -> DigitVector:
-    return DigitVector(x.p, x.lo, tuple((-d) % x.p for d in x.digits), x.kind)
-
-
-def sub(x: DigitVector, y: DigitVector) -> DigitVector:
-    return add(x, neg(y))
-
-
-def dilate(v: DigitVector, k: int) -> DigitVector:
-    """Apply the dilation A^k: point digits move down by k, character digits up."""
-    shift = -k if v.kind == POINT else k
-    return DigitVector(v.p, v.lo + shift, v.digits, v.kind)
-
-
-def index_of(v: DigitVector) -> int:
-    """Canonical little-endian index of the digit string over its own window."""
-    return sum(d * v.p**slot for slot, d in enumerate(v.digits))
-
-
-def digits_of(index: int, p: int, lo: int, hi: int, kind: str = POINT) -> DigitVector:
-    w = hi - lo
-    if not (0 <= index < p**w):
-        raise ValueError(f"index {index} out of range for window of width {w}")
-    digits = tuple((index // p**slot) % p for slot in range(w))
-    return DigitVector(p, lo, digits, kind)
-
-
-@dataclass(frozen=True)
-class MeasureScale:
-    """Haar cell measures at one level: mu(G_n) = p^-n, nu(G_n-annihilator) = p^n."""
-
-    p: int
-    level: int
-
-    @property
-    def mu_cell(self) -> float:
-        return float(self.p) ** -self.level
-
-    @property
-    def nu_cell(self) -> float:
-        return float(self.p) ** self.level
-
-
-def integrate_step(values, p: int, cell_level: int, side: str = POINT) -> complex:
-    """Sum a cell-indexed table against the Haar measure of its cells.
-
-    Point-side cells of G_n have mu-measure p^-n; character-side cosets of
-    the annihilator of G_n have nu-measure p^n.
-    """
-    values = np.asarray(values)
-    weight = MeasureScale(p, cell_level)
-    w = weight.mu_cell if side == POINT else weight.nu_cell
-    return complex(values.sum() * w)
 
 
 def char_kernel_apply(values: np.ndarray, p: int, w: int, sign: int) -> np.ndarray:

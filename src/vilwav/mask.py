@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .group import CHARACTER, DigitVector, digit_table, is_prime, unit_roots
+from .group import digit_table, is_prime
 from .tree import RootedTree, TreeError
 
 
@@ -37,19 +37,6 @@ class MaskTable:
 
     def value(self, i: int, j: int) -> complex:
         return complex(self.lam[i + self.p * j])
-
-    def eval(self, chi: DigitVector) -> complex:
-        """m0 at a coset representative; periodic in the digits at positions >= 1.
-
-        The representative must have no digits below position -1 (the mask is
-        constant on those cosets, callers canonicalize explicitly).
-        """
-        if chi.kind != CHARACTER:
-            raise MaskError("mask is evaluated on characters")
-        for nu in range(chi.lo, min(-1, chi.hi)):
-            if chi.digit(nu) != 0:
-                raise MaskError(f"nonzero digit at position {nu} < -1; not a coset representative")
-        return self.value(chi.digit(-1), chi.digit(0))
 
 
 def mask_from_tree(tree: RootedTree, phases: dict[tuple[int, int], float] | None = None) -> MaskTable:
@@ -98,6 +85,8 @@ def mask_to_tree(mask: MaskTable, tol: float = 1e-10) -> tuple[RootedTree, dict[
 
 @dataclass(frozen=True)
 class RowReport:
+    """Per-residue sums of squared moduli; every one must equal 1."""
+
     sums: tuple[float, ...]
     max_deviation: float
 
@@ -105,13 +94,30 @@ class RowReport:
     def ok(self) -> bool:
         return self.max_deviation < 1e-10
 
+    @classmethod
+    def of(cls, sums: np.ndarray) -> "RowReport":
+        return cls(tuple(float(s) for s in sums), float(np.abs(sums - 1.0).max()))
+
 
 def check_row_condition(mask: MaskTable) -> RowReport:
     """Per-residue sums sum_j |lambda_{i+pj}|^2, which must all equal 1."""
     p = mask.p
-    sums = np.abs(mask.lam.reshape(p, p)) ** 2  # [j, i]
-    row = sums.sum(axis=0)
-    return RowReport(tuple(float(s) for s in row), float(np.abs(row - 1.0).max()))
+    return RowReport.of((np.abs(mask.lam.reshape(p, p)) ** 2).sum(axis=0))  # [j, i] -> i
+
+
+def orbit_product(mask: MaskTable, w: int) -> np.ndarray:
+    """prod_k lambda[d_k + p*d_(k+1)] for every digit string d over a width-w window.
+
+    The digit above the window is zero; the remaining factors along the
+    dilation orbit are lambda_0 = 1.
+    """
+    p = mask.p
+    digits = digit_table(p, w)
+    prod = np.ones(p**w, dtype=complex)
+    for k in range(w):
+        hi = digits[:, k + 1] if k + 1 < w else 0
+        prod *= mask.lam[digits[:, k] + p * hi]
+    return prod
 
 
 @dataclass(frozen=True)
@@ -133,13 +139,8 @@ def check_vanishing(mask: MaskTable, M: int) -> VanishingReport:
     p = mask.p
     w = M + 2  # digits alpha_-1 .. alpha_M
     digits = digit_table(p, w)
-    prod = np.ones(p**w, dtype=complex)
-    for k in range(w):
-        lo = digits[:, k]
-        hi = digits[:, k + 1] if k + 1 < w else np.zeros(len(digits), dtype=int)
-        prod *= mask.lam[lo + p * hi]
     shell = digits[:, w - 1] != 0
-    mags = np.abs(prod[shell])
+    mags = np.abs(orbit_product(mask, w)[shell])
     worst = int(np.argmax(mags))
     worst_string = tuple(int(d) for d in digits[shell][worst])
     return VanishingReport(float(mags.max()), worst_string if mags.max() > 0 else None)

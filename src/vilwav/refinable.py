@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .group import char_kernel_apply, check_table_size, digit_table
-from .mask import MaskTable
+from .mask import MaskTable, RowReport, orbit_product
 from .tree import RootedTree
 
 
@@ -21,8 +21,9 @@ from .tree import RootedTree
 class SpectrumTable:
     """Values of a transform on cosets of the level -1 annihilator.
 
-    Entry k holds the value at the coset with digits digits_of(k) on the
-    window [-1, band); for the refinable function band = M.
+    Entry k holds the value at the coset whose digits on the window
+    [-1, band) are row k of digit_table(p, band + 1); for the refinable
+    function band = M.
     """
 
     p: int
@@ -36,10 +37,6 @@ class SpectrumTable:
         if values.shape != (self.p ** (self.band + 1),):
             raise ValueError(f"expected {self.p ** (self.band + 1)} entries")
 
-    @property
-    def M(self) -> int:
-        return self.band
-
     def norm2(self) -> float:
         """Squared L2 norm against the character-side measure (coset mass 1/p)."""
         return float((np.abs(self.values) ** 2).sum() / self.p)
@@ -50,7 +47,7 @@ class StepFunction:
     """A step function: support in G_{support_level}, constant on G_{resolution_level} cells.
 
     Entry k is the value on the cell whose digits over the window
-    [support_level, resolution_level) are digits_of(k).
+    [support_level, resolution_level) are row k of digit_table(p, width).
     """
 
     p: int
@@ -97,16 +94,13 @@ def phi_hat_from_tree(tree: RootedTree, mask: MaskTable) -> SpectrumTable:
 
 
 def spectrum_from_mask_orbit(mask: MaskTable, M: int) -> SpectrumTable:
-    """Oracle route: the truncated product of mask values along the dilation orbit."""
-    p = mask.p
-    w = M + 1
-    digits = digit_table(p, w)
-    prod = np.ones(p**w, dtype=complex)
-    for n in range(M + 2):
-        lo = digits[:, n] if n < w else np.zeros(len(digits), dtype=int)
-        hi = digits[:, n + 1] if n + 1 < w else np.zeros(len(digits), dtype=int)
-        prod = prod * mask.lam[lo + p * hi]
-    return SpectrumTable(p, M, prod)
+    """Oracle route: the truncated product of mask values along the dilation orbit.
+
+    Factors past the window are taken as lambda_0 = 1, which every mask of a
+    tree satisfies (mask_to_tree checks it); a MaskTable with lambda_0 != 1
+    does not get that factor.
+    """
+    return SpectrumTable(mask.p, M, orbit_product(mask, M + 1))
 
 
 def inverse_transform(spec: SpectrumTable) -> StepFunction:
@@ -170,21 +164,9 @@ def check_elementary(spec: SpectrumTable, tol: float = 1e-10) -> ElementaryRepor
     return ElementaryReport(cosets_ok, contains_base, not missing, tuple(missing), msg)
 
 
-@dataclass(frozen=True)
-class SpectralOrthoReport:
-    sums: tuple[float, ...]
-    max_deviation: float
-
-    @property
-    def ok(self) -> bool:
-        return self.max_deviation < 1e-10
-
-
-def check_orthonormality_spectral(spec: SpectrumTable) -> SpectralOrthoReport:
+def check_orthonormality_spectral(spec: SpectrumTable) -> RowReport:
     """Partial sums of |values|^2 over each lowest-digit residue; all must be 1."""
-    p = spec.p
-    sums = (np.abs(spec.values) ** 2).reshape(-1, p).sum(axis=0)
-    return SpectralOrthoReport(tuple(float(s) for s in sums), float(np.abs(sums - 1.0).max()))
+    return RowReport.of((np.abs(spec.values) ** 2).reshape(-1, spec.p).sum(axis=0))
 
 
 # -- cell-level machinery: embedding, translation, dilation, Gram oracles --
@@ -218,16 +200,10 @@ def all_shifts(p: int, width: int) -> list[tuple[int, ...]]:
     return [tuple((k // p**i) % p for i in range(width)) for k in range(p**width)]
 
 
-def translate_dilate(
-    f: StepFunction,
-    j_dilate: int,
-    shift: tuple[int, ...] = (),
-    normalized: bool = True,
-) -> StepFunction:
+def translate_dilate(f: StepFunction, j_dilate: int, shift: tuple[int, ...] = ()) -> StepFunction:
     """The function x -> p^(j/2) f(A^j x - h) as a step function.
 
-    `shift` holds the digits of h from position -1 downward; `normalized`
-    drops the p^(j/2) basis factor when False.
+    `shift` holds the digits of h from position -1 downward.
     """
     p = f.p
     r_new = f.resolution_level + j_dilate
@@ -243,8 +219,7 @@ def translate_dilate(
     for mu in range(f.support_level, f.resolution_level):
         d = (digits[:, mu + j_dilate - s_new] - shift_digit(shift, mu)) % p
         idx += d * p ** (mu - f.support_level)
-    scale = float(p) ** (j_dilate / 2) if normalized else 1.0
-    values = np.where(ok, np.asarray(f.values)[idx], 0.0) * scale
+    values = np.where(ok, np.asarray(f.values)[idx], 0.0) * float(p) ** (j_dilate / 2)
     return StepFunction(p, s_new, r_new, values)
 
 
@@ -270,10 +245,13 @@ def translated_cell_matrix(f: StepFunction, shifts, lo: int, hi: int) -> np.ndar
     return base[idx]
 
 
-def gram_matrix(f: StepFunction, g: StepFunction, shifts) -> np.ndarray:
-    """Gram matrix of the translate families of f and g over the given shifts."""
-    lo = min(f.support_level, g.support_level, -max((len(h) for h in shifts), default=0))
-    hi = max(f.resolution_level, g.resolution_level)
-    F = translated_cell_matrix(f, shifts, lo, hi)
-    G = F if g is f else translated_cell_matrix(g, shifts, lo, hi)
-    return F @ G.conj().T * float(f.p) ** -hi
+def gram_matrix(funcs, shifts) -> np.ndarray:
+    """Gram matrix of the translates of every function over the given shifts.
+
+    Rows and columns run function-major: block (i, k) pairs the translates
+    of funcs[i] with those of funcs[k].
+    """
+    lo = min(min(f.support_level for f in funcs), -max((len(h) for h in shifts), default=0))
+    hi = max(f.resolution_level for f in funcs)
+    family = np.vstack([translated_cell_matrix(f, shifts, lo, hi) for f in funcs])
+    return family @ family.conj().T * float(funcs[0].p) ** -hi

@@ -103,7 +103,14 @@ def step_from_dict(data: dict) -> StepFunction:
         raise FormatError(str(exc)) from exc
 
 
-# -- wavelet systems --
+# -- masks and wavelet systems --
+
+
+def mask_from_dict(data: dict) -> MaskTable:
+    try:
+        return MaskTable(int(_require(data, "p")), _cpx_in(_require(data, "lambda")))
+    except (TypeError, ValueError) as exc:
+        raise FormatError(str(exc)) from exc
 
 
 def system_to_dict(system: WaveletSystem) -> dict:
@@ -124,7 +131,7 @@ def system_from_dict(data: dict) -> WaveletSystem:
     try:
         p = int(_require(data, "p"))
         tree = RootedTree.validate(_require(data, "parent"), p)
-        mask = MaskTable(p, _cpx_in(_require(data, "lambda")))
+        mask = mask_from_dict(data)
         phi_hat_raw = _require(data, "phi_hat")
         phi_hat = SpectrumTable(p, int(_require(phi_hat_raw, "band")), _cpx_in(phi_hat_raw["values"]))
         return WaveletSystem(

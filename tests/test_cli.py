@@ -116,6 +116,18 @@ def test_verify_all_trees_p3(capsys):
     assert "3 trees at p=3: 3 PASS" in capsys.readouterr().out
 
 
+def test_verify_all_trees_nonprime_is_input_error(monkeypatch, capsys):
+    from vilwav import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(cli, "enumerate_trees", never)
+    assert main(["verify", "--all-trees", "4"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "prime" in err
+
+
 def test_verify_requires_target(capsys):
     with pytest.raises(SystemExit):
         main(["verify"])
@@ -197,6 +209,21 @@ def test_mask_to_tree_cycle(tmp_path, capsys):
 def test_mask_to_tree_missing_table(tmp_path, capsys):
     path = write_json(tmp_path / "not_mask.json", {"p": 3, "parent": [0, 0, 1]})
     assert main(["mask", "to-tree", path, "-o", str(tmp_path / "o.json")]) == EXIT_INPUT
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"p": "three", "lambda": [[1.0, 0.0]] * 9}, "three"),
+        ({"p": 3, "lambda": [[1.0, 0.0]] * 4}, "length 9"),
+        ({"p": 4, "lambda": [[1.0, 0.0]] * 16}, "not prime"),
+    ],
+)
+def test_mask_to_tree_malformed_mask_is_input_error(tmp_path, capsys, payload, message):
+    path = write_json(tmp_path / "bad_mask.json", payload)
+    assert main(["mask", "to-tree", path, "-o", str(tmp_path / "o.json")]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err and "Traceback" not in err
 
 
 def test_show_json_and_csv(tmp_path, capsys):

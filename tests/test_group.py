@@ -4,36 +4,28 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from vilwav.config import SizeCapError
-from vilwav.group import (
-    CHARACTER,
-    POINT,
-    ModulusMismatchError,
-    TagMismatchError,
-    add,
-    char_kernel_apply,
-    character,
-    digit_table,
-    digits_of,
-    dilate,
-    index_of,
-    integrate_step,
-    is_prime,
-    neg,
-    pair,
-    point,
-    sub,
-    unit_roots,
-)
+from vilwav.group import char_kernel_apply, digit_table, is_prime, unit_roots
+from vilwav.refinable import SpectrumTable, StepFunction, embed, translate_dilate
 
 PRIMES = [2, 3, 5, 7]
 
 small_p = st.sampled_from([2, 3, 5])
 
 
-def vectors(kind, p, lo=-2, width=3):
-    return st.lists(st.integers(0, p - 1), min_size=width, max_size=width).map(
-        lambda d: point(p, lo, d) if kind == POINT else character(p, lo, d)
-    )
+def kernel(p, w):
+    """The pairing matrix K[alpha, a] = omega^<alpha, a> over a width-w window."""
+    return np.stack([char_kernel_apply(e, p, w, +1) for e in np.eye(p**w)], axis=1)
+
+
+def digit_sum(p, w, i, k):
+    """Canonical index of the digit-wise mod-p sum of indices i and k."""
+    digits = digit_table(p, w)
+    return int(((digits[i] + digits[k]) % p) @ p ** np.arange(w))
+
+
+def indices(n, w=3):
+    """Strategy: (p, n indices) into a width-w table."""
+    return small_p.flatmap(lambda p: st.tuples(st.just(p), *[st.integers(0, p**w - 1)] * n))
 
 
 def test_is_prime_small():
@@ -49,122 +41,126 @@ def test_digit_table_little_endian():
 
 
 def test_index_example_p3():
-    v = point(3, -1, (2, 1))  # (a_-1, a_0) = (2, 1) on window [-1, 1)
-    assert index_of(v) == 5
+    # (a_-1, a_0) = (2, 1) on window [-1, 1) has canonical index 2 + 1*3 = 5
+    assert int(digit_table(3, 2)[5] @ 3 ** np.arange(2)) == 5
 
 
 def test_index_zero_is_zero_vector():
-    v = digits_of(0, 5, -2, 1)
-    assert v.is_zero()
+    assert not digit_table(5, 3)[0].any()
 
 
 def test_index_roundtrip_exhaustive_p5():
-    for k in range(25):
-        v = digits_of(k, 5, -1, 1)
-        assert index_of(v) == k
-
-
-def test_digits_of_range_check():
-    with pytest.raises(ValueError):
-        digits_of(9, 3, -1, 1)
+    for w in (1, 2, 3):
+        assert np.array_equal(digit_table(5, w) @ 5 ** np.arange(w), np.arange(5**w))
 
 
 def test_digit_outside_window_is_zero():
-    v = point(3, -1, (1, 2))
-    assert v.digit(-5) == 0 and v.digit(7) == 0
+    # embedding f on [0, 1) into [-1, 1): cells with a nonzero digit at -1 vanish
+    f = StepFunction(3, 0, 1, np.array([1.0, 2.0, 3.0]))
+    wide = embed(f, -1, 1)
+    assert np.all(wide[digit_table(3, 2)[:, 0] != 0] == 0.0)
 
 
 def test_in_level_point_vs_character():
-    x = point(3, -2, (0, 0, 1, 2))  # digits at -2..1, nonzero from position 0
-    assert x.in_level(0) and not x.in_level(1)
-    chi = character(3, -2, (0, 1, 2, 0))  # nonzero at positions -1, 0
-    assert chi.in_level(1) and not chi.in_level(0)
+    # window [-2, 1): a point in G_0 has zero digits at -2, -1 (index % 9 == 0);
+    # a character annihilating G_0 has zero digit at 0 (index < 9); they pair to 1
+    p, w = 3, 3
+    K = kernel(p, w)
+    points = np.arange(p**w) % p**2 == 0
+    chars = np.arange(p**w) < p**2
+    assert np.abs(K[np.ix_(chars, points)] - 1.0).max() < 1e-12
+    # outside the annihilator some point of G_0 pairs to a nontrivial root
+    assert np.abs(K[np.ix_(~chars, points)] - 1.0).max(axis=1).min() > 0.5
 
 
 def test_widen_narrow_roundtrip():
-    v = point(3, -1, (2, 1))
-    w = v.widened(-3, 2)
-    assert w.digits == (0, 0, 2, 1, 0)
-    assert w.narrowed(-1, 1) == v
-    with pytest.raises(ValueError):
-        w.narrowed(0, 1)  # drops the nonzero digit at -1
+    f = StepFunction(3, -1, 1, np.arange(9, dtype=complex))
+    wide = embed(f, -3, 2)  # two digits below the support, one above the resolution
+    cells = wide.reshape(3, 9, 9)  # [a_1, (a_-1, a_0), (a_-3, a_-2)]
+    assert np.array_equal(cells[:, :, 0], np.tile(f.values, (3, 1)))
+    assert not cells[:, :, 1:].any()
+    with pytest.raises(ValueError, match="window"):
+        embed(f, 0, 2)  # cannot shrink
 
 
 def test_pair_rademacher_values():
     # the position-n basis character against the position-n generator
     for p in PRIMES:
         omega = np.exp(2j * np.pi / p)
-        for a in range(p):
-            chi = character(p, 0, (1,))
-            x = point(p, 0, (a,))
-            assert pair(chi, x) == pytest.approx(omega**a, abs=1e-14)
+        assert np.abs(kernel(p, 1)[1] - omega ** np.arange(p)).max() < 1e-14
 
 
-def test_pair_tag_and_modulus_errors():
-    with pytest.raises(TagMismatchError):
-        pair(point(3, 0, (1,)), point(3, 0, (1,)))
-    with pytest.raises(ModulusMismatchError):
-        pair(character(3, 0, (1,)), point(5, 0, (1,)))
-    with pytest.raises(TagMismatchError):
-        add(character(3, 0, (1,)), point(3, 0, (1,)))
-
-
-@given(small_p.flatmap(lambda p: st.tuples(vectors(CHARACTER, p), vectors(CHARACTER, p), vectors(POINT, p))))
+@given(indices(3))
 def test_pair_multiplicative_in_chi(args):
-    chi1, chi2, x = args
-    lhs = pair(add(chi1, chi2), x)
-    assert lhs == pytest.approx(pair(chi1, x) * pair(chi2, x), abs=1e-12)
+    p, chi1, chi2, x = args
+    K = kernel(p, 3)
+    assert K[digit_sum(p, 3, chi1, chi2), x] == pytest.approx(K[chi1, x] * K[chi2, x], abs=1e-12)
 
 
-@given(small_p.flatmap(lambda p: st.tuples(vectors(CHARACTER, p), vectors(POINT, p), vectors(POINT, p))))
+@given(indices(3))
 def test_pair_multiplicative_in_x(args):
-    chi, x, y = args
-    assert pair(chi, add(x, y)) == pytest.approx(pair(chi, x) * pair(chi, y), abs=1e-12)
+    p, chi, x, y = args
+    K = kernel(p, 3)
+    assert K[chi, digit_sum(p, 3, x, y)] == pytest.approx(K[chi, x] * K[chi, y], abs=1e-12)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_pair_dilation_adjoint_exhaustive(p):
-    # (chi A, x) = (chi, A x) over full width-3 windows
-    for kc in range(p**3):
-        chi = digits_of(kc, p, -1, 2, CHARACTER)
-        for kx in range(p**3):
-            x = digits_of(kx, p, -2, 1, POINT)
-            assert pair(dilate(chi, 1), x) == pair(chi, dilate(x, 1))
+    # (chi A, x) = (chi, A x) over a width-3 window: A moves character digits
+    # up a slot (index * p) and point digits down a slot (index // p)
+    K = kernel(p, 3)
+    chi = np.arange(p**2)  # top digit zero, so chi A stays in the window
+    x = np.arange(0, p**3, p)  # bottom digit zero, so A x stays in the window
+    assert np.abs(K[np.ix_(chi * p, x)] - K[np.ix_(chi, x // p)]).max() < 1e-12
 
 
-@given(small_p.flatmap(lambda p: st.tuples(vectors(POINT, p), vectors(POINT, p), vectors(POINT, p))))
+shifts2 = small_p.flatmap(
+    lambda p: st.tuples(st.just(p), *[st.tuples(st.integers(0, p - 1), st.integers(0, p - 1))] * 3)
+)
+
+
+@given(shifts2)
 def test_add_group_laws(args):
-    x, y, z = args
-    assert add(x, y) == add(y, x)
-    assert add(add(x, y), z) == add(x, add(y, z))
-    assert sub(x, x).is_zero()
-    assert add(x, neg(x)).is_zero()
+    # lattice translates compose by digit-wise addition mod p, with no carries
+    p, h, g, k = args
+    f = StepFunction(p, -1, 1, np.arange(p * p, dtype=complex) + 1)
+
+    def cells(fn):
+        return embed(fn, -2, 1)
+
+    def plus(a, b):
+        return tuple((x + y) % p for x, y in zip(a, b))
+
+    def neg(a):
+        return tuple((-x) % p for x in a)
+
+    T = translate_dilate
+    assert np.array_equal(cells(T(T(f, 0, h), 0, g)), cells(T(f, 0, plus(h, g))))
+    assert np.array_equal(cells(T(T(f, 0, h), 0, g)), cells(T(T(f, 0, g), 0, h)))
+    assert np.array_equal(cells(T(T(T(f, 0, h), 0, g), 0, k)), cells(T(f, 0, plus(h, plus(g, k)))))
+    assert np.array_equal(cells(T(T(f, 0, h), 0, neg(h))), cells(f))
     # additive order divides p
-    acc = x
-    for _ in range(x.p - 1):
-        acc = add(acc, x)
-    assert acc.is_zero()
+    acc = f
+    for _ in range(p):
+        acc = T(acc, 0, h)
+    assert np.array_equal(cells(acc), cells(f))
 
 
 def test_dilate_moves_digits():
-    g0 = point(3, 0, (1,))
-    assert dilate(g0, 1) == point(3, -1, (1,))
-    r_m1 = character(3, -1, (1,))
-    assert dilate(r_m1, 1) == character(3, 0, (1,))
-    v = point(5, -2, (1, 2, 3))
-    assert dilate(dilate(v, 4), -4) == v
+    f = StepFunction(5, -1, 1, np.arange(25, dtype=complex))
+    g = translate_dilate(f, 1)
+    # x -> f(A x) is supported on G_0 and constant on G_2 cells, same table
+    assert (g.support_level, g.resolution_level) == (0, 2)
+    assert np.abs(g.values - f.values * np.sqrt(5)).max() < 1e-12
+    back = translate_dilate(translate_dilate(f, 4), -4)
+    assert (back.support_level, back.resolution_level) == (-1, 1)
+    assert np.abs(back.values - f.values).max() < 1e-12
 
 
 @pytest.mark.parametrize("p,w", [(2, 3), (3, 2), (5, 2)])
 def test_character_matrix_unitary(p, w):
-    n = p**w
-    mat = np.empty((n, n), dtype=complex)
-    for a in range(n):
-        e = np.zeros(n)
-        e[a] = 1.0
-        mat[:, a] = char_kernel_apply(e, p, w, +1)
-    gram = mat @ mat.conj().T / n
-    assert np.abs(gram - np.eye(n)).max() < 1e-12
+    mat = kernel(p, w)
+    assert np.abs(mat @ mat.conj().T / p**w - np.eye(p**w)).max() < 1e-12
 
 
 def test_char_kernel_inverse(rng):
@@ -187,19 +183,19 @@ def test_char_kernel_shape_check():
 
 
 def test_integrate_constant_over_g_minus1():
-    # 1 on the 9 cells of G_1 inside G_-1 integrates to mu(G_-1) = 3
-    assert integrate_step(np.ones(9), 3, 1) == pytest.approx(3.0)
+    # |1|^2 on the 9 cells of G_1 inside G_-1 integrates to mu(G_-1) = 3
+    assert StepFunction(3, -1, 1, np.ones(9)).norm2() == pytest.approx(3.0)
 
 
 def test_integrate_zero():
-    assert integrate_step(np.zeros(4), 2, 2) == 0.0
+    assert StepFunction(2, 0, 2, np.zeros(4)).norm2() == 0.0
 
 
 def test_integrate_character_side():
     # p unit entries on cosets of nu-measure 1/p sum to 1
     vals = np.zeros(9)
     vals[[0, 1, 5]] = 1.0
-    assert integrate_step(vals, 3, -1, side=CHARACTER) == pytest.approx(1.0)
+    assert SpectrumTable(3, 1, vals).norm2() == pytest.approx(1.0)
 
 
 def test_unit_roots_sum_to_zero():
@@ -212,7 +208,3 @@ def test_size_cap_env_override(monkeypatch):
     with pytest.raises(SizeCapError):
         digit_table(5, 11)
 
-
-def test_nonprime_p_rejected():
-    with pytest.raises(ValueError):
-        point(4, 0, (1,))

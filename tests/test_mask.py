@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vilwav.group import character
 from vilwav.mask import (
     MaskError,
     MaskTable,
@@ -53,37 +52,6 @@ def test_tree_b_mask_indices():
 def test_phase_on_non_edge_rejected():
     with pytest.raises(MaskError, match="non-edge"):
         mask_from_tree(chain3(), {(0, 2): 0.25})
-
-
-def test_eval_periodicity_and_values():
-    mask = mask_from_tree(chain3())
-    # (alpha_-1, alpha_0) = (0,0) with junk above position 0 is still the root coset
-    assert mask.eval(character(3, -1, (0, 0, 2, 1))) == 1
-    # r^2 s^1 t^2: the t^2 digit at position 1 is dropped by periodicity
-    assert mask.eval(character(3, -1, (2, 1, 2))) == 1
-    # (1, 1) is not an edge
-    assert mask.eval(character(3, -1, (1, 1))) == 0
-
-
-def test_eval_rejects_low_digits_and_points():
-    mask = mask_from_tree(chain3())
-    with pytest.raises(MaskError, match="position -2"):
-        mask.eval(character(3, -2, (1, 0, 0)))
-    from vilwav.group import point
-
-    with pytest.raises(MaskError, match="characters"):
-        mask.eval(point(3, -1, (0, 0)))
-
-
-@given(st.sampled_from([3, 5]).flatmap(tree_and_phases))
-def test_eval_periodic_in_high_digits(tp):
-    tree, phases = tp
-    mask = mask_from_tree(tree, phases)
-    p = tree.p
-    for i in range(p):
-        for j in range(p):
-            base = mask.eval(character(p, -1, (i, j)))
-            assert mask.eval(character(p, -1, (i, j, 2 % p, 1))) == base
 
 
 def test_mask_table_shape_and_prime_checks():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from vilwav.config import SizeCapError
 from vilwav.mask import MaskTable, mask_from_tree
 from vilwav.refinable import all_shifts, gram_matrix, inner_product
 from vilwav.tree import RootedTree, enumerate_trees
@@ -97,6 +98,50 @@ def test_refinement_identity_chain(chain3):
     assert np.abs(refined.values - embed(chain3.phi, -1, chain3.M + 1)).max() < 1e-13
 
 
+@pytest.mark.parametrize("parent", [[0, 0, 1], [0, 0, 1, 1, 3]])
+def test_refinement_sum_matches_dilated_translates(parent, rng):
+    # the gather against its definition: sum_j c_j p^(-1/2) (translate_dilate(phi, 1, h_j))
+    from vilwav.refinable import embed, translate_dilate
+
+    system = build_system(RootedTree.validate(parent, len(parent)))
+    p, M = system.p, system.M
+    coeffs = rng.normal(size=p * p) + 1j * rng.normal(size=p * p)
+    direct = sum(
+        c * embed(translate_dilate(system.phi, 1, (j % p, j // p)), -1, M + 1) / np.sqrt(p)
+        for j, c in enumerate(coeffs)
+    )
+    refined = assemble_refinement_sum(system.phi, coeffs)
+    assert (refined.support_level, refined.resolution_level) == (-1, M + 1)
+    assert np.abs(refined.values - direct).max() < 1e-13
+
+
+def test_refinement_sum_requires_support_level_minus1(chain3):
+    from vilwav.refinable import StepFunction
+
+    with pytest.raises(ValueError, match="support level -1"):
+        assemble_refinement_sum(StepFunction(3, 0, 2, np.ones(9)), chain3.beta)
+
+
+def test_refinement_sum_respects_size_cap(monkeypatch):
+    # phi of the chain has 9 cells, its refinement sum 27
+    monkeypatch.setenv("VILWAV_SIZE_CAP", "20")
+    with pytest.raises(SizeCapError):
+        build_system(RootedTree.validate([0, 0, 1], 3))
+
+
+def test_p7_chain_refinement_and_two_route():
+    # height 7, M = 5: the deepest tree at p = 7
+    from vilwav.refinable import embed
+
+    system = build_system(RootedTree.validate([0, 0, 1, 2, 3, 4, 5], 7))
+    assert system.M == 5
+    refined = assemble_refinement_sum(system.phi, system.beta)
+    assert np.abs(refined.values - embed(system.phi, -1, system.M + 1)).max() < 1e-12
+    for l in range(1, 7):
+        freq = psi_freq(system.phi_hat, system.mask, l)
+        assert np.abs(freq.values - system.psi[l - 1].values).max() < 1e-12
+
+
 def test_corrupted_beta_breaks_refinement(chain3):
     from vilwav.refinable import embed
 
@@ -168,14 +213,9 @@ def test_shifted_mask_structure(chain3):
 
 
 def test_wavelet_gram_is_identity(chain3):
-    shifts = all_shifts(3, 2)
-    for l in range(2):
-        gram = gram_matrix(chain3.psi[l], chain3.psi[l], shifts)
-        assert np.abs(gram - np.eye(9)).max() < 1e-12
-    cross = gram_matrix(chain3.psi[0], chain3.psi[1], shifts)
-    assert np.abs(cross).max() < 1e-12
-    cross_phi = gram_matrix(chain3.phi, chain3.psi[0], shifts)
-    assert np.abs(cross_phi).max() < 1e-12
+    # blocks: psi_1 and psi_2 translates orthonormal, and orthogonal to each other and to phi
+    gram = gram_matrix((chain3.phi,) + chain3.psi, all_shifts(3, 2))
+    assert np.abs(gram - np.eye(27)).max() < 1e-12
 
 
 def test_verify_haar_p2_exact():
