@@ -12,7 +12,8 @@ import time
 
 import numpy as np
 
-from vilwav.mask import mask_from_tree, mask_to_tree
+from vilwav.config import SizeCapError
+from vilwav.mask import mask_to_tree
 from vilwav.tree import enumerate_trees
 from vilwav.wavelet import build_system, verify_wavelet_system
 
@@ -27,7 +28,7 @@ def run_one(tree, phases, spectral_only):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("-p", type=int, default=5, help="modulus (prime, <= enumeration cap)")
+    ap.add_argument("-p", type=int, default=5, help="prime; its p^(p-2) trees must fit the size cap")
     ap.add_argument("--draws", type=int, default=5, help="random phase draws per tree")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--spectral-only", action="store_true", help="skip the Gram oracles")
@@ -38,7 +39,7 @@ def main(argv=None):
     failures = 0
     n = 0
     t0 = time.time()
-    for tree in enumerate_trees(args.p, cap=max(args.p, 5)):
+    for tree in enumerate_trees(args.p):
         draws = [{}] + [
             {e: float(rng.uniform()) for e in tree.edges()} for _ in range(args.draws)
         ]
@@ -58,4 +59,7 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except SizeCapError as exc:
+        sys.exit(f"size cap: {exc}")

@@ -1,13 +1,15 @@
 """Command-line front end.
 
 Exit codes are a stable contract: 0 success, 1 mathematical validation
-failure, 2 input/format failure.  All output files are deterministic given
-the inputs and --seed.
+failure (a MathError), 2 input/format failure (an InputError); main maps
+the two error bases once.  All output files are deterministic given the
+inputs and --seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -15,11 +17,11 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import serialize, transform, wavelet
-from .config import DEFAULT_TOL, SizeCapError
+from .config import DEFAULT_TOL, InputError, MathError
 from .group import is_prime
-from .mask import MaskError, mask_to_tree
+from .mask import mask_to_tree
 from .refinable import StepFunction
-from .tree import RootedTree, TreeError, enumerate_trees
+from .tree import RootedTree, enumerate_trees
 from .wavelet import build_system, verify_wavelet_system
 
 EXIT_OK = 0
@@ -28,8 +30,11 @@ EXIT_INPUT = 2
 
 
 def _write(path: str, payload: dict) -> None:
-    with open(path, "w") as fh:
-        fh.write(serialize.dumps(payload))
+    try:
+        with open(path, "w") as fh:
+            fh.write(serialize.dumps(payload))
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def _random_phases(tree: RootedTree, seed) -> dict:
@@ -38,12 +43,7 @@ def _random_phases(tree: RootedTree, seed) -> dict:
 
 
 def cmd_tree_validate(args) -> int:
-    data = serialize.load_json(args.path)
-    try:
-        tree, _ = serialize.tree_from_dict(data)
-    except TreeError as exc:
-        print(f"invalid: {exc}")
-        return EXIT_MATH
+    tree, _ = serialize.tree_from_dict(serialize.load_json(args.path))
     print(
         f"valid, height={tree.height()}, M={tree.support_exponent}, "
         f"first_level={list(tree.first_level())}"
@@ -59,11 +59,7 @@ def cmd_build(args) -> int:
         phases = _random_phases(tree, args.seed)
     else:
         phases = file_phases
-    try:
-        system = build_system(tree, phases)
-    except (SizeCapError, MaskError) as exc:
-        print(f"build failed: {exc}")
-        return EXIT_MATH
+    system = build_system(tree, phases)
     _write(args.out, serialize.system_to_dict(system))
     print(f"wrote system p={system.p} M={system.M} to {args.out}")
     return EXIT_OK
@@ -79,13 +75,14 @@ def _print_report(checks) -> bool:
     return ok
 
 
-def _verify_one_tree(payload) -> tuple[str, bool, float]:
+def _verify_one_tree(payload) -> tuple[str, list[str], float]:
+    """(parent, names of the failing checks, worst deviation) for one tree."""
     p, parent, spectral_only = payload
     tree = RootedTree.validate(parent, p)
     system = build_system(tree)
     checks = verify_wavelet_system(system, spectral_only=spectral_only)
     worst = max(c.max_deviation for c in checks)
-    return str(parent), all(c.passed for c in checks), worst
+    return str(parent), [c.name for c in checks if not c.passed], worst
 
 
 def cmd_verify(args) -> int:
@@ -93,22 +90,25 @@ def cmd_verify(args) -> int:
     if args.all_trees is not None:
         p = args.all_trees
         if not is_prime(p):
-            raise serialize.FormatError(f"--all-trees {p}: p must be prime")
-        jobs = [(p, list(t.parent), spectral_only) for t in enumerate_trees(p, cap=max(p, 5))]
+            raise InputError(f"--all-trees {p}: p must be prime")
+        cores = os.cpu_count() or 1
+        if not 1 <= args.jobs <= cores:
+            raise InputError(f"--jobs {args.jobs}: expected 1 to {cores} workers")
+        jobs = [(p, list(t.parent), spectral_only) for t in enumerate_trees(p)]
         t0 = time.time()
         if args.jobs > 1:
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 results = list(pool.map(_verify_one_tree, jobs))
         else:
             results = [_verify_one_tree(j) for j in jobs]
-        bad = [r for r in results if not r[1]]
+        bad = [r for r in results if r[1]]
         worst = max(r[2] for r in results)
         print(
             f"{len(results)} trees at p={p}: {len(results) - len(bad)} PASS, "
             f"{len(bad)} FAIL, worst deviation {worst:.3e}, {time.time() - t0:.1f}s"
         )
-        for parent, _, dev in bad:
-            print(f"FAIL parent={parent} dev={dev:.3e}")
+        for parent, failed, dev in bad:
+            print(f"FAIL parent={parent} dev={dev:.3e} checks={','.join(failed)}")
         return EXIT_OK if not bad else EXIT_MATH
     system = serialize.system_from_dict(serialize.load_json(args.system))
     checks = verify_wavelet_system(system, spectral_only=spectral_only)
@@ -120,14 +120,9 @@ def cmd_transform(args) -> int:
     if args.action == "analyze":
         signal = serialize.step_from_dict(serialize.load_json(args.signal))
         if signal.p != system.p:
-            print(f"signal p={signal.p} incompatible with system p={system.p}")
-            return EXIT_INPUT
+            raise serialize.FormatError(f"signal p={signal.p} incompatible with system p={system.p}")
         level = args.level if args.level is not None else signal.resolution_level - system.M
-        try:
-            grid = transform.project(signal, system, level)
-        except ValueError as exc:
-            print(str(exc))
-            return EXIT_MATH
+        grid = transform.project(signal, system, level)
         pyramid = transform.analyze(grid, system, args.levels)
         back = transform.synthesize(pyramid, system)
         keys = set(grid.entries) | set(back.entries)
@@ -140,8 +135,7 @@ def cmd_transform(args) -> int:
         return EXIT_OK if err < args.tol else EXIT_MATH
     pyramid = serialize.pyramid_from_dict(serialize.load_json(args.pyramid))
     if pyramid.p != system.p:
-        print(f"pyramid p={pyramid.p} incompatible with system p={system.p}")
-        return EXIT_INPUT
+        raise serialize.FormatError(f"pyramid p={pyramid.p} incompatible with system p={system.p}")
     grid = transform.synthesize(pyramid, system)
     signal = transform.materialize(grid, system)
     _write(args.out, serialize.step_to_dict(signal))
@@ -151,11 +145,7 @@ def cmd_transform(args) -> int:
 
 def cmd_mask_to_tree(args) -> int:
     mask = serialize.mask_from_dict(serialize.load_json(args.path))
-    try:
-        tree, phases = mask_to_tree(mask, tol=args.tol)
-    except (MaskError, TreeError) as exc:
-        print(f"mask does not come from a tree: {exc}")
-        return EXIT_MATH
+    tree, phases = mask_to_tree(mask, tol=args.tol)
     _write(args.out, serialize.tree_to_dict(tree, phases))
     print(f"wrote tree parent={list(tree.parent)} to {args.out}")
     return EXIT_OK
@@ -195,7 +185,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vilwav", description="Tree-generated wavelet systems on p-adic Vilenkin groups"
     )
-    parser.add_argument("--tol", type=float, default=DEFAULT_TOL, help="comparison tolerance")
+    parser.add_argument(
+        "--tol", type=float, default=DEFAULT_TOL,
+        help="tolerance of `mask to-tree` and of the `transform analyze` round-trip bound "
+        "(verify's checks keep a fixed 1e-12)",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     tree_p = sub.add_parser("tree", help="tree file operations")
@@ -215,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p.add_argument("system", nargs="?")
     verify_p.add_argument("--level", choices=["spectral", "full"], default="full")
     verify_p.add_argument("--all-trees", type=int, default=None, metavar="P")
-    verify_p.add_argument("--jobs", type=int, default=1)
+    verify_p.add_argument("--jobs", type=int, default=1, help="workers for --all-trees, 1..cores")
     verify_p.set_defaults(func=cmd_verify)
 
     trans_p = sub.add_parser("transform", help="run the filter bank")
@@ -255,11 +249,11 @@ def main(argv=None) -> int:
         parser.error("verify needs a system file or --all-trees P")
     try:
         return args.func(args)
-    except serialize.FormatError as exc:
+    except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except SizeCapError as exc:
-        print(f"size cap: {exc}", file=sys.stderr)
+    except MathError as exc:
+        print(f"failed: {exc}")
         return EXIT_MATH
 
 

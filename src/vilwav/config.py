@@ -1,4 +1,4 @@
-"""Global size limits and tolerances."""
+"""Global size limits, tolerances and the two error bases behind every exit code."""
 
 import os
 
@@ -10,13 +10,22 @@ DEFAULT_SIZE_CAP = 10**8
 DEFAULT_TOL = 1e-10
 
 
+class InputError(ValueError):
+    """Unreadable or malformed input; the CLI exits 2."""
+
+
+class MathError(ValueError):
+    """A mathematical check says no, or the work is refused; the CLI exits 1."""
+
+
 def size_cap() -> int:
     """Current table-size cap, overridable via VILWAV_SIZE_CAP."""
-    raw = os.environ.get("VILWAV_SIZE_CAP")
-    if raw is None:
-        return DEFAULT_SIZE_CAP
-    return int(raw)
+    raw = os.environ.get("VILWAV_SIZE_CAP", DEFAULT_SIZE_CAP)
+    try:
+        return int(raw)
+    except ValueError:
+        raise InputError(f"VILWAV_SIZE_CAP={raw!r} is not an integer") from None
 
 
-class SizeCapError(ValueError):
+class SizeCapError(MathError):
     """A requested table would exceed the configured size cap."""

@@ -13,11 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import MathError
 from .group import digit_table, is_prime
 from .tree import RootedTree, TreeError
 
 
-class MaskError(ValueError):
+class MaskError(MathError):
     pass
 
 
@@ -27,13 +28,13 @@ class MaskTable:
     lam: np.ndarray = field(repr=False)  # length p^2, entry i + p*j
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise MaskError(f"p={self.p} is not prime")
         lam = np.asarray(self.lam, dtype=complex)
         lam.setflags(write=False)
         object.__setattr__(self, "lam", lam)
-        if lam.shape != (self.p**2,):
+        if lam.shape != (self.p**2,):  # checked first: it bounds p for the primality test
             raise MaskError(f"lambda table must have length {self.p**2}")
+        if not is_prime(self.p):
+            raise MaskError(f"p={self.p} is not prime")
 
     def value(self, i: int, j: int) -> complex:
         return complex(self.lam[i + self.p * j])

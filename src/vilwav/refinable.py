@@ -34,8 +34,8 @@ class SpectrumTable:
         values = np.asarray(self.values, dtype=complex)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        if values.shape != (self.p ** (self.band + 1),):
-            raise ValueError(f"expected {self.p ** (self.band + 1)} entries")
+        if self.band >= 63 or values.shape != (self.p ** (self.band + 1),):  # no 2**64 tables
+            raise ValueError(f"expected {self.p}^{self.band + 1} entries")
 
     def norm2(self) -> float:
         """Squared L2 norm against the character-side measure (coset mass 1/p)."""
@@ -61,8 +61,8 @@ class StepFunction:
         values = np.asarray(self.values, dtype=complex)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        if values.shape != (self.p**self.width,):
-            raise ValueError(f"expected {self.p**self.width} cell values")
+        if self.width >= 64 or values.shape != (self.p**self.width,):  # no 2**64 tables
+            raise ValueError(f"expected {self.p}^{self.width} cell values")
 
     @property
     def width(self) -> int:

@@ -8,9 +8,11 @@ human-auditable and byte-stable across runs.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 
 import numpy as np
 
+from .config import InputError
 from .mask import MaskTable
 from .refinable import SpectrumTable, StepFunction
 from .transform import CoeffGrid, CoeffPyramid, shift_key_digits
@@ -18,8 +20,17 @@ from .tree import RootedTree
 from .wavelet import WaveletSystem
 
 
-class FormatError(ValueError):
+class FormatError(InputError):
     """Malformed or mistyped input file."""
+
+
+@contextmanager
+def _malformed(what: str):
+    """Re-raise whatever malformed data makes a reader raise as one FormatError."""
+    try:
+        yield
+    except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError) as exc:
+        raise FormatError(f"{what}: {exc}") from exc
 
 
 def _cpx_out(values) -> list:
@@ -27,10 +38,8 @@ def _cpx_out(values) -> list:
 
 
 def _cpx_in(pairs) -> np.ndarray:
-    try:
+    with _malformed("bad complex array"):
         return np.array([complex(re, im) for re, im in pairs])
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"bad complex array: {exc}") from exc
 
 
 def dumps(obj: dict) -> str:
@@ -51,7 +60,7 @@ def load_json(path: str) -> dict:
 
 
 def _require(data: dict, key: str):
-    if key not in data:
+    if not isinstance(data, dict) or key not in data:
         raise FormatError(f"missing key {key!r}")
     return data[key]
 
@@ -67,16 +76,16 @@ def tree_to_dict(tree: RootedTree, phases: dict | None = None) -> dict:
 
 
 def tree_from_dict(data: dict) -> tuple[RootedTree, dict]:
-    p = int(_require(data, "p"))
-    tree = RootedTree.validate(_require(data, "parent"), p)
-    phases = {}
-    for key, turn in (data.get("phases_turns") or {}).items():
-        try:
-            j, i = key.split("->")
-            phases[(int(j), int(i))] = float(turn)
-        except ValueError as exc:
-            raise FormatError(f"bad phase key {key!r}") from exc
-    return tree, phases
+    """The tree and its edge phases; a parent array that is no tree raises TreeError."""
+    with _malformed("tree"):
+        p = int(_require(data, "p"))
+        parent = [int(v) for v in _require(data, "parent")]
+        phases = {}
+        for key, turn in (data.get("phases_turns") or {}).items():
+            with _malformed(f"phase key {key!r}"):
+                j, i = key.split("->")
+                phases[(int(j), int(i))] = float(turn)
+    return RootedTree.validate(parent, p), phases
 
 
 # -- step functions / signals --
@@ -92,25 +101,21 @@ def step_to_dict(f: StepFunction) -> dict:
 
 
 def step_from_dict(data: dict) -> StepFunction:
-    try:
+    with _malformed("step function"):
         return StepFunction(
             int(_require(data, "p")),
             int(_require(data, "support_level")),
             int(_require(data, "resolution_level")),
             _cpx_in(_require(data, "values")),
         )
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
 
 
 # -- masks and wavelet systems --
 
 
 def mask_from_dict(data: dict) -> MaskTable:
-    try:
+    with _malformed("mask"):
         return MaskTable(int(_require(data, "p")), _cpx_in(_require(data, "lambda")))
-    except (TypeError, ValueError) as exc:
-        raise FormatError(str(exc)) from exc
 
 
 def system_to_dict(system: WaveletSystem) -> dict:
@@ -128,25 +133,29 @@ def system_to_dict(system: WaveletSystem) -> dict:
 
 
 def system_from_dict(data: dict) -> WaveletSystem:
-    try:
-        p = int(_require(data, "p"))
+    """A stored system; its tables must have the shapes its tree gives."""
+    with _malformed("system"):
+        p, M = int(_require(data, "p")), int(_require(data, "M"))
         tree = RootedTree.validate(_require(data, "parent"), p)
-        mask = mask_from_dict(data)
-        phi_hat_raw = _require(data, "phi_hat")
-        phi_hat = SpectrumTable(p, int(_require(phi_hat_raw, "band")), _cpx_in(phi_hat_raw["values"]))
-        return WaveletSystem(
+        raw = _require(data, "phi_hat")
+        phi_hat = SpectrumTable(p, int(_require(raw, "band")), _cpx_in(_require(raw, "values")))
+        system = WaveletSystem(
             p=p,
-            M=int(_require(data, "M")),
+            M=M,
             tree=tree,
-            mask=mask,
+            mask=mask_from_dict(data),
             beta=_cpx_in(_require(data, "beta")),
             beta_l=tuple(_cpx_in(bl) for bl in _require(data, "beta_l")),
             phi=step_from_dict(_require(data, "phi")),
             phi_hat=phi_hat,
             psi=tuple(step_from_dict(d) for d in _require(data, "psi")),
         )
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    found = [M, phi_hat.band, *(b.shape for b in (system.beta, *system.beta_l))]
+    found += [(f.p, f.support_level, f.resolution_level) for f in (system.phi, *system.psi)]
+    wanted = [tree.support_exponent, M, *[(p * p,)] * p, (p, -1, M), *[(p, -1, M + 1)] * (p - 1)]
+    if found != wanted:
+        raise FormatError(f"system tables do not fit its p={p} tree of M={tree.support_exponent}")
+    return system
 
 
 # -- coefficient grids and pyramids --
@@ -161,13 +170,15 @@ def grid_to_dict(grid: CoeffGrid) -> dict:
 
 
 def grid_from_dict(data: dict, p: int) -> CoeffGrid:
-    entries = {}
-    for item in _require(data, "entries"):
-        digits = _require(item, "shift")
-        key = sum(int(d) * p**i for i, d in enumerate(digits))
-        re, im = _require(item, "value")
-        entries[key] = complex(re, im)
-    return CoeffGrid(p, int(_require(data, "level")), entries)
+    with _malformed("coefficient grid"):
+        entries = {}
+        for item in _require(data, "entries"):
+            digits = [int(d) for d in _require(item, "shift")]
+            if not all(0 <= d < p for d in digits):
+                raise FormatError(f"shift digits {digits} outside 0..{p - 1}")
+            re, im = _require(item, "value")
+            entries[sum(d * p**i for i, d in enumerate(digits))] = complex(re, im)
+        return CoeffGrid(p, int(_require(data, "level")), entries)
 
 
 def pyramid_to_dict(pyramid: CoeffPyramid) -> dict:
@@ -179,9 +190,10 @@ def pyramid_to_dict(pyramid: CoeffPyramid) -> dict:
 
 
 def pyramid_from_dict(data: dict) -> CoeffPyramid:
-    p = int(_require(data, "p"))
-    approx = grid_from_dict(_require(data, "approx"), p)
-    details = tuple(
-        tuple(grid_from_dict(g, p) for g in level) for level in _require(data, "details")
-    )
-    return CoeffPyramid(p, approx, details)
+    with _malformed("pyramid"):
+        p = int(_require(data, "p"))
+        approx = grid_from_dict(_require(data, "approx"), p)
+        details = tuple(
+            tuple(grid_from_dict(g, p) for g in level) for level in _require(data, "details")
+        )
+        return CoeffPyramid(p, approx, details)

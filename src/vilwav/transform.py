@@ -13,11 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .refinable import StepFunction, inner_product, translate_dilate
+from .config import InputError, MathError
+from .refinable import StepFunction, embed, inner_product, translate_dilate
 from .wavelet import WaveletSystem
 
 
-class LevelMismatchError(ValueError):
+class LevelMismatchError(InputError):
     pass
 
 
@@ -120,7 +121,7 @@ def synthesize_level(approx: CoeffGrid, details, system: WaveletSystem) -> Coeff
 def analyze(grid: CoeffGrid, system: WaveletSystem, levels: int) -> CoeffPyramid:
     """Iterated decomposition; details returned coarsest level first."""
     if levels < 1:
-        raise ValueError("levels must be >= 1")
+        raise InputError("levels must be >= 1")
     details = []
     approx = grid
     for _ in range(levels):
@@ -145,7 +146,7 @@ def project(f: StepFunction, system: WaveletSystem, level: int) -> CoeffGrid:
     p, M = system.p, system.M
     needed = M + level
     if f.resolution_level < needed:
-        raise ValueError(
+        raise MathError(
             f"signal resolution level {f.resolution_level} too coarse for projection "
             f"onto level {level}; resolution level >= {needed} required"
         )
@@ -170,8 +171,6 @@ def materialize(grid: CoeffGrid, system: WaveletSystem) -> StepFunction:
         return StepFunction(p, n - 1, system.M + n, np.zeros(p ** (system.M + 1), dtype=complex))
     lo = min(t.support_level for _, t in terms)
     hi = max(t.resolution_level for _, t in terms)
-    from .refinable import embed
-
     total = np.zeros(p ** (hi - lo), dtype=complex)
     for c, t in terms:
         total += c * embed(t, lo, hi)

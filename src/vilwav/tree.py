@@ -10,10 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-DEFAULT_ENUM_CAP = 5
+from .config import MathError
+from .group import check_table_size
 
 
-class TreeError(ValueError):
+class TreeError(MathError):
     pass
 
 
@@ -116,13 +117,12 @@ def prufer_to_parent(seq, p: int) -> tuple[int, ...]:
     return _parent_from_edges(p, edges)
 
 
-def enumerate_trees(p: int, cap: int = DEFAULT_ENUM_CAP) -> Iterator[RootedTree]:
-    """All p^(p-2) labeled trees on {0..p-1}, each rooted at 0, Prufer order."""
-    if p > cap:
-        raise TreeError(
-            f"exhaustive enumeration of {p}^{p - 2} trees exceeds cap p<={cap}; "
-            "sample trees instead"
-        )
+def enumerate_trees(p: int) -> Iterator[RootedTree]:
+    """All p^(p-2) labeled trees on {0..p-1}, each rooted at 0, Prufer order.
+
+    Refused before the first tree when the count, clipped at p^64 (past any cap), exceeds the cap.
+    """
+    check_table_size(p ** min(p - 2, 64))
     if p == 2:
         yield RootedTree.validate((0, 0), 2)
         return

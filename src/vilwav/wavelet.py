@@ -13,13 +13,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .group import char_kernel_apply, check_table_size, digit_table, unit_roots
-from .mask import MaskTable, check_row_condition, check_vanishing
+from .mask import MaskTable, check_row_condition, check_vanishing, mask_from_tree
 from .refinable import (
     SpectrumTable,
     StepFunction,
     all_shifts,
     check_elementary,
     check_orthonormality_spectral,
+    embed,
     gram_matrix,
     inverse_transform,
     phi_hat_from_tree,
@@ -125,8 +126,6 @@ class WaveletSystem:
 
 def build_system(tree: RootedTree, phases=None) -> WaveletSystem:
     """Tree -> mask -> spectrum -> refinable function -> wavelets."""
-    from .mask import mask_from_tree
-
     mask = mask_from_tree(tree, phases)
     phi_hat_table = phi_hat_from_tree(tree, mask)
     phi = inverse_transform(phi_hat_table)
@@ -201,8 +200,6 @@ def verify_wavelet_system(system: WaveletSystem, spectral_only: bool = False) ->
         return checks
 
     # refinement identity, cell-exact one level finer
-    from .refinable import embed
-
     refined = assemble_refinement_sum(system.phi, system.beta)
     phi_fine = embed(system.phi, -1, M + 1)
     record("refinement-identity", float(np.abs(refined.values - phi_fine).max()))

@@ -1,12 +1,17 @@
+import copy
 import json
+import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from vilwav import serialize
+from vilwav import cli, serialize, transform
 from vilwav.cli import EXIT_INPUT, EXIT_MATH, EXIT_OK, main
 from vilwav.refinable import StepFunction
 from vilwav.tree import RootedTree
+from vilwav.wavelet import CheckResult, build_system
 
 from conftest import TREE7_A_PARENT, TREE7_B_PARENT
 
@@ -241,3 +246,238 @@ def test_show_json_and_csv(tmp_path, capsys):
     assert main(["show", "psi", "--system", sys_file, "--format", "csv"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "psi_1" in out and "psi_2" in out
+
+
+# -- the exit-code contract: 1 for a mathematical "no", 2 for unreadable input --
+
+
+@pytest.fixture(scope="module")
+def p3_payloads():
+    """Valid p=3 payloads of every file kind the CLI reads."""
+    phases = {(0, 1): 0.25}
+    system = build_system(RootedTree.validate([0, 0, 1], 3), phases)
+    rng = np.random.default_rng(3)
+    signal = StepFunction(3, -1, 2, rng.normal(size=27) + 1j * rng.normal(size=27))
+    pyramid = transform.analyze(transform.project(signal, system, 1), system, 2)
+    system_dict = serialize.system_to_dict(system)
+    return {
+        "tree": serialize.tree_to_dict(system.tree, phases),
+        "system": system_dict,
+        "signal": serialize.step_to_dict(signal),
+        "mask": {"p": 3, "lambda": system_dict["lambda"]},
+        "pyramid": serialize.pyramid_to_dict(pyramid),
+    }
+
+
+def write_inputs(directory, payloads):
+    return {kind: write_json(directory / f"{kind}.json", data) for kind, data in payloads.items()}
+
+
+def commands(paths, out):
+    """Every subcommand that reads a file, as (file kinds read, argv)."""
+    return [
+        ({"tree"}, ["tree", "validate", paths["tree"]]),
+        ({"tree"}, ["build", paths["tree"], "-o", out]),
+        ({"system"}, ["verify", paths["system"]]),
+        ({"system", "signal"}, ["transform", "analyze", "--system", paths["system"],
+                                "--signal", paths["signal"], "--levels", "2", "-o", out]),
+        ({"system", "pyramid"}, ["transform", "synthesize", "--system", paths["system"],
+                                 "--pyramid", paths["pyramid"], "-o", out]),
+        ({"mask"}, ["mask", "to-tree", paths["mask"], "-o", out]),
+        ({"system"}, ["show", "psi", "--system", paths["system"], "--format", "csv"]),
+    ]
+
+
+def run_one_line(argv, capsys):
+    """Exit code and the single line a failing command prints, on stdout or stderr."""
+    capsys.readouterr()
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    assert (out + err).count("\n") == 1, out + err
+    return code, out, err
+
+
+def mutate(payloads, kind, change):
+    bad = copy.deepcopy(payloads)
+    change(bad[kind])
+    return bad
+
+
+def set_in(*path_and_value):
+    *path, value = path_and_value
+
+    def change(data):
+        for key in path[:-1]:
+            data = data[key]
+        data[path[-1]] = value
+    return change
+
+
+def drop(*path):
+    def change(data):
+        for key in path[:-1]:
+            data = data[key]
+        del data[path[-1]]
+    return change
+
+
+def mismatched_detail_levels(pyramid):
+    pyramid["details"][0][1]["level"] += 1
+
+
+@pytest.mark.parametrize(
+    "kind, change, command, code, stream, message",
+    [
+        pytest.param("tree", set_in("p", "three"), 0, EXIT_INPUT, "err", "three", id="1-validate"),
+        pytest.param("tree", set_in("p", "three"), 1, EXIT_INPUT, "err", "three", id="1-build"),
+        pytest.param("tree", set_in("parent", 5), 1, EXIT_INPUT, "err", "not iterable",
+                     id="2-parent"),
+        pytest.param("pyramid", mismatched_detail_levels, 4, EXIT_INPUT, "err", "different levels",
+                     id="6-levels"),
+        pytest.param("pyramid", set_in("approx", "level", "x"), 4, EXIT_INPUT, "err", "'x'",
+                     id="7-level"),
+        pytest.param("pyramid", set_in("approx", "entries", 0, "value", 1.0), 4, EXIT_INPUT, "err",
+                     "unpack", id="7-value"),
+        pytest.param("pyramid", set_in("details", {"level": 0}), 4, EXIT_INPUT, "err",
+                     "entries", id="7-details"),
+        pytest.param("pyramid", set_in("approx", "entries", 0, "shift", [-1]), 4, EXIT_INPUT, "err",
+                     "outside", id="7-shift"),
+        pytest.param("system", set_in("M", 0), 2, EXIT_INPUT, "err", "do not fit", id="system-M"),
+        pytest.param("system", drop("phi_hat", "values"), 2, EXIT_INPUT, "err", "'values'",
+                     id="phi_hat-values"),
+        pytest.param("system", set_in("phi_hat", 1.5), 2, EXIT_INPUT, "err", "'band'",
+                     id="phi_hat-number"),
+        pytest.param("tree", set_in("phases_turns", [0.25]), 1, EXIT_INPUT, "err", "items",
+                     id="phases-list"),
+    ],
+)
+def test_malformed_input_exit_codes(p3_payloads, tmp_path, capsys, kind, change, command, code,
+                                    stream, message):
+    paths = write_inputs(tmp_path, mutate(p3_payloads, kind, change))
+    _, argv = commands(paths, str(tmp_path / "out.json"))[command]
+    got, out, err = run_one_line(argv, capsys)
+    assert got == code
+    assert message in {"out": out, "err": err}[stream]
+
+
+@pytest.mark.parametrize("parent, message", [([0, 0], "length 2"), ([0, 2, 1], "cycle: 1->2->1")])
+def test_build_of_invalid_tree_prints_the_validate_line(tmp_path, capsys, parent, message):
+    path = write_json(tmp_path / "bad.json", {"p": 3, "parent": parent})
+    validate = run_one_line(["tree", "validate", path], capsys)
+    build = run_one_line(["build", path, "-o", str(tmp_path / "s.json")], capsys)
+    assert build == validate
+    assert validate[0] == EXIT_MATH and message in validate[1]
+
+
+@pytest.mark.parametrize("command", [1, 3, 4, 5])
+def test_unwritable_output_is_input_error(p3_payloads, tmp_path, capsys, command):
+    paths = write_inputs(tmp_path, p3_payloads)
+    _, argv = commands(paths, str(tmp_path / "no_such_dir" / "out.json"))[command]
+    code, _, err = run_one_line(argv, capsys)
+    assert code == EXIT_INPUT and "cannot write" in err
+
+
+def test_malformed_size_cap_is_input_error(p3_payloads, tmp_path, capsys, monkeypatch):
+    paths = write_inputs(tmp_path, p3_payloads)
+    monkeypatch.setenv("VILWAV_SIZE_CAP", "abc")
+    code, _, err = run_one_line(["build", paths["tree"], "-o", str(tmp_path / "s.json")], capsys)
+    assert code == EXIT_INPUT and "VILWAV_SIZE_CAP" in err
+
+
+def test_analyze_zero_levels_is_input_error(p3_payloads, tmp_path, capsys):
+    paths = write_inputs(tmp_path, p3_payloads)
+    _, argv = commands(paths, str(tmp_path / "pyr.json"))[3]
+    argv[argv.index("--levels") + 1] = "0"
+    code, _, err = run_one_line(argv, capsys)
+    assert code == EXIT_INPUT and "levels must be >= 1" in err
+
+
+def never(*args, **kwargs):
+    raise AssertionError("sweep work started")
+
+
+@pytest.fixture
+def no_sweep(monkeypatch):
+    """Fail the test if a tree is decoded or a worker pool is made."""
+    from vilwav import tree as tree_module
+
+    monkeypatch.setattr(tree_module, "prufer_to_parent", never)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", never)
+
+
+def test_oversized_sweep_is_refused_up_front(no_sweep, capsys):
+    code, out, _ = run_one_line(["verify", "--all-trees", "11"], capsys)
+    assert code == EXIT_MATH and "exceeds cap" in out
+
+
+@pytest.mark.parametrize("jobs", [0, -1, (os.cpu_count() or 1) + 1])
+def test_jobs_out_of_range_is_input_error(no_sweep, monkeypatch, capsys, jobs):
+    monkeypatch.setattr(cli, "enumerate_trees", never)
+    code, _, err = run_one_line(["verify", "--all-trees", "3", "--jobs", str(jobs)], capsys)
+    assert code == EXIT_INPUT and "--jobs" in err
+
+
+def test_all_trees_fail_lines_name_the_failing_check(monkeypatch, capsys):
+    def one_check_fails(system, spectral_only=False):
+        return [CheckResult("mask-row-sums", 0.0, True),
+                CheckResult("gram-orthonormal-family", 0.5, False)]
+
+    monkeypatch.setattr(cli, "verify_wavelet_system", one_check_fails)
+    assert main(["verify", "--all-trees", "3", "--jobs", "1"]) == EXIT_MATH
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL ")]
+    assert len(fails) == 3
+    assert all(line.endswith("dev=5.000e-01 checks=gram-orthonormal-family") for line in fails)
+
+
+# -- fuzzing: one mutated leaf or key of one valid file, every subcommand --
+
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+
+
+def json_paths(obj, path=()):
+    """Paths to every scalar leaf and every dict key of a JSON value."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield ("key", path + (key,))
+            yield from json_paths(value, path + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from json_paths(value, path + (i,))
+    else:
+        yield ("leaf", path)
+
+
+@settings(max_examples=120, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzz_mutated_inputs_exit_cleanly(p3_payloads, tmp_path, capsys, monkeypatch, data):
+    monkeypatch.setenv("VILWAV_SIZE_CAP", "100000")
+    kind = data.draw(st.sampled_from(sorted(p3_payloads)))
+    what, path = data.draw(st.sampled_from(list(json_paths(p3_payloads[kind]))))
+    *where, last = path
+    if what == "key":
+        op = data.draw(st.sampled_from(["delete", "rename"]))
+        new_key = data.draw(st.text(max_size=3)) if op == "rename" else None
+    else:
+        op = data.draw(st.sampled_from(["replace", "delete"]))
+        new_value = data.draw(JSON_VALUES) if op == "replace" else None
+
+    def change(payload):
+        for key in where:
+            payload = payload[key]
+        value = payload.pop(last) if op in ("delete", "rename") else None
+        if op == "rename":
+            payload[new_key] = value
+        elif op == "replace":
+            payload[last] = new_value
+
+    paths = write_inputs(tmp_path, mutate(p3_payloads, kind, change))
+    for reads, argv in commands(paths, str(tmp_path / "out.json")):
+        if kind in reads:
+            capsys.readouterr()
+            assert main(argv) in (EXIT_OK, EXIT_MATH, EXIT_INPUT), argv
+            assert "Traceback" not in capsys.readouterr().err

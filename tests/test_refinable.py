@@ -223,3 +223,11 @@ def test_gram_phi_identity_wider_shifts():
     shifts = all_shifts(3, 3)
     gram = gram_matrix([phi], shifts)
     assert np.abs(gram - np.eye(27)).max() < 1e-12
+
+
+def test_huge_declared_width_is_refused_without_computing_p_to_the_width():
+    # a file can declare any level; p**(2**70) would never finish
+    with pytest.raises(ValueError, match=r"expected 3\^"):
+        StepFunction(3, -1, 2**70, np.zeros(27))
+    with pytest.raises(ValueError, match=r"expected 3\^"):
+        SpectrumTable(3, 2**70, np.zeros(9))

@@ -19,10 +19,22 @@ ROOT = Path(__file__).resolve().parents[1]
     ],
 )
 def test_script_exits_zero(script, args):
+    proc = run_script(script, args)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def run_script(script, args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args],
         env=env, capture_output=True, text=True, timeout=120,
     )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_exhaustive_verify_refuses_oversized_sweep():
+    # 11^9 trees exceed the default size cap: refused before any tree is verified
+    proc = run_script("exhaustive_verify.py", ["-p", "11"])
+    assert proc.returncode != 0
+    assert "exceeds cap" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == ""

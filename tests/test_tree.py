@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from vilwav import tree as tree_module
+from vilwav.config import SizeCapError
 from vilwav.tree import RootedTree, TreeError, enumerate_trees, prufer_to_parent, sample_tree
 
 from conftest import TREE7_A_PARENT, TREE7_B_PARENT
@@ -75,10 +77,21 @@ def test_enumeration_p2():
     assert [t.parent for t in enumerate_trees(2)] == [(0, 0)]
 
 
-def test_enumeration_cap():
-    with pytest.raises(TreeError, match="cap"):
-        list(enumerate_trees(7))
-    assert len(list(enumerate_trees(7, cap=7))) > 0  # cap is overridable
+def test_enumeration_size_cap(monkeypatch):
+    def never(*args):
+        raise AssertionError("a tree was built")
+
+    # 11^9 trees exceed the default cap: refused before the first tree is decoded
+    with monkeypatch.context() as m:
+        m.setattr(tree_module, "prufer_to_parent", never)
+        with pytest.raises(SizeCapError, match="exceeds cap"):
+            next(enumerate_trees(11))
+        with pytest.raises(SizeCapError):
+            next(enumerate_trees(1_000_000_007))  # refused without building p^(p-2)
+    monkeypatch.setenv("VILWAV_SIZE_CAP", "100")
+    with pytest.raises(SizeCapError):
+        next(enumerate_trees(5))  # 125 trees
+    assert len(list(enumerate_trees(3))) == 3
 
 
 def test_enumeration_deterministic():
