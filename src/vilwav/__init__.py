@@ -10,6 +10,7 @@ from .refinable import (
     gram_matrix,
     inverse_transform,
     phi_hat_from_tree,
+    translation_correlation,
 )
 from .transform import CoeffGrid, CoeffPyramid, analyze, analyze_level, project, synthesize, synthesize_level
 from .tree import RootedTree, enumerate_trees
@@ -52,6 +53,7 @@ __all__ = [
     "solve_beta",
     "synthesize",
     "synthesize_level",
+    "translation_correlation",
     "verify_wavelet_system",
 ]
 

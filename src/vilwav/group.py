@@ -65,12 +65,14 @@ def char_kernel_apply(values: np.ndarray, p: int, w: int, sign: int) -> np.ndarr
     Each axis pass subtracts the slot-0 value before multiplying the nonzero
     output rows, which is exact (the dropped term is a full root-of-unity sum,
     identically zero) and makes constant fibres transform to exact zeros.
+    The table runs along the first axis; any further axes are a batch, each
+    transformed alike.
     """
-    if values.shape != (p**w,):
-        raise ValueError(f"expected flat table of length {p**w}")
+    if values.shape[:1] != (p**w,):
+        raise ValueError(f"expected a table of length {p**w} along the first axis")
     omega = unit_roots(p) if sign >= 0 else unit_roots(p).conj()
     kernel = omega[np.outer(np.arange(p), np.arange(p)) % p]
-    arr = values.astype(complex).reshape((p,) * w) if w else values.astype(complex)
+    arr = values.astype(complex).reshape((p,) * w + values.shape[1:])
     for axis in range(w):
         arr = np.moveaxis(arr, axis, 0)
         flat = arr.reshape(p, -1)
@@ -78,4 +80,4 @@ def char_kernel_apply(values: np.ndarray, p: int, w: int, sign: int) -> np.ndarr
         out[0] = flat.sum(axis=0)
         out[1:] = kernel[1:] @ (flat - flat[0])
         arr = np.moveaxis(out.reshape(arr.shape), 0, axis)
-    return arr.reshape(-1)
+    return arr.reshape(values.shape)

@@ -8,10 +8,12 @@ integral here is a finite measure-weighted sum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import MathError
 from .group import char_kernel_apply, check_table_size, digit_table
 from .mask import MaskTable, RowReport, orbit_product
 from .tree import RootedTree
@@ -219,6 +221,9 @@ def translate_dilate(f: StepFunction, j_dilate: int, shift: tuple[int, ...] = ()
     for mu in range(f.support_level, f.resolution_level):
         d = (digits[:, mu + j_dilate - s_new] - shift_digit(shift, mu)) % p
         idx += d * p ** (mu - f.support_level)
+    # p^(j/2) must be a normal double: past that it overflows or underflows to 0
+    if abs(j_dilate) / 2 * math.log2(p) >= 1022:
+        raise MathError(f"dilation to level {j_dilate} is out of double range at p={p}")
     values = np.where(ok, np.asarray(f.values)[idx], 0.0) * float(p) ** (j_dilate / 2)
     return StepFunction(p, s_new, r_new, values)
 
@@ -246,12 +251,41 @@ def translated_cell_matrix(f: StepFunction, shifts, lo: int, hi: int) -> np.ndar
 
 
 def gram_matrix(funcs, shifts) -> np.ndarray:
-    """Gram matrix of the translates of every function over the given shifts.
+    """Dense oracle: Gram matrix of the translates of every function over the given shifts.
 
     Rows and columns run function-major: block (i, k) pairs the translates
-    of funcs[i] with those of funcs[k].
+    of funcs[i] with those of funcs[k].  translation_correlation gives the
+    same entries without a row per translate.
     """
     lo = min(min(f.support_level for f in funcs), -max((len(h) for h in shifts), default=0))
     hi = max(f.resolution_level for f in funcs)
     family = np.vstack([translated_cell_matrix(f, shifts, lo, hi) for f in funcs])
     return family @ family.conj().T * float(funcs[0].p) ** -hi
+
+
+def translation_correlation(funcs, width: int) -> np.ndarray:
+    """c[i, k, d] = <f_i, f_k(x - d)> for every shift d of all_shifts(p, width).
+
+    Translation is a carry-free digit shift, so the Gram entry of f_i(x - h)
+    against f_k(x - h') is c[i, k, h' - h].  Each function is transformed once
+    over the shift digits; a pair's spectrum product, summed over the other
+    digits, inverts to its correlation over every shift.  Digits below every
+    support are left out: a shift with one moves each function off all the
+    others, so its entries are zero.
+    """
+    n, p = len(funcs), funcs[0].p
+    lo = min(0, *(f.support_level for f in funcs))
+    hi = max(0, *(f.resolution_level for f in funcs))
+    t = min(width, -lo)  # shift digits inside the window, positions -t .. -1
+    check_table_size(n * p ** (hi - lo))
+    # cells[s, i, a, b] is f_i on shift digits s, digits [0, hi) a and digits [lo, -t) b
+    cells = np.empty((p**t, n, p**hi, p ** (-lo - t)), dtype=complex)
+    for i, f in enumerate(funcs):
+        cells[:, i] = embed(f, lo, hi).reshape(p**hi, p**t, -1).transpose(1, 0, 2)
+    spec = char_kernel_apply(cells.reshape(p**t, n, -1), p, t, -1)
+    corr = char_kernel_apply(spec @ spec.conj().transpose(0, 2, 1), p, t, +1) * float(p) ** -(hi + t)
+    # the window puts position -t least significant, shift keys put position -1 there
+    corr = corr.reshape((p,) * t + (n, n)).transpose(*range(t - 1, -1, -1), t, t + 1)
+    out = np.zeros((n, n, p**width), dtype=complex)
+    out[:, :, : p**t] = corr.reshape(p**t, n, n).transpose(1, 2, 0)
+    return out

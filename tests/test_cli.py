@@ -326,6 +326,12 @@ def mismatched_detail_levels(pyramid):
     pyramid["details"][0][1]["level"] += 1
 
 
+def every_level_shifted_by_5000(pyramid):
+    # consistent levels, but p^(level/2) is no double at p=3
+    for grid in [pyramid["approx"], *(g for level in pyramid["details"] for g in level)]:
+        grid["level"] += 5000
+
+
 @pytest.mark.parametrize(
     "kind, change, command, code, stream, message",
     [
@@ -350,6 +356,8 @@ def mismatched_detail_levels(pyramid):
                      id="phi_hat-number"),
         pytest.param("tree", set_in("phases_turns", [0.25]), 1, EXIT_INPUT, "err", "items",
                      id="phases-list"),
+        pytest.param("pyramid", every_level_shifted_by_5000, 4, EXIT_MATH, "out", "level 5001",
+                     id="levels-overflow"),
     ],
 )
 def test_malformed_input_exit_codes(p3_payloads, tmp_path, capsys, kind, change, command, code,

@@ -170,6 +170,16 @@ def test_char_kernel_inverse(rng):
     assert np.abs(back - v).max() < 1e-12
 
 
+def test_char_kernel_batches_trailing_axes(rng):
+    p, w = 3, 2
+    v = rng.normal(size=(p**w, 2, 4)) + 1j * rng.normal(size=(p**w, 2, 4))
+    out = char_kernel_apply(v, p, w, -1)
+    assert out.shape == v.shape
+    for i in range(2):
+        for j in range(4):
+            assert np.abs(out[:, i, j] - char_kernel_apply(v[:, i, j], p, w, -1)).max() < 1e-14
+
+
 def test_char_kernel_constant_gives_exact_delta():
     # a constant table must transform to an exactly-zero tail, not ~1e-16 noise
     out = char_kernel_apply(np.ones(27), 3, 3, +1)

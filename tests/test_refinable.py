@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from vilwav.config import MathError
+from vilwav.group import digit_table
 from vilwav.mask import mask_from_tree
 from vilwav.refinable import (
     SpectrumTable,
@@ -18,8 +20,10 @@ from vilwav.refinable import (
     phi_hat_from_tree,
     spectrum_from_mask_orbit,
     translate_dilate,
+    translation_correlation,
 )
 from vilwav.tree import RootedTree, enumerate_trees
+from vilwav.wavelet import build_system
 
 OMEGA3 = np.exp(2j * np.pi / 3)
 
@@ -195,6 +199,14 @@ def test_dilation_normalization():
     assert g.norm2() == pytest.approx(f.norm2())
 
 
+def test_dilation_out_of_double_range_is_refused():
+    f = StepFunction(3, -1, 0, np.array([1.0, 0, 0], dtype=complex))
+    assert translate_dilate(f, 600, ()).norm2() == pytest.approx(f.norm2())
+    for level in (5000, -5000):
+        with pytest.raises(MathError, match=f"level {level} "):
+            translate_dilate(f, level, ())
+
+
 def test_inner_product_matches_norm():
     f = StepFunction(3, -1, 1, np.arange(9, dtype=complex))
     assert inner_product(f, f) == pytest.approx(f.norm2())
@@ -231,3 +243,38 @@ def test_huge_declared_width_is_refused_without_computing_p_to_the_width():
         StepFunction(3, -1, 2**70, np.zeros(27))
     with pytest.raises(ValueError, match=r"expected 3\^"):
         SpectrumTable(3, 2**70, np.zeros(9))
+
+
+def assert_correlation_is_dense_gram(funcs, width):
+    p = funcs[0].p
+    corr = translation_correlation(funcs, width)
+    digits = digit_table(p, width)
+    hprime_minus_h = ((digits[None, :, :] - digits[:, None, :]) % p) @ p ** np.arange(width)
+    n, shifts = len(funcs), p**width
+    by_shift = corr[:, :, hprime_minus_h].transpose(0, 2, 1, 3).reshape(n * shifts, n * shifts)
+    assert np.abs(gram_matrix(funcs, all_shifts(p, width)) - by_shift).max() < 1e-14
+    return corr
+
+
+@pytest.mark.parametrize(
+    "parent, widths",
+    [(t.parent, (2, 3)) for t in enumerate_trees(3)] + [((0, 0, 1, 2, 3), (2,))],
+)
+def test_translation_correlation_matches_dense_gram(parent, widths, rng):
+    # phi and psi differ in resolution level; the noisy psi and the function
+    # supported in G_-3 make the family non-orthonormal and put shift digits
+    # below the common support
+    tree = RootedTree.validate(parent, len(parent))
+    system = build_system(tree, dict(zip(tree.edges(), rng.uniform(size=tree.p - 1))))
+    p, psi = system.p, system.psi[0]
+    noisy = StepFunction(p, -1, psi.resolution_level, psi.values + 1e-3 * rng.normal(size=psi.values.shape))
+    wide = rng.normal(size=p**3) + 1j * rng.normal(size=p**3)
+    wide = StepFunction(p, -3, 0, wide / np.linalg.norm(wide))
+    for width in widths:
+        corr = assert_correlation_is_dense_gram((system.phi,) + system.psi, width)
+        ideal = np.zeros_like(corr)
+        ideal[:, :, 0] = np.eye(p)
+        assert np.abs(corr - ideal).max() < 1e-12
+        corr = assert_correlation_is_dense_gram((system.phi, noisy, wide), width)
+        assert np.abs(corr[1, 1, 0] - noisy.norm2()) < 1e-14 and abs(corr[1, 1, 0] - 1) > 1e-7
+        assert np.abs(corr[2, 2, 1:]).max() > 1e-3  # translates of the wide function overlap

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from vilwav.config import SizeCapError
 from vilwav.mask import MaskTable, mask_from_tree
-from vilwav.refinable import all_shifts, gram_matrix, inner_product
+from vilwav.refinable import StepFunction, all_shifts, gram_matrix, inner_product
 from vilwav.tree import RootedTree, enumerate_trees
 from vilwav.wavelet import (
     assemble_refinement_sum,
@@ -129,17 +131,29 @@ def test_refinement_sum_respects_size_cap(monkeypatch):
         build_system(RootedTree.validate([0, 0, 1], 3))
 
 
-def test_p7_chain_refinement_and_two_route():
+@pytest.fixture(scope="module")
+def chain7():
     # height 7, M = 5: the deepest tree at p = 7
+    return build_system(RootedTree.validate([0, 0, 1, 2, 3, 4, 5], 7))
+
+
+def test_p7_chain_refinement_and_two_route(chain7):
     from vilwav.refinable import embed
 
-    system = build_system(RootedTree.validate([0, 0, 1, 2, 3, 4, 5], 7))
+    system = chain7
     assert system.M == 5
     refined = assemble_refinement_sum(system.phi, system.beta)
     assert np.abs(refined.values - embed(system.phi, -1, system.M + 1)).max() < 1e-12
     for l in range(1, 7):
         freq = psi_freq(system.phi_hat, system.mask, l)
         assert np.abs(freq.values - system.psi[l - 1].values).max() < 1e-12
+
+
+def test_p7_chain_full_verify_under_default_cap(chain7, monkeypatch):
+    monkeypatch.delenv("VILWAV_SIZE_CAP", raising=False)
+    checks = verify_wavelet_system(chain7)
+    assert len(checks) == 10
+    assert all(c.passed for c in checks), [c for c in checks if not c.passed]
 
 
 def test_corrupted_beta_breaks_refinement(chain3):
@@ -216,6 +230,17 @@ def test_wavelet_gram_is_identity(chain3):
     # blocks: psi_1 and psi_2 translates orthonormal, and orthogonal to each other and to phi
     gram = gram_matrix((chain3.phi,) + chain3.psi, all_shifts(3, 2))
     assert np.abs(gram - np.eye(27)).max() < 1e-12
+
+
+def test_gram_check_catches_a_perturbed_wavelet(rng):
+    system = build_system(RootedTree.validate([0, 0, 1, 2, 3], 5))
+    psi = system.psi[1]
+    bent = StepFunction(5, -1, psi.resolution_level, psi.values + 1e-6 * rng.normal(size=psi.values.shape))
+    bad = dataclasses.replace(system, psi=system.psi[:1] + (bent,) + system.psi[2:])
+    gram = {c.name: c for c in verify_wavelet_system(bad)}["gram-orthonormal-family"]
+    dense = gram_matrix((bad.phi,) + bad.psi, all_shifts(5, 2))
+    assert not gram.passed
+    assert abs(gram.max_deviation - np.abs(dense - np.eye(len(dense))).max()) < 1e-15
 
 
 def test_verify_haar_p2_exact():
