@@ -13,6 +13,7 @@ of every index and char_kernel_apply applies the pairing between the two.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -21,14 +22,7 @@ from .config import SizeCapError, size_cap
 
 
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
 def check_table_size(n_entries: int) -> None:

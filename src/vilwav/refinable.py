@@ -150,12 +150,9 @@ def check_elementary(spec: SpectrumTable, tol: float = 1e-10) -> ElementaryRepor
     xi = support % p
     cosets_ok = len(support) == p and len(set(int(r) for r in xi)) == p
     contains_base = 0 in support
-    digits = digit_table(p, M + 1)[support]
-    missing = []
-    for l in range(M + 1):
-        in_shell = (digits[:, l] != 0) & (digits[:, l + 1:] == 0).all(axis=1)
-        if not in_shell.any():
-            missing.append(l)
+    # a coset lies in the shell of its highest nonzero digit
+    shells = {int(np.flatnonzero(row).max()) for row in digit_table(p, M + 1)[support] if row.any()}
+    missing = [l for l in range(M + 1) if l not in shells]
     msg = "ok"
     if not cosets_ok:
         msg = f"support is {len(support)} cosets with {len(set(int(r) for r in xi))} distinct residues, wanted p={p} of each"
@@ -191,10 +188,7 @@ def embed(f: StepFunction, lo: int, hi: int) -> np.ndarray:
 
 def shift_digit(shift: tuple[int, ...], nu: int) -> int:
     """Digit of a translation lattice element at position nu (< 0), little-endian from -1."""
-    i = -1 - nu
-    if 0 <= i < len(shift):
-        return shift[i]
-    return 0
+    return shift[-1 - nu] if 0 <= -1 - nu < len(shift) else 0
 
 
 def all_shifts(p: int, width: int) -> list[tuple[int, ...]]:
@@ -221,20 +215,62 @@ def translate_dilate(f: StepFunction, j_dilate: int, shift: tuple[int, ...] = ()
     for mu in range(f.support_level, f.resolution_level):
         d = (digits[:, mu + j_dilate - s_new] - shift_digit(shift, mu)) % p
         idx += d * p ** (mu - f.support_level)
-    # p^(j/2) must be a normal double: past that it overflows or underflows to 0
-    if abs(j_dilate) / 2 * math.log2(p) >= 1022:
-        raise MathError(f"dilation to level {j_dilate} is out of double range at p={p}")
-    values = np.where(ok, np.asarray(f.values)[idx], 0.0) * float(p) ** (j_dilate / 2)
+    values = np.where(ok, np.asarray(f.values)[idx], 0.0) * dilation_scale(p, j_dilate)
     return StepFunction(p, s_new, r_new, values)
+
+
+def dilation_scale(p: int, j: int) -> float:
+    """The dilation factor p^(j/2), refused where it is no normal double (it would overflow or be 0)."""
+    if abs(j) / 2 * math.log2(p) >= 1022:
+        raise MathError(f"dilation to level {j} is out of double range at p={p}")
+    return float(p) ** (j / 2)
+
+
+def reverse_digits(table: np.ndarray, p: int, t: int) -> np.ndarray:
+    """Reverse the t base-p digits of axis 0: cell windows run deepest digit first, shift keys from digit -1."""
+    axes = (*range(t - 1, -1, -1), *range(t, t + table.ndim - 1))
+    return table.reshape((p,) * t + table.shape[1:]).transpose(axes).reshape(table.shape)
+
+
+def _diff(p: int) -> np.ndarray:
+    """diff[m, c] = (m - c) mod p."""
+    return (np.arange(p)[:, None] - np.arange(p)[None, :]) % p
+
+
+def _circulant(k: np.ndarray) -> np.ndarray:
+    """The matrix of lattice_sum: row (m, q), column s holds k[q, (m - s) mod p]."""
+    return k[:, _diff(k.shape[1])].transpose(1, 0, 2).reshape(-1, k.shape[1])
+
+
+def lattice_sum(g: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """out[r, m, q, ...] = sum_c k[q, c] * g[r, (m - c) mod p, ...].
+
+    The relation phi = sum_j beta_j phi(A x - h_j) on tables: g holds cells or
+    coefficients as [rest, lowest digit], k the coefficients as [pinned
+    digits, lowest shift digit], and trailing axes of g are a batch.  Summed
+    over s = m - c instead, it is one matrix product per r.
+    """
+    r, p = g.shape[:2]
+    return (_circulant(k) @ g.reshape(r, p, -1)).reshape(r, p, len(k), *g.shape[2:])
+
+
+def lattice_sum_adjoint_g(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Adjoint of lattice_sum in g: out[r, c, ...] = sum_{m,q} x[r, m, q, ...] * conj k[q, (m - c) mod p]."""
+    r, p = x.shape[:2]
+    return (_circulant(k).conj().T @ x.reshape(r, p * len(k), -1)).reshape(r, p, *x.shape[3:])
+
+
+def lattice_sum_adjoint_k(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Adjoint of lattice_sum in k: out[q, c] = sum_{r,m} x[r, m, q] * conj g[r, (m - c) mod p]."""
+    r, p = g.shape
+    return x.reshape(r * p, -1).T @ g[:, _diff(p)].reshape(r * p, p).conj()
 
 
 def inner_product(f: StepFunction, g: StepFunction) -> complex:
     """Exact integral of f * conj(g) over the common cell refinement."""
     lo = min(f.support_level, g.support_level)
     hi = max(f.resolution_level, g.resolution_level)
-    vf = embed(f, lo, hi)
-    vg = embed(g, lo, hi)
-    return complex(vf @ vg.conj() * float(f.p) ** -hi)
+    return complex(embed(f, lo, hi) @ embed(g, lo, hi).conj() * float(f.p) ** -hi)
 
 
 def translated_cell_matrix(f: StepFunction, shifts, lo: int, hi: int) -> np.ndarray:
@@ -284,8 +320,6 @@ def translation_correlation(funcs, width: int) -> np.ndarray:
         cells[:, i] = embed(f, lo, hi).reshape(p**hi, p**t, -1).transpose(1, 0, 2)
     spec = char_kernel_apply(cells.reshape(p**t, n, -1), p, t, -1)
     corr = char_kernel_apply(spec @ spec.conj().transpose(0, 2, 1), p, t, +1) * float(p) ** -(hi + t)
-    # the window puts position -t least significant, shift keys put position -1 there
-    corr = corr.reshape((p,) * t + (n, n)).transpose(*range(t - 1, -1, -1), t, t + 1)
     out = np.zeros((n, n, p**width), dtype=complex)
-    out[:, :, : p**t] = corr.reshape(p**t, n, n).transpose(1, 2, 0)
+    out[:, :, : p**t] = reverse_digits(corr, p, t).transpose(1, 2, 0)
     return out

@@ -1,7 +1,9 @@
 """Multi-level analysis/synthesis filter bank over a tree-generated system.
 
-Coefficient grids are sparse maps keyed by the canonical index of the
-lattice shift (base-p digits read from position -1 downward).  The group
+Coefficient grids are dicts at the API, keyed by the canonical index of the
+lattice shift (base-p digits read from position -1 downward); the bank runs
+on dense digit tables over those keys.  Every map is the two-scale
+contraction refinable.lattice_sum or one of its two adjoints.  The group
 addition is carry-free, so supports stay compact and no periodization is
 needed; analysis and synthesis are exact adjoints.
 """
@@ -14,7 +16,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import InputError, MathError
-from .refinable import StepFunction, embed, inner_product, translate_dilate
+from .group import check_table_size
+from .refinable import (
+    StepFunction,
+    dilation_scale,
+    lattice_sum,
+    lattice_sum_adjoint_g,
+    lattice_sum_adjoint_k,
+    reverse_digits,
+    translate_dilate,  # noqa: F401  unused; perfbench's tracer test expects it bound here
+)
 from .wavelet import WaveletSystem
 
 
@@ -47,11 +58,7 @@ class CoeffPyramid:
     details: tuple  # coarsest-first tuple of (p-1)-tuples of CoeffGrid
 
     def energy(self):
-        total = self.approx.energy()
-        for level_grids in self.details:
-            for g in level_grids:
-                total = total + g.energy()
-        return total
+        return sum((g.energy() for level_grids in self.details for g in level_grids), start=self.approx.energy())
 
 
 def shift_key_digits(key: int, p: int) -> tuple[int, ...]:
@@ -63,28 +70,36 @@ def shift_key_digits(key: int, p: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
+def _tables(grids, min_width: int) -> tuple[np.ndarray, int]:
+    """Dense [grid, key, ...] tables over the p^w keys of w >= min_width shift digits.
+
+    w is the digit count of the largest key; a vector value adds its axis last.
+    """
+    p = grids[0].p
+    keys = [k for g in grids for k in g.entries]
+    values = [v for g in grids for v in g.entries.values()]
+    w = max(min_width, len(shift_key_digits(max(keys, default=0), p)))
+    batch = np.shape(values[0]) if values else ()
+    check_table_size(p**w * math.prod(batch))
+    tables = np.zeros((len(grids), p**w, *batch), dtype=complex)
+    tables[np.repeat(np.arange(len(grids)), [len(g.entries) for g in grids]), keys] = values
+    return tables, w
+
+
+def _grid(table: np.ndarray, p: int, level: int) -> CoeffGrid:
+    """The grid of a table's entries that are not exactly zero (all-zero rows for a vector value)."""
+    keys = np.flatnonzero(table.reshape(len(table), -1).any(axis=1))
+    return CoeffGrid(p, level, dict(zip(keys.tolist(), table[keys])))
+
+
 def analyze_level(grid: CoeffGrid, system: WaveletSystem) -> tuple[CoeffGrid, tuple[CoeffGrid, ...]]:
     """One filter-bank step: split level-n coordinates into level n-1 + details."""
     p = system.p
-    scale = 1.0 / math.sqrt(p)
-    filters = [np.conj(system.beta)] + [np.conj(bl) for bl in system.beta_l]
-    outs = [dict() for _ in filters]
-    for key, c in grid.entries.items():
-        a_m1 = key % p
-        t = key // p
-        mixed = t % p
-        rest = t // p
-        for a_m2 in range(p):
-            j = a_m1 + p * a_m2
-            g = (mixed - a_m2) % p + p * rest
-            for f, out in zip(filters, outs):
-                w = f[j]
-                if w == 0:
-                    continue
-                out[g] = out.get(g, 0.0) + scale * w * c
-    approx = CoeffGrid(p, grid.level - 1, outs[0])
-    details = tuple(CoeffGrid(p, grid.level - 1, o) for o in outs[1:])
-    return approx, details
+    (x,), w = _tables([grid], 2)
+    x = x.reshape(p ** (w - 2), p, p, *x.shape[1:])  # [rest, b_-1 + a_-2, a_-1]
+    outs = [lattice_sum_adjoint_g(x, np.reshape(f, (p, p)).T) for f in (system.beta, *system.beta_l)]
+    approx, *details = (_grid(o.reshape(-1, *x.shape[3:]) / math.sqrt(p), p, grid.level - 1) for o in outs)
+    return approx, tuple(details)
 
 
 def synthesize_level(approx: CoeffGrid, details, system: WaveletSystem) -> CoeffGrid:
@@ -92,30 +107,10 @@ def synthesize_level(approx: CoeffGrid, details, system: WaveletSystem) -> Coeff
     p = system.p
     if any(d.level != approx.level for d in details):
         raise LevelMismatchError("approximation and detail grids sit on different levels")
-    scale = 1.0 / math.sqrt(p)
-    filters = [system.beta] + list(system.beta_l)
-    grids = [approx] + list(details)
-    out: dict = {}
-    keys = set()
-    for g in grids:
-        keys.update(g.entries)
-    for gkey in keys:
-        b_m1 = gkey % p
-        rest = gkey // p
-        contribs = [g.entries.get(gkey) for g in grids]
-        for a_m1 in range(p):
-            for a_m2 in range(p):
-                j = a_m1 + p * a_m2
-                k = a_m1 + p * ((b_m1 + a_m2) % p) + p * p * rest
-                acc = 0.0
-                for f, c in zip(filters, contribs):
-                    if c is None or f[j] == 0:
-                        continue
-                    acc = acc + f[j] * c
-                if isinstance(acc, float) and acc == 0.0:
-                    continue
-                out[k] = out.get(k, 0.0) + scale * acc
-    return CoeffGrid(p, approx.level + 1, out)
+    tables, w = _tables([approx, *details], 1)
+    tables = tables.reshape(len(tables), p ** (w - 1), p, *tables.shape[2:])  # [grid, rest, b_-1]
+    total = sum(lattice_sum(t, np.reshape(f, (p, p)).T) for t, f in zip(tables, (system.beta, *system.beta_l)))
+    return _grid(total.reshape(-1, *tables.shape[3:]) / math.sqrt(p), p, approx.level + 1)
 
 
 def analyze(grid: CoeffGrid, system: WaveletSystem, levels: int) -> CoeffPyramid:
@@ -123,11 +118,10 @@ def analyze(grid: CoeffGrid, system: WaveletSystem, levels: int) -> CoeffPyramid
     if levels < 1:
         raise InputError("levels must be >= 1")
     details = []
-    approx = grid
     for _ in range(levels):
-        approx, det = analyze_level(approx, system)
+        grid, det = analyze_level(grid, system)
         details.append(det)
-    return CoeffPyramid(system.p, approx, tuple(reversed(details)))
+    return CoeffPyramid(system.p, grid, tuple(reversed(details)))
 
 
 def synthesize(pyramid: CoeffPyramid, system: WaveletSystem) -> CoeffGrid:
@@ -144,34 +138,30 @@ def project(f: StepFunction, system: WaveletSystem, level: int) -> CoeffGrid:
     level must reach M + level.
     """
     p, M = system.p, system.M
-    needed = M + level
-    if f.resolution_level < needed:
+    if f.resolution_level < M + level:
         raise MathError(
             f"signal resolution level {f.resolution_level} too coarse for projection "
-            f"onto level {level}; resolution level >= {needed} required"
+            f"onto level {level}; resolution level >= {M + level} required"
         )
     width = max(level - f.support_level, 1)
-    entries = {}
-    for key in range(p**width):
-        basis = translate_dilate(system.phi, level, shift_key_digits(key, p))
-        c = inner_product(f, basis)
-        if c != 0:
-            entries[key] = c
-    return CoeffGrid(p, level, entries)
+    scale = dilation_scale(p, level) * float(p) ** -f.resolution_level
+    check_table_size(p ** (f.resolution_level - level + width))
+    # f on the basis window [level - width, f.resolution_level), which may start below
+    # f's own, summed over the digits from M + level up, where the basis is constant
+    x = np.zeros((np.size(f.values), p ** (f.support_level - level + width)), dtype=complex)
+    x[:, 0] = f.values
+    x = x.reshape(-1, p ** (M + width)).sum(axis=0).reshape(p**M, p, p ** (width - 1))
+    k = lattice_sum_adjoint_k(x, np.asarray(system.phi.values).reshape(-1, p))
+    return _grid(reverse_digits(k, p, width - 1).reshape(-1) * scale, p, level)
 
 
 def materialize(grid: CoeffGrid, system: WaveletSystem) -> StepFunction:
     """The step function with the grid's coordinates in the level-n basis."""
-    p, n = grid.p, grid.level
-    terms = [
-        (c, translate_dilate(system.phi, n, shift_key_digits(key, p)))
-        for key, c in grid.entries.items()
-    ]
-    if not terms:
-        return StepFunction(p, n - 1, system.M + n, np.zeros(p ** (system.M + 1), dtype=complex))
-    lo = min(t.support_level for _, t in terms)
-    hi = max(t.resolution_level for _, t in terms)
-    total = np.zeros(p ** (hi - lo), dtype=complex)
-    for c, t in terms:
-        total += c * embed(t, lo, hi)
-    return StepFunction(p, lo, hi, total)
+    p, n, M = grid.p, grid.level, system.M
+    (c,), width = _tables([grid], 1)
+    scale = dilation_scale(p, n)
+    check_table_size(p ** (M + width))
+    # kernel [q, a]: a the key digit -1, q its digits -2 .. -width reversed into window order
+    k = reverse_digits(c.reshape(-1, p), p, width - 1)
+    cells = lattice_sum(np.asarray(system.phi.values).reshape(-1, p), k)
+    return StepFunction(p, n - width, M + n, cells.reshape(-1) * scale)

@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -114,6 +115,28 @@ def test_verify_corrupted_lambda(tmp_path, capsys):
     write_json(tmp_path / "bad.json", data)
     assert main(["verify", str(tmp_path / "bad.json")]) == EXIT_MATH
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_verify_nan_psi_cell_fails_two_route(tmp_path, capsys):
+    # json accepts NaN; Python's max(0.0, nan) is 0.0, so the check must not use it
+    data = serialize.load_json(build_system_file(tmp_path, {"p": 3, "parent": [0, 0, 1]}))
+    data["psi"][0]["values"][5] = [float("nan"), 0.0]
+    assert main(["verify", write_json(tmp_path / "nan.json", data)]) == EXIT_MATH
+    line = next(x for x in capsys.readouterr().out.splitlines() if "psi-two-route" in x)
+    assert line.startswith("FAIL") and "nan" in line
+
+
+def test_verify_huge_psi_cell_fails_without_warnings(tmp_path, capsys):
+    data = serialize.load_json(build_system_file(tmp_path, {"p": 3, "parent": [0, 0, 1]}))
+    data["psi"][0]["values"][5] = [1e200, 0.0]
+    bad = write_json(tmp_path / "huge.json", data)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", bad]) == EXIT_MATH
+    out, err = capsys.readouterr()
+    line = next(x for x in out.splitlines() if "gram-orthonormal-family" in x)
+    assert line.startswith("FAIL") and err == ""
 
 
 def test_verify_all_trees_p3(capsys):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vilwav.refinable import StepFunction, translate_dilate
+from vilwav.config import SizeCapError
+from vilwav.refinable import StepFunction, embed, inner_product, translate_dilate
 from vilwav.transform import (
     CoeffGrid,
     CoeffPyramid,
@@ -179,8 +180,6 @@ def test_round_trip_through_signal(star3, rng):
     pyramid = analyze(project(f, star3, 0), star3, 2)
     back = synthesize(pyramid, star3)
     g = materialize(back, star3)
-    from vilwav.refinable import embed
-
     lo = min(f.support_level, g.support_level)
     hi = max(f.resolution_level, g.resolution_level)
     assert np.abs(embed(f, lo, hi) - embed(g, lo, hi)).max() < 1e-10
@@ -193,3 +192,96 @@ def test_reconstruction_property(seed, levels):
     grid = random_grid(3, 0, 2, rng)
     back = synthesize(analyze(grid, system, levels), system)
     assert grid_error(grid, back) < 1e-10
+
+
+# -- the dense kernel against the per-translate oracle --
+
+
+@pytest.fixture(scope="module")
+def oracle_systems():
+    """Every p=3 tree and the p=5 chain."""
+    trees = list(enumerate_trees(3)) + [RootedTree.validate([0, 0, 1, 2, 3], 5)]
+    return [build_system(t) for t in trees]
+
+
+def sparse_grid(p, level, width, rng):
+    """A few keys of every digit count 1..width, the largest key p^width - 1 among them."""
+    keys = {0, p**width - 1} | {int(rng.integers(p ** (d - 1), p**d)) for d in range(1, width + 1)}
+    return CoeffGrid(p, level, {k: complex(rng.normal(), rng.normal()) for k in sorted(keys)})
+
+
+def on_common_window(*funcs):
+    lo = min(f.support_level for f in funcs)
+    hi = max(f.resolution_level for f in funcs)
+    return [embed(f, lo, hi) for f in funcs]
+
+
+def basis(system, level, key):
+    return translate_dilate(system.phi, level, shift_key_digits(key, system.p))
+
+
+@pytest.mark.parametrize("level", [-1, 0, 2])
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_materialize_is_the_sum_of_translates(oracle_systems, rng, level, width):
+    for system in oracle_systems:
+        p, M = system.p, system.M
+        grid = sparse_grid(p, level, width, rng)
+        f = materialize(grid, system)
+        assert (f.support_level, f.resolution_level) == (level - width, M + level)
+        terms = [(c, basis(system, level, k)) for k, c in grid.entries.items()]
+        got, *windows = on_common_window(f, *(t for _, t in terms))
+        want = sum(c * w for (c, _), w in zip(terms, windows))
+        assert np.abs(got - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("level", [-1, 0, 2])
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_project_is_the_inner_product_per_key(oracle_systems, rng, level, width):
+    for system in oracle_systems:
+        p, M = system.p, system.M
+        signals = [
+            materialize(sparse_grid(p, level, width, rng), system),
+            # finer than the basis cells; the last starts a digit inside the basis window
+            StepFunction(p, level - width, M + level + 1, rng.normal(size=p ** (M + width + 1))),
+            StepFunction(p, level + 1 - width, M + level + 1, rng.normal(size=p ** (M + width))),
+        ]
+        for f in signals:
+            grid = project(f, system, level)
+            n_keys = p ** max(level - f.support_level, 1)
+            assert grid.level == level and all(0 <= k < n_keys for k in grid.entries)
+            keys = range(n_keys) if n_keys <= 27 else {*rng.integers(0, n_keys, 12).tolist(), n_keys - 1}
+            for k in keys:
+                want = inner_product(f, basis(system, level, k))
+                assert abs(grid.entries.get(k, 0.0) - want) < 1e-12, (system.tree.parent, f, k)
+
+
+def test_batched_levels_match_per_column_runs(oracle_systems, rng):
+    n = 4
+    for system in oracle_systems:
+        p = system.p
+        grid = random_grid(p, 1, 3, rng, n=n)
+        approx, details = analyze_level(grid, system)
+        back = synthesize_level(approx, details, system)
+        for col in range(n):
+            def column(g):
+                return CoeffGrid(p, g.level, {k: v[col] for k, v in g.entries.items()})
+
+            a, d = analyze_level(column(grid), system)
+            assert grid_error(a, column(approx)) < 1e-14
+            assert all(grid_error(x, column(y)) < 1e-14 for x, y in zip(d, details))
+            assert grid_error(synthesize_level(a, d, system), column(back)) < 1e-14
+
+
+@pytest.mark.parametrize("cap, key", [(None, 3**40), ("500", 3**6)])
+def test_key_table_over_the_size_cap_is_refused(chain3, monkeypatch, cap, key):
+    # a table over 3^41 keys cannot be allocated, so only the cap can refuse it
+    if cap is not None:
+        monkeypatch.setenv("VILWAV_SIZE_CAP", cap)
+    grid = CoeffGrid(3, 0, {0: 1.0, key: 1.0})
+    for run in (
+        lambda: analyze_level(grid, chain3),
+        lambda: synthesize_level(grid, (CoeffGrid(3, 0, {}),) * 2, chain3),
+        lambda: materialize(grid, chain3),
+    ):
+        with pytest.raises(SizeCapError):
+            run()
