@@ -126,7 +126,10 @@ def cmd_transform(args) -> int:
         pyramid = transform.analyze(grid, system, args.levels)
         back = transform.synthesize(pyramid, system)
         keys = set(grid.entries) | set(back.entries)
-        err = max((abs(grid.entries.get(k, 0.0) - back.entries.get(k, 0.0)) for k in keys), default=0.0)
+        err = max(
+            (abs(grid.entries.get(k, 0.0) - back.entries.get(k, 0.0)) for k in keys),
+            default=0.0,
+        )
         _write(args.out, serialize.pyramid_to_dict(pyramid))
         print(f"wrote pyramid ({args.levels} levels) to {args.out}; round-trip error {err:.3e}")
         return EXIT_OK if err < args.tol else EXIT_MATH

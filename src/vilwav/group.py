@@ -13,7 +13,6 @@ of every index and char_kernel_apply applies the pairing between the two.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -22,7 +21,14 @@ from .config import SizeCapError, size_cap
 
 
 def is_prime(p: int) -> bool:
-    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+    if p < 2:
+        return False
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 1
+    return True
 
 
 def check_table_size(n_entries: int) -> None:

@@ -150,9 +150,12 @@ def check_elementary(spec: SpectrumTable, tol: float = 1e-10) -> ElementaryRepor
     xi = support % p
     cosets_ok = len(support) == p and len(set(int(r) for r in xi)) == p
     contains_base = 0 in support
-    # a coset lies in the shell of its highest nonzero digit
-    shells = {int(np.flatnonzero(row).max()) for row in digit_table(p, M + 1)[support] if row.any()}
-    missing = [l for l in range(M + 1) if l not in shells]
+    digits = digit_table(p, M + 1)[support]
+    missing = []
+    for l in range(M + 1):
+        in_shell = (digits[:, l] != 0) & (digits[:, l + 1:] == 0).all(axis=1)
+        if not in_shell.any():
+            missing.append(l)
     msg = "ok"
     if not cosets_ok:
         msg = f"support is {len(support)} cosets with {len(set(int(r) for r in xi))} distinct residues, wanted p={p} of each"
@@ -188,7 +191,10 @@ def embed(f: StepFunction, lo: int, hi: int) -> np.ndarray:
 
 def shift_digit(shift: tuple[int, ...], nu: int) -> int:
     """Digit of a translation lattice element at position nu (< 0), little-endian from -1."""
-    return shift[-1 - nu] if 0 <= -1 - nu < len(shift) else 0
+    i = -1 - nu
+    if 0 <= i < len(shift):
+        return shift[i]
+    return 0
 
 
 def all_shifts(p: int, width: int) -> list[tuple[int, ...]]:
@@ -227,7 +233,7 @@ def dilation_scale(p: int, j: int) -> float:
 
 
 def reverse_digits(table: np.ndarray, p: int, t: int) -> np.ndarray:
-    """Reverse the t base-p digits of axis 0: cell windows run deepest digit first, shift keys from digit -1."""
+    """Reverse the t base-p digits of axis 0: windows put the deepest digit first, shift keys digit -1."""
     axes = (*range(t - 1, -1, -1), *range(t, t + table.ndim - 1))
     return table.reshape((p,) * t + table.shape[1:]).transpose(axes).reshape(table.shape)
 
@@ -270,7 +276,9 @@ def inner_product(f: StepFunction, g: StepFunction) -> complex:
     """Exact integral of f * conj(g) over the common cell refinement."""
     lo = min(f.support_level, g.support_level)
     hi = max(f.resolution_level, g.resolution_level)
-    return complex(embed(f, lo, hi) @ embed(g, lo, hi).conj() * float(f.p) ** -hi)
+    vf = embed(f, lo, hi)
+    vg = embed(g, lo, hi)
+    return complex(vf @ vg.conj() * float(f.p) ** -hi)
 
 
 def translated_cell_matrix(f: StepFunction, shifts, lo: int, hi: int) -> np.ndarray:

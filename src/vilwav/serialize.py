@@ -162,8 +162,10 @@ def system_from_dict(data: dict) -> WaveletSystem:
 
 
 def grid_to_dict(grid: CoeffGrid) -> dict:
-    entries = [{"shift": list(shift_key_digits(k, grid.p)), "value": _cpx_out([v])[0]}
-               for k, v in sorted(grid.entries.items())]
+    entries = []
+    for key in sorted(grid.entries):
+        v = complex(grid.entries[key])
+        entries.append({"shift": list(shift_key_digits(key, grid.p)), "value": [v.real, v.imag]})
     return {"level": grid.level, "entries": entries}
 
 

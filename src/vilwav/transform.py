@@ -2,8 +2,11 @@
 
 Coefficient grids are dicts at the API, keyed by the canonical index of the
 lattice shift (base-p digits read from position -1 downward); the bank runs
-on dense digit tables over those keys.  Every map is the two-scale
-contraction refinable.lattice_sum or one of its two adjoints.  The group
+on dense digit tables over those keys.  A table covers all p^w keys of up to
+w digits, so it suits dense grids (every key below some p^w, as analysis,
+projection and the scripts make them); a grid of a few wide keys pays p^w.
+Every map is the two-scale contraction refinable.lattice_sum or one of its
+two adjoints.  The group
 addition is carry-free, so supports stay compact and no periodization is
 needed; analysis and synthesis are exact adjoints.
 """
@@ -58,7 +61,11 @@ class CoeffPyramid:
     details: tuple  # coarsest-first tuple of (p-1)-tuples of CoeffGrid
 
     def energy(self):
-        return sum((g.energy() for level_grids in self.details for g in level_grids), start=self.approx.energy())
+        total = self.approx.energy()
+        for level_grids in self.details:
+            for g in level_grids:
+                total = total + g.energy()
+        return total
 
 
 def shift_key_digits(key: int, p: int) -> tuple[int, ...]:
@@ -80,7 +87,7 @@ def _tables(grids, min_width: int) -> tuple[np.ndarray, int]:
     values = [v for g in grids for v in g.entries.values()]
     w = max(min_width, len(shift_key_digits(max(keys, default=0), p)))
     batch = np.shape(values[0]) if values else ()
-    check_table_size(p**w * math.prod(batch))
+    check_table_size(len(grids) * p**w * math.prod(batch))
     tables = np.zeros((len(grids), p**w, *batch), dtype=complex)
     tables[np.repeat(np.arange(len(grids)), [len(g.entries) for g in grids]), keys] = values
     return tables, w
@@ -97,8 +104,9 @@ def analyze_level(grid: CoeffGrid, system: WaveletSystem) -> tuple[CoeffGrid, tu
     p = system.p
     (x,), w = _tables([grid], 2)
     x = x.reshape(p ** (w - 2), p, p, *x.shape[1:])  # [rest, b_-1 + a_-2, a_-1]
-    outs = [lattice_sum_adjoint_g(x, np.reshape(f, (p, p)).T) for f in (system.beta, *system.beta_l)]
-    approx, *details = (_grid(o.reshape(-1, *x.shape[3:]) / math.sqrt(p), p, grid.level - 1) for o in outs)
+    filters = (system.beta, *system.beta_l)
+    outs = [lattice_sum_adjoint_g(x, np.reshape(f, (p, p)).T / math.sqrt(p)) for f in filters]
+    approx, *details = (_grid(o.reshape(-1, *x.shape[3:]), p, grid.level - 1) for o in outs)
     return approx, tuple(details)
 
 
@@ -107,10 +115,12 @@ def synthesize_level(approx: CoeffGrid, details, system: WaveletSystem) -> Coeff
     p = system.p
     if any(d.level != approx.level for d in details):
         raise LevelMismatchError("approximation and detail grids sit on different levels")
-    tables, w = _tables([approx, *details], 1)
+    tables, w = _tables([approx, *details], 1)  # p grids of p^w keys: as many entries as the output
     tables = tables.reshape(len(tables), p ** (w - 1), p, *tables.shape[2:])  # [grid, rest, b_-1]
-    total = sum(lattice_sum(t, np.reshape(f, (p, p)).T) for t, f in zip(tables, (system.beta, *system.beta_l)))
-    return _grid(total.reshape(-1, *tables.shape[3:]) / math.sqrt(p), p, approx.level + 1)
+    total = np.zeros((p ** (w - 1), p, p, *tables.shape[3:]), dtype=complex)  # [rest, b_-1 + a_-2, a_-1]
+    for t, f in zip(tables, (system.beta, *system.beta_l)):
+        total += lattice_sum(t, np.reshape(f, (p, p)).T / math.sqrt(p))
+    return _grid(total.reshape(-1, *tables.shape[3:]), p, approx.level + 1)
 
 
 def analyze(grid: CoeffGrid, system: WaveletSystem, levels: int) -> CoeffPyramid:
@@ -118,10 +128,11 @@ def analyze(grid: CoeffGrid, system: WaveletSystem, levels: int) -> CoeffPyramid
     if levels < 1:
         raise InputError("levels must be >= 1")
     details = []
+    approx = grid
     for _ in range(levels):
-        grid, det = analyze_level(grid, system)
+        approx, det = analyze_level(approx, system)
         details.append(det)
-    return CoeffPyramid(system.p, grid, tuple(reversed(details)))
+    return CoeffPyramid(system.p, approx, tuple(reversed(details)))
 
 
 def synthesize(pyramid: CoeffPyramid, system: WaveletSystem) -> CoeffGrid:
@@ -138,10 +149,11 @@ def project(f: StepFunction, system: WaveletSystem, level: int) -> CoeffGrid:
     level must reach M + level.
     """
     p, M = system.p, system.M
-    if f.resolution_level < M + level:
+    needed = M + level
+    if f.resolution_level < needed:
         raise MathError(
             f"signal resolution level {f.resolution_level} too coarse for projection "
-            f"onto level {level}; resolution level >= {M + level} required"
+            f"onto level {level}; resolution level >= {needed} required"
         )
     width = max(level - f.support_level, 1)
     scale = dilation_scale(p, level) * float(p) ** -f.resolution_level
@@ -159,9 +171,8 @@ def materialize(grid: CoeffGrid, system: WaveletSystem) -> StepFunction:
     """The step function with the grid's coordinates in the level-n basis."""
     p, n, M = grid.p, grid.level, system.M
     (c,), width = _tables([grid], 1)
-    scale = dilation_scale(p, n)
     check_table_size(p ** (M + width))
     # kernel [q, a]: a the key digit -1, q its digits -2 .. -width reversed into window order
-    k = reverse_digits(c.reshape(-1, p), p, width - 1)
+    k = reverse_digits(c.reshape(-1, p), p, width - 1) * dilation_scale(p, n)
     cells = lattice_sum(np.asarray(system.phi.values).reshape(-1, p), k)
-    return StepFunction(p, n - width, M + n, cells.reshape(-1) * scale)
+    return StepFunction(p, n - width, M + n, cells.reshape(-1))

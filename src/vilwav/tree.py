@@ -123,6 +123,9 @@ def enumerate_trees(p: int) -> Iterator[RootedTree]:
     Refused before the first tree when the count, clipped at p^64 (past any cap), exceeds the cap.
     """
     check_table_size(p ** min(p - 2, 64))
+    if p == 2:
+        yield RootedTree.validate((0, 0), 2)
+        return
     for code in range(p ** (p - 2)):
         seq = [(code // p**i) % p for i in range(p - 2)]
         yield RootedTree.validate(prufer_to_parent(seq, p), p)
@@ -130,5 +133,7 @@ def enumerate_trees(p: int) -> Iterator[RootedTree]:
 
 def sample_tree(p: int, rng) -> RootedTree:
     """One uniformly random labeled tree, rooted at 0."""
+    if p == 2:
+        return RootedTree.validate((0, 0), 2)
     seq = [int(rng.integers(p)) for _ in range(p - 2)]
     return RootedTree.validate(prufer_to_parent(seq, p), p)

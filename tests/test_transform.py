@@ -285,3 +285,12 @@ def test_key_table_over_the_size_cap_is_refused(chain3, monkeypatch, cap, key):
     ):
         with pytest.raises(SizeCapError):
             run()
+
+
+def test_synthesis_counts_every_grid_against_the_size_cap(chain3, monkeypatch):
+    # one 3^5-key table fits under 500, but the p grids and the output hold 3^6 entries
+    monkeypatch.setenv("VILWAV_SIZE_CAP", "500")
+    grid = CoeffGrid(3, 0, {3**4: 1.0})
+    analyze_level(grid, chain3)  # one table in, 3 x 3^4 entries out
+    with pytest.raises(SizeCapError):
+        synthesize_level(grid, (CoeffGrid(3, 0, {}),) * 2, chain3)
