@@ -9,6 +9,7 @@ inputs and --seed.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -69,7 +70,8 @@ def _print_report(checks) -> bool:
     ok = True
     for c in checks:
         status = "PASS" if c.passed else "FAIL"
-        print(f"{status}  {c.name:28s} max_dev={c.max_deviation:.3e}")
+        where = f" at {c.where}" if c.where else ""
+        print(f"{status}  {c.name:28s} max_dev={c.max_deviation:.3e}{where}")
         ok = ok and c.passed
     print("overall:", "PASS" if ok else "FAIL")
     return ok
@@ -77,10 +79,10 @@ def _print_report(checks) -> bool:
 
 def _verify_one_tree(payload) -> tuple[str, list[str], float]:
     """(parent, names of the failing checks, worst deviation) for one tree."""
-    p, parent, spectral_only = payload
+    p, parent, spectral_only, tol = payload
     tree = RootedTree.validate(parent, p)
     system = build_system(tree)
-    checks = verify_wavelet_system(system, spectral_only=spectral_only)
+    checks = verify_wavelet_system(system, spectral_only=spectral_only, tol=tol)
     worst = max(c.max_deviation for c in checks)
     return str(parent), [c.name for c in checks if not c.passed], worst
 
@@ -94,7 +96,7 @@ def cmd_verify(args) -> int:
         cores = os.cpu_count() or 1
         if not 1 <= args.jobs <= cores:
             raise InputError(f"--jobs {args.jobs}: expected 1 to {cores} workers")
-        jobs = [(p, list(t.parent), spectral_only) for t in enumerate_trees(p)]
+        jobs = [(p, list(t.parent), spectral_only, args.tol) for t in enumerate_trees(p)]
         t0 = time.time()
         if args.jobs > 1:
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -111,7 +113,7 @@ def cmd_verify(args) -> int:
             print(f"FAIL parent={parent} dev={dev:.3e} checks={','.join(failed)}")
         return EXIT_OK if not bad else EXIT_MATH
     system = serialize.system_from_dict(serialize.load_json(args.system))
-    checks = verify_wavelet_system(system, spectral_only=spectral_only)
+    checks = verify_wavelet_system(system, spectral_only=spectral_only, tol=args.tol)
     return EXIT_OK if _print_report(checks) else EXIT_MATH
 
 
@@ -130,9 +132,11 @@ def cmd_transform(args) -> int:
             (abs(grid.entries.get(k, 0.0) - back.entries.get(k, 0.0)) for k in keys),
             default=0.0,
         )
+        # rounding grows with the coefficients, so the bound is relative to the largest one
+        bound = args.tol * max([1.0, *(abs(v) for v in grid.entries.values())])
         _write(args.out, serialize.pyramid_to_dict(pyramid))
         print(f"wrote pyramid ({args.levels} levels) to {args.out}; round-trip error {err:.3e}")
-        return EXIT_OK if err < args.tol else EXIT_MATH
+        return EXIT_OK if err < bound else EXIT_MATH
     pyramid = serialize.pyramid_from_dict(serialize.load_json(args.pyramid))
     if pyramid.p != system.p:
         raise serialize.FormatError(f"pyramid p={pyramid.p} incompatible with system p={system.p}")
@@ -187,8 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--tol", type=float, default=DEFAULT_TOL,
-        help="tolerance of `mask to-tree` and of the `transform analyze` round-trip bound "
-        "(verify's checks keep a fixed 1e-12)",
+        help="bound of every `verify` check but the exact vanishing one, of `mask to-tree` "
+        "and of the `transform analyze` round trip (times its largest coefficient when that "
+        "exceeds 1); finite and > 0 (default %(default)g)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -248,6 +253,8 @@ def main(argv=None) -> int:
     if args.func is cmd_verify and args.system is None and args.all_trees is None:
         parser.error("verify needs a system file or --all-trees P")
     try:
+        if not 0 < args.tol < math.inf:
+            raise InputError(f"--tol {args.tol}: expected a finite number > 0")
         return args.func(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -1,13 +1,30 @@
-"""Global size limits, tolerances and the two error bases behind every exit code."""
+"""Size limits, the tolerance, the check result and the two error bases behind every exit code."""
 
 import os
+from dataclasses import dataclass
 
 # Largest table we are willing to materialize (number of complex entries).
 DEFAULT_SIZE_CAP = 10**8
 
 # All constructed values are sums of p-th roots of unity scaled by powers
 # of p; double precision keeps them well inside this comparison tolerance.
-DEFAULT_TOL = 1e-10
+DEFAULT_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    """One named check: its worst deviation, whether that passed, and where it sits."""
+
+    name: str
+    max_deviation: float
+    passed: bool
+    where: str = ""
+
+    @classmethod
+    def within(cls, name: str, deviation, tol: float, where: str = "") -> "CheckResult":
+        """Pass when the deviation is below tol; a nan deviation fails."""
+        deviation = float(deviation)
+        return cls(name, deviation, deviation < tol, where)
 
 
 class InputError(ValueError):

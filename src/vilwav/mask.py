@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import MathError
+from .config import DEFAULT_TOL, CheckResult, MathError
 from .group import digit_table, is_prime
 from .tree import RootedTree, TreeError
 
@@ -56,7 +56,7 @@ def mask_from_tree(tree: RootedTree, phases: dict[tuple[int, int], float] | None
     return MaskTable(p, lam)
 
 
-def mask_to_tree(mask: MaskTable, tol: float = 1e-10) -> tuple[RootedTree, dict[tuple[int, int], float]]:
+def mask_to_tree(mask: MaskTable, tol: float = DEFAULT_TOL) -> tuple[RootedTree, dict[tuple[int, int], float]]:
     """Recover the generating tree and edge phases from a {0,1}-modulus mask.
 
     Raises MaskError when a row violates the unit-sum condition and TreeError
@@ -84,26 +84,18 @@ def mask_to_tree(mask: MaskTable, tol: float = 1e-10) -> tuple[RootedTree, dict[
     return RootedTree.validate(parent, p), phases
 
 
-@dataclass(frozen=True)
-class RowReport:
-    """Per-residue sums of squared moduli; every one must equal 1."""
-
-    sums: tuple[float, ...]
-    max_deviation: float
-
-    @property
-    def ok(self) -> bool:
-        return self.max_deviation < 1e-10
-
-    @classmethod
-    def of(cls, sums: np.ndarray) -> "RowReport":
-        return cls(tuple(float(s) for s in sums), float(np.abs(sums - 1.0).max()))
+def residue_sums_check(name: str, sums: np.ndarray, tol: float) -> CheckResult:
+    """Every per-residue sum must equal 1; where names the residue furthest off."""
+    devs = np.abs(sums - 1.0)
+    worst = int(np.argmax(devs))
+    return CheckResult.within(name, devs[worst], tol, f"residue {worst}" if devs[worst] else "")
 
 
-def check_row_condition(mask: MaskTable) -> RowReport:
+def check_row_condition(mask: MaskTable, tol: float = DEFAULT_TOL) -> CheckResult:
     """Per-residue sums sum_j |lambda_{i+pj}|^2, which must all equal 1."""
     p = mask.p
-    return RowReport.of((np.abs(mask.lam.reshape(p, p)) ** 2).sum(axis=0))  # [j, i] -> i
+    sums = (np.abs(mask.lam.reshape(p, p)) ** 2).sum(axis=0)  # [j, i] -> i
+    return residue_sums_check("mask-row-sums", sums, tol)
 
 
 def orbit_product(mask: MaskTable, w: int) -> np.ndarray:
@@ -121,21 +113,12 @@ def orbit_product(mask: MaskTable, w: int) -> np.ndarray:
     return prod
 
 
-@dataclass(frozen=True)
-class VanishingReport:
-    max_abs_product: float
-    worst_string: tuple[int, ...] | None
-
-    @property
-    def ok(self) -> bool:
-        return self.max_abs_product == 0.0
-
-
-def check_vanishing(mask: MaskTable, M: int) -> VanishingReport:
+def check_vanishing(mask: MaskTable, M: int) -> CheckResult:
     """Exhaustive product check on the shell between levels M and M+1.
 
     For every digit string (alpha_-1, ..., alpha_M) with alpha_M != 0 the
-    product of mask values along the dilation orbit must vanish.
+    product of mask values along the dilation orbit must vanish exactly, so
+    no tolerance applies.
     """
     p = mask.p
     w = M + 2  # digits alpha_-1 .. alpha_M
@@ -143,5 +126,6 @@ def check_vanishing(mask: MaskTable, M: int) -> VanishingReport:
     shell = digits[:, w - 1] != 0
     mags = np.abs(orbit_product(mask, w)[shell])
     worst = int(np.argmax(mags))
-    worst_string = tuple(int(d) for d in digits[shell][worst])
-    return VanishingReport(float(mags.max()), worst_string if mags.max() > 0 else None)
+    dev = float(mags[worst])
+    where = f"digits {tuple(int(d) for d in digits[shell][worst])}" if dev else ""
+    return CheckResult("mask-vanishing-shell", dev, dev == 0.0, where)

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import MathError
+from .config import DEFAULT_TOL, CheckResult, MathError
 from .group import char_kernel_apply, check_table_size, digit_table
-from .mask import MaskTable, RowReport, orbit_product
+from .mask import MaskTable, orbit_product, residue_sums_check
 from .tree import RootedTree
 
 
@@ -122,53 +122,42 @@ def forward_transform(f: StepFunction) -> SpectrumTable:
     return SpectrumTable(p, f.resolution_level, values)
 
 
-@dataclass(frozen=True)
-class ElementaryReport:
-    cosets_ok: bool
-    contains_base_coset: bool
-    shells_ok: bool
-    missing_shells: tuple[int, ...]
-    message: str
-
-    @property
-    def ok(self) -> bool:
-        return self.cosets_ok and self.contains_base_coset and self.shells_ok
-
-
-def check_elementary(spec: SpectrumTable, tol: float = 1e-10) -> ElementaryReport:
+def check_elementary(spec: SpectrumTable, tol: float = DEFAULT_TOL) -> CheckResult:
     """Is the support a (1, band)-elementary set?
 
     Needs exactly p support cosets with distinct lowest digits tiling the
     level-0 annihilator, the trivial coset among them, and at least one
-    support coset in every shell between consecutive annihilators.
+    support coset in every shell between consecutive annihilators.  Values
+    are 0 or unimodular: tol bounds each modulus's distance from the nearer
+    of the two, and the support is the moduli above 0.5.  The deviation is
+    0 or 1, and where says which condition fails.
     """
     p, M = spec.p, spec.band
-    support = np.flatnonzero(np.abs(spec.values) > tol)
-    mods = np.abs(spec.values[support])
-    if np.any(np.abs(mods - 1.0) > tol):
-        return ElementaryReport(False, False, False, (), "support values are not unimodular")
-    xi = support % p
-    cosets_ok = len(support) == p and len(set(int(r) for r in xi)) == p
-    contains_base = 0 in support
+    mods = np.abs(spec.values)
+    support = np.flatnonzero(mods > 0.5)
+    residues = len(set((support % p).tolist()))
     digits = digit_table(p, M + 1)[support]
-    missing = []
-    for l in range(M + 1):
-        in_shell = (digits[:, l] != 0) & (digits[:, l + 1:] == 0).all(axis=1)
-        if not in_shell.any():
-            missing.append(l)
-    msg = "ok"
-    if not cosets_ok:
-        msg = f"support is {len(support)} cosets with {len(set(int(r) for r in xi))} distinct residues, wanted p={p} of each"
-    elif not contains_base:
-        msg = "trivial coset not in support"
+    missing = [
+        l for l in range(M + 1)
+        if not ((digits[:, l] != 0) & (digits[:, l + 1:] == 0).all(axis=1)).any()
+    ]
+    if np.any(np.minimum(mods, np.abs(mods - 1.0)) > tol):
+        why = "values are neither 0 nor unimodular"
+    elif len(support) != p or residues != p:
+        why = f"support is {len(support)} cosets with {residues} distinct residues, wanted p={p} of each"
+    elif 0 not in support:
+        why = "trivial coset not in support"
     elif missing:
-        msg = f"empty shells at levels {missing}"
-    return ElementaryReport(cosets_ok, contains_base, not missing, tuple(missing), msg)
+        why = f"empty shells at levels {missing}"
+    else:
+        why = ""
+    return CheckResult("spectrum-elementary", float(bool(why)), not why, why)
 
 
-def check_orthonormality_spectral(spec: SpectrumTable) -> RowReport:
+def check_orthonormality_spectral(spec: SpectrumTable, tol: float = DEFAULT_TOL) -> CheckResult:
     """Partial sums of |values|^2 over each lowest-digit residue; all must be 1."""
-    return RowReport.of((np.abs(spec.values) ** 2).reshape(-1, spec.p).sum(axis=0))
+    sums = (np.abs(spec.values) ** 2).reshape(-1, spec.p).sum(axis=0)
+    return residue_sums_check("spectrum-residue-sums", sums, tol)
 
 
 # -- cell-level machinery: embedding, translation, dilation, Gram oracles --

@@ -1,13 +1,15 @@
 """JSON artifacts: trees, wavelet systems, signals, coefficient pyramids.
 
 Everything is plain JSON with complex numbers as [re, im] pairs and all
-tables in canonical little-endian index order, so the files stay
-human-auditable and byte-stable across runs.
+tables in canonical little-endian index order.  Files are compact (no
+indentation, which would force the json module's pure-Python encoder) and
+keys are sorted, so the bytes are stable across runs.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -43,7 +45,7 @@ def _cpx_in(pairs) -> np.ndarray:
 
 
 def dumps(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, indent=1) + "\n"
+    return json.dumps(obj, sort_keys=True) + "\n"
 
 
 def load_json(path: str) -> dict:
@@ -84,6 +86,8 @@ def tree_from_dict(data: dict) -> tuple[RootedTree, dict]:
         for key, turn in (data.get("phases_turns") or {}).items():
             with _malformed(f"phase key {key!r}"):
                 j, i = key.split("->")
+                if not math.isfinite(float(turn)):
+                    raise ValueError(f"{turn} is not a finite number of turns")
                 phases[(int(j), int(i))] = float(turn)
     return RootedTree.validate(parent, p), phases
 
@@ -125,7 +129,6 @@ def system_to_dict(system: WaveletSystem) -> dict:
         "parent": list(system.tree.parent),
         "lambda": _cpx_out(system.mask.lam),
         "beta": _cpx_out(system.beta),
-        "beta_l": [_cpx_out(bl) for bl in system.beta_l],
         "phi": step_to_dict(system.phi),
         "psi": [step_to_dict(f) for f in system.psi],
         "phi_hat": {"band": system.phi_hat.band, "values": _cpx_out(system.phi_hat.values)},
@@ -133,7 +136,11 @@ def system_to_dict(system: WaveletSystem) -> dict:
 
 
 def system_from_dict(data: dict) -> WaveletSystem:
-    """A stored system; its tables must have the shapes its tree gives."""
+    """A stored system; its tables must have the shapes its tree gives.
+
+    A "beta_l" entry, which older files carry, is ignored: the wavelet
+    coefficients derive from the checked beta.
+    """
     with _malformed("system"):
         p, M = int(_require(data, "p")), int(_require(data, "M"))
         tree = RootedTree.validate(_require(data, "parent"), p)
@@ -145,14 +152,13 @@ def system_from_dict(data: dict) -> WaveletSystem:
             tree=tree,
             mask=mask_from_dict(data),
             beta=_cpx_in(_require(data, "beta")),
-            beta_l=tuple(_cpx_in(bl) for bl in _require(data, "beta_l")),
             phi=step_from_dict(_require(data, "phi")),
             phi_hat=phi_hat,
             psi=tuple(step_from_dict(d) for d in _require(data, "psi")),
         )
-    found = [M, phi_hat.band, *(b.shape for b in (system.beta, *system.beta_l))]
+    found = [M, phi_hat.band, system.beta.shape]
     found += [(f.p, f.support_level, f.resolution_level) for f in (system.phi, *system.psi)]
-    wanted = [tree.support_exponent, M, *[(p * p,)] * p, (p, -1, M), *[(p, -1, M + 1)] * (p - 1)]
+    wanted = [tree.support_exponent, M, (p * p,), (p, -1, M), *[(p, -1, M + 1)] * (p - 1)]
     if found != wanted:
         raise FormatError(f"system tables do not fit its p={p} tree of M={tree.support_exponent}")
     return system

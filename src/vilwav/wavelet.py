@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import DEFAULT_TOL, CheckResult
 from .group import char_kernel_apply, check_table_size, digit_table, unit_roots
 from .mask import MaskTable, check_row_condition, check_vanishing, mask_from_tree
 from .refinable import (
@@ -52,9 +53,10 @@ def solve_beta_dense(mask: MaskTable) -> np.ndarray:
     return np.linalg.solve(_beta_system(mask.p), mask.lam)
 
 
-def beta_residual(mask: MaskTable, beta: np.ndarray) -> float:
+def beta_residual(mask: MaskTable, beta: np.ndarray, tol: float = DEFAULT_TOL) -> CheckResult:
     """Max deviation when beta is substituted back into the defining system."""
-    return float(np.abs(_beta_system(mask.p) @ beta - mask.lam).max())
+    dev = np.abs(_beta_system(mask.p) @ beta - mask.lam).max()
+    return CheckResult.within("beta-residual", dev, tol)
 
 
 def beta_shifted(beta: np.ndarray, l: int, p: int) -> np.ndarray:
@@ -116,10 +118,14 @@ class WaveletSystem:
     tree: RootedTree
     mask: MaskTable
     beta: np.ndarray = field(repr=False)
-    beta_l: tuple[np.ndarray, ...] = field(repr=False)
     phi: StepFunction
     phi_hat: SpectrumTable
     psi: tuple[StepFunction, ...]
+
+    @property
+    def beta_l(self) -> tuple[np.ndarray, ...]:
+        """The wavelet coefficients, derived from beta so a system holds them once."""
+        return tuple(beta_shifted(self.beta, l, self.p) for l in range(1, self.p))
 
 
 def build_system(tree: RootedTree, phases=None) -> WaveletSystem:
@@ -128,25 +134,15 @@ def build_system(tree: RootedTree, phases=None) -> WaveletSystem:
     phi_hat_table = phi_hat_from_tree(tree, mask)
     phi = inverse_transform(phi_hat_table)
     beta = solve_beta(mask)
-    beta_l = tuple(beta_shifted(beta, l, tree.p) for l in range(1, tree.p))
-    psi = tuple(psi_time(phi, bl) for bl in beta_l)
-    return WaveletSystem(
-        tree.p, tree.support_exponent, tree, mask, beta, beta_l, phi, phi_hat_table, psi
-    )
+    psi = tuple(psi_time(phi, beta_shifted(beta, l, tree.p)) for l in range(1, tree.p))
+    return WaveletSystem(tree.p, tree.support_exponent, tree, mask, beta, phi, phi_hat_table, psi)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    max_deviation: float
-    passed: bool
-
-
-def shifted_mask_checks(mask: MaskTable) -> float:
+def shifted_mask_checks(mask: MaskTable, tol: float = DEFAULT_TOL) -> CheckResult:
     """Exhaustive m_l structure checks on the two-digit window.
 
     Verifies m_l * m_k = 0 for k != l and |m_l| = 1 exactly where the
-    unshifted support, rotated by l, sits.  Returns the max violation.
+    unshifted support, rotated by l, sits.  The deviation is the max violation.
     """
     p = mask.p
     tables = np.stack([shifted_mask(mask, l) for l in range(p)])  # [l, xi_0, xi_-1]
@@ -154,7 +150,8 @@ def shifted_mask_checks(mask: MaskTable) -> float:
     mods = np.abs(tables)
     modulus_dev = np.where(mods > 0.5, np.abs(mods - 1.0), mods)
     l, k = np.triu_indices(p, 1)
-    return float(np.max([modulus_dev.max(), np.abs(tables[l] * tables[k]).max()]))
+    dev = np.max([modulus_dev.max(), np.abs(tables[l] * tables[k]).max()])
+    return CheckResult.within("shifted-mask-structure", dev, tol)
 
 
 # The Gram check covers every lattice shift with digits at positions -1 and -2.
@@ -163,48 +160,45 @@ GRAM_SHIFT_WIDTH = 2
 
 # Huge or non-finite cells overflow to inf and nan, which every check reads as a failure.
 @np.errstate(over="ignore", invalid="ignore")
-def verify_wavelet_system(system: WaveletSystem, spectral_only: bool = False) -> list[CheckResult]:
+def verify_wavelet_system(
+    system: WaveletSystem, spectral_only: bool = False, tol: float = DEFAULT_TOL
+) -> list[CheckResult]:
     """Run every finite verification the construction promises.
 
     Spectral checks are table lookups and sums; the full level adds the
     refinement identity, the two-route wavelet comparison and the Gram
     check of the lattice translates, read off one translation correlation
-    of phi and the psi.
+    of phi and the psi.  Every check but the exact vanishing one passes
+    below tol.
     """
     p, M = system.p, system.M
-    tol = 1e-12
-    checks: list[CheckResult] = []
-
-    def record(name, dev, bound=tol):
-        checks.append(CheckResult(name, float(dev), float(dev) < bound or dev == 0.0))
-
-    record("mask-row-sums", check_row_condition(system.mask).max_deviation)
-    vanish = check_vanishing(system.mask, M)
-    checks.append(CheckResult("mask-vanishing-shell", vanish.max_abs_product, vanish.ok))
-    elem = check_elementary(system.phi_hat)
-    checks.append(CheckResult("spectrum-elementary", 0.0 if elem.ok else 1.0, elem.ok))
-    record("spectrum-residue-sums", check_orthonormality_spectral(system.phi_hat).max_deviation)
-    record("beta-residual", beta_residual(system.mask, system.beta))
-    record("beta-energy", abs(float((np.abs(system.beta) ** 2).sum()) - p))
-    record("shifted-mask-structure", shifted_mask_checks(system.mask))
-
+    checks = [
+        check_row_condition(system.mask, tol),
+        check_vanishing(system.mask, M),
+        check_elementary(system.phi_hat, tol),
+        check_orthonormality_spectral(system.phi_hat, tol),
+        beta_residual(system.mask, system.beta, tol),
+        CheckResult.within("beta-energy", abs(float((np.abs(system.beta) ** 2).sum()) - p), tol),
+        shifted_mask_checks(system.mask, tol),
+    ]
     if spectral_only:
         return checks
 
     # refinement identity, cell-exact one level finer
     refined = assemble_refinement_sum(system.phi, system.beta)
     phi_fine = embed(system.phi, -1, M + 1)
-    record("refinement-identity", float(np.abs(refined.values - phi_fine).max()))
+    checks.append(CheckResult.within("refinement-identity", np.abs(refined.values - phi_fine).max(), tol))
 
     # two-route wavelet agreement; np.max, unlike max, keeps a nan
-    record("psi-two-route", np.max([
+    two_route = np.max([
         np.abs(psi_freq(system.phi_hat, system.mask, l).values - system.psi[l - 1].values).max()
         for l in range(1, p)
-    ]))
+    ])
+    checks.append(CheckResult.within("psi-two-route", two_route, tol))
 
     # the translates of phi and every psi form one orthonormal family; the
     # shift set is a group, so Gram entry ((i, h), (k, h')) is corr[i, k, h' - h]
     corr = translation_correlation((system.phi,) + system.psi, GRAM_SHIFT_WIDTH)
     corr[:, :, 0] -= np.eye(p)
-    record("gram-orthonormal-family", float(np.abs(corr).max()))
+    checks.append(CheckResult.within("gram-orthonormal-family", np.abs(corr).max(), tol))
     return checks

@@ -139,6 +139,60 @@ def test_verify_huge_psi_cell_fails_without_warnings(tmp_path, capsys):
     assert line.startswith("FAIL") and err == ""
 
 
+def test_verify_report_says_where_a_check_fails(tmp_path, capsys):
+    data = serialize.load_json(build_system_file(tmp_path, {"p": 3, "parent": [0, 0, 1]}))
+    data["phi_hat"]["values"][0] = [0.0, 0.0]  # drop the trivial coset
+    assert main(["verify", write_json(tmp_path / "bad.json", data), "--level", "spectral"]) == EXIT_MATH
+    out = capsys.readouterr().out
+    lines = {line.split()[1]: line for line in out.splitlines() if line.startswith(("PASS", "FAIL"))}
+    assert lines["spectrum-elementary"].endswith("at support is 2 cosets with 2 distinct residues, "
+                                                 "wanted p=3 of each")
+    assert lines["spectrum-residue-sums"].endswith("at residue 0")
+    assert " at " not in lines["mask-row-sums"]
+
+
+def test_verify_tight_tol_fails(tmp_path, capsys):
+    sys_file = build_system_file(tmp_path, {"p": 3, "parent": [0, 0, 1]})
+    assert main(["--tol", "1e-30", "verify", sys_file]) == EXIT_MATH
+    assert "FAIL  gram-orthonormal-family" in capsys.readouterr().out
+    assert main(["--tol", "1e-30", "verify", "--all-trees", "3"]) == EXIT_MATH
+
+
+def test_verify_loose_tol_keeps_the_support(tmp_path, capsys):
+    # the elementary check's support is the moduli above 0.5, whatever the tolerance
+    sys_file = build_system_file(tmp_path, {"p": 3, "parent": [0, 0, 1]})
+    assert main(["--tol", "1", "verify", sys_file]) == EXIT_OK
+    assert "PASS  spectrum-elementary" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("handler, command", [
+    ("cmd_verify", ["verify", "--all-trees", "3"]),
+    ("cmd_mask_to_tree", ["mask", "to-tree", "m.json", "-o", "t.json"]),
+])
+def test_tol_must_be_finite_and_positive(monkeypatch, capsys, tol, handler, command):
+    monkeypatch.setattr(cli, handler, never)
+    code, _, err = run_one_line(["--tol", tol, *command], capsys)
+    assert code == EXIT_INPUT and err.startswith("input error: --tol")
+
+
+def test_stored_beta_l_is_not_read(p3_payloads, tmp_path):
+    # files written before beta_l was derived carry it beside beta, which alone is checked
+    system = serialize.system_from_dict(p3_payloads["system"])
+    old = dict(p3_payloads["system"], beta_l=[serialize._cpx_out(bl) for bl in system.beta_l])
+    bad = copy.deepcopy(old)
+    bad["beta_l"][0][1] = [5.0, 0.0]
+    pyramid = write_json(tmp_path / "pyramid.json", p3_payloads["pyramid"])
+    signals = []
+    for name, payload in (("old", old), ("bad", bad)):
+        out = tmp_path / f"{name}-signal.json"
+        argv = ["transform", "synthesize", "--system", write_json(tmp_path / f"{name}.json", payload),
+                "--pyramid", pyramid, "-o", str(out)]
+        assert main(argv) == EXIT_OK
+        signals.append(out.read_bytes())
+    assert signals[0] == signals[1]
+
+
 def test_verify_all_trees_p3(capsys):
     assert main(["verify", "--all-trees", "3"]) == EXIT_OK
     assert "3 trees at p=3: 3 PASS" in capsys.readouterr().out
@@ -181,6 +235,29 @@ def test_transform_roundtrip(tmp_path, capsys):
     )
     rec = serialize.step_from_dict(serialize.load_json(str(rec_file)))
     assert rec.p == 3
+
+
+def test_transform_roundtrip_bound_scales_with_the_signal(tmp_path, capsys):
+    sys_file = build_system_file(tmp_path, {"p": 3, "parent": [0, 0, 0]})
+    rng = np.random.default_rng(5)
+    values = rng.normal(size=27) + 1j * rng.normal(size=27)
+
+    def analyze(system_file, scale):
+        signal = StepFunction(3, -1, 2, scale * values)
+        sig_file = write_json(tmp_path / "sig.json", serialize.step_to_dict(signal))
+        return main(["transform", "analyze", "--system", system_file, "--signal", sig_file,
+                     "--levels", "2", "-o", str(tmp_path / "pyr.json")])
+
+    # rounding error grows with the amplitude; a correct transform passes at any scale
+    for scale in (1.0, 1e5, 1e8):
+        assert analyze(sys_file, scale) == EXIT_OK, scale
+    # a beta that no longer pairs with its shifts breaks the round trip at every scale
+    data = serialize.load_json(sys_file)
+    data["beta"][1] = [0.9 * x for x in data["beta"][1]]
+    bad_file = write_json(tmp_path / "bad.json", data)
+    for scale in (1.0, 1e8):
+        assert analyze(bad_file, scale) == EXIT_MATH, scale
+    capsys.readouterr()
 
 
 def test_transform_zero_signal(tmp_path):
@@ -379,6 +456,10 @@ def every_level_shifted_by_5000(pyramid):
                      id="phi_hat-number"),
         pytest.param("tree", set_in("phases_turns", [0.25]), 1, EXIT_INPUT, "err", "items",
                      id="phases-list"),
+        pytest.param("tree", set_in("phases_turns", {"0->1": float("nan")}), 1, EXIT_INPUT, "err",
+                     "finite", id="phase-nan"),
+        pytest.param("tree", set_in("phases_turns", {"0->1": float("inf")}), 1, EXIT_INPUT, "err",
+                     "finite", id="phase-inf"),
         pytest.param("pyramid", every_level_shifted_by_5000, 4, EXIT_MATH, "out", "level 5001",
                      id="levels-overflow"),
     ],
@@ -450,7 +531,7 @@ def test_jobs_out_of_range_is_input_error(no_sweep, monkeypatch, capsys, jobs):
 
 
 def test_all_trees_fail_lines_name_the_failing_check(monkeypatch, capsys):
-    def one_check_fails(system, spectral_only=False):
+    def one_check_fails(system, spectral_only=False, tol=None):
         return [CheckResult("mask-row-sums", 0.0, True),
                 CheckResult("gram-orthonormal-family", 0.5, False)]
 

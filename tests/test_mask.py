@@ -121,37 +121,38 @@ def test_lambda0_must_be_one():
 def test_row_condition_tree_masks_exact():
     for tree in enumerate_trees(5):
         report = check_row_condition(mask_from_tree(tree))
-        assert report.ok and report.max_deviation == 0.0
-        assert report.sums == (1.0,) * 5
+        assert report.passed and report.max_deviation == 0.0
+        assert report.name == "mask-row-sums" and report.where == ""
 
 
 def test_row_condition_failures():
     lam = np.zeros(9, dtype=complex)
     lam[0] = 1.0  # rows 1, 2 are all-zero
     report = check_row_condition(MaskTable(3, lam))
-    assert not report.ok and report.max_deviation == pytest.approx(1.0)
+    assert not report.passed and report.max_deviation == pytest.approx(1.0)
+    assert report.where == "residue 1"
     lam2 = mask_from_tree(RootedTree.validate([0, 0, 0], 3)).lam.copy()
     lam2[1] = 0.5
     report2 = check_row_condition(MaskTable(3, lam2))
-    assert report2.max_deviation == pytest.approx(0.75)
+    assert report2.max_deviation == pytest.approx(0.75) and report2.where == "residue 1"
 
 
 def test_vanishing_chain_at_correct_level():
     mask = mask_from_tree(chain3())
     report = check_vanishing(mask, 1)
-    assert report.ok and report.max_abs_product == 0.0
+    assert report.passed and report.max_deviation == 0.0 and report.where == ""
 
 
 def test_vanishing_chain_fails_one_level_short():
     mask = mask_from_tree(chain3())
     report = check_vanishing(mask, 0)
-    assert not report.ok
-    assert report.worst_string == (2, 1)  # lambda_5 * lambda_1 survives
+    assert not report.passed
+    assert "(2, 1)" in report.where  # lambda_5 * lambda_1 survives
 
 
 def test_vanishing_star():
     mask = mask_from_tree(RootedTree.validate([0, 0, 0], 3))
-    assert check_vanishing(mask, 0).ok
+    assert check_vanishing(mask, 0).passed
 
 
 @given(st.sampled_from([3, 5]).flatmap(tree_and_phases))
@@ -159,6 +160,6 @@ def test_vanishing_tight_at_tree_height(tp):
     tree, phases = tp
     mask = mask_from_tree(tree, phases)
     M = tree.support_exponent
-    assert check_vanishing(mask, M).ok
+    assert check_vanishing(mask, M).passed
     if M > 0:
-        assert not check_vanishing(mask, M - 1).ok
+        assert not check_vanishing(mask, M - 1).passed

@@ -136,34 +136,40 @@ def test_plancherel(tp):
 def test_elementary_chain_and_star():
     for parent in ([0, 0, 1], [0, 0, 0], [0, 2, 0]):
         _, _, spec = build_spectrum(parent, 3)
-        assert check_elementary(spec).ok
+        assert check_elementary(spec).passed
 
 
 def test_elementary_failure_modes():
     vals = np.zeros(9, dtype=complex)
     vals[[0, 1, 4]] = 1.0  # residues 0, 1, 1: xi-parts collide
     rep = check_elementary(SpectrumTable(3, 1, vals))
-    assert not rep.ok and "residues" in rep.message
+    assert not rep.passed and "residues" in rep.where
 
     vals2 = np.zeros(9, dtype=complex)
     vals2[[0, 1, 2]] = 1.0  # all in the level-0 annihilator: shell l=1 empty
     rep2 = check_elementary(SpectrumTable(3, 1, vals2))
-    assert not rep2.ok and rep2.missing_shells == (1,)
+    assert not rep2.passed and rep2.where == "empty shells at levels [1]"
 
     vals3 = np.zeros(9, dtype=complex)
-    vals3[[1, 2, 5]] = 1.0  # trivial coset missing
+    vals3[[3, 1, 5]] = 1.0  # trivial coset missing; residues and shells fine
     rep3 = check_elementary(SpectrumTable(3, 1, vals3))
-    assert not rep3.ok and not rep3.contains_base_coset
+    assert not rep3.passed and rep3.where == "trivial coset not in support"
 
     vals4 = np.zeros(9, dtype=complex)
     vals4[[0, 1, 5]] = [1.0, 0.5, 1.0]
-    assert not check_elementary(SpectrumTable(3, 1, vals4)).ok
+    assert check_elementary(SpectrumTable(3, 1, vals4)).where == "values are neither 0 nor unimodular"
+
+    _, _, spec = build_spectrum([0, 0, 1], 3)
+    vals5 = spec.values.copy()
+    vals5[np.flatnonzero(vals5 == 0)[0]] = 1e-9  # off the support, but off 0 by more than tol
+    spec5 = SpectrumTable(3, spec.band, vals5)
+    assert not check_elementary(spec5).passed and check_elementary(spec5, tol=1e-6).passed
 
 
 def test_spectral_ortho_report():
     _, _, spec = build_spectrum([0, 0, 1], 3)
     rep = check_orthonormality_spectral(spec)
-    assert rep.ok and rep.sums == (1.0, 1.0, 1.0)
+    assert rep.passed and rep.max_deviation == 0.0
     # zero one entry -> one residue sum drops to 0
     vals = spec.values.copy()
     vals[1] = 0.0

@@ -46,6 +46,15 @@ def test_system_roundtrip(chain3):
     assert np.array_equal(back.phi_hat.values, chain3.phi_hat.values)
 
 
+def test_system_file_keeps_beta_only_and_rederives_beta_l_bit_identically():
+    system = build_system(RootedTree.validate([0, 0, 1, 1, 2], 5), {(0, 1): 0.3, (1, 3): 0.7})
+    data = json.loads(serialize.dumps(serialize.system_to_dict(system)))
+    assert "beta_l" not in data
+    back = serialize.system_from_dict(data)
+    assert len(back.beta_l) == 4
+    assert all(np.array_equal(a, b) for a, b in zip(back.beta_l, system.beta_l))
+
+
 def test_system_roundtrip_is_json_stable(chain3):
     text = serialize.dumps(serialize.system_to_dict(chain3))
     again = serialize.dumps(serialize.system_to_dict(serialize.system_from_dict(json.loads(text))))

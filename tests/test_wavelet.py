@@ -1,10 +1,12 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from vilwav import wavelet
 from vilwav.config import SizeCapError
 from vilwav.mask import MaskTable, mask_from_tree
 from vilwav.refinable import StepFunction, all_shifts, gram_matrix, inner_product
@@ -65,7 +67,7 @@ def test_beta_residual_and_energy(tp):
     tree, phases = tp
     mask = mask_from_tree(tree, phases)
     beta = solve_beta(mask)
-    assert beta_residual(mask, beta) < 1e-12
+    assert beta_residual(mask, beta).max_deviation < 1e-12
     assert (np.abs(beta) ** 2).sum() == pytest.approx(tree.p, abs=1e-12)
 
 
@@ -223,7 +225,7 @@ def test_psi_hat_l0_reproduces_phi_hat(chain3):
 
 
 def test_shifted_mask_structure(chain3):
-    assert shifted_mask_checks(chain3.mask) == 0.0
+    assert shifted_mask_checks(chain3.mask).max_deviation == 0.0
 
 
 def test_wavelet_gram_is_identity(chain3):
@@ -263,13 +265,45 @@ def test_verify_spectral_subset(chain3):
     assert all(c.passed for c in spectral)
 
 
+VERIFY_CHECKS = [
+    "mask-row-sums", "mask-vanishing-shell", "spectrum-elementary", "spectrum-residue-sums",
+    "beta-residual", "beta-energy", "shifted-mask-structure",
+    "refinement-identity", "psi-two-route", "gram-orthonormal-family",
+]
+SPECTRAL_CHECK_FUNCTIONS = [
+    "check_row_condition", "check_vanishing", "check_elementary",
+    "check_orthonormality_spectral", "beta_residual", "shifted_mask_checks",
+]
+
+
+def test_verify_calls_each_spectral_check_once_directly(chain3, monkeypatch):
+    # the benchmark times these checks as direct callees of verify_wavelet_system
+    callers = []
+    for name in SPECTRAL_CHECK_FUNCTIONS:
+        def recorder(*args, _name=name, _check=getattr(wavelet, name), **kwargs):
+            callers.append((_name, sys._getframe(1).f_code.co_name))
+            return _check(*args, **kwargs)
+        monkeypatch.setattr(wavelet, name, recorder)
+    assert [c.name for c in verify_wavelet_system(chain3)] == VERIFY_CHECKS
+    assert callers == [(name, "verify_wavelet_system") for name in SPECTRAL_CHECK_FUNCTIONS]
+
+
+def test_tol_reaches_every_check_but_the_exact_one(chain3):
+    checks = verify_wavelet_system(chain3, tol=1e-300)
+    failed = [c.name for c in checks if not c.passed]
+    assert failed and failed == [c.name for c in checks if c.max_deviation > 0]
+    # one level short, an orbit product survives on the shell whatever the tolerance
+    short = verify_wavelet_system(dataclasses.replace(chain3, M=0), spectral_only=True, tol=0.5)
+    assert [c.name for c in short if not c.passed] == ["mask-vanishing-shell"]
+
+
 def test_verify_catches_corrupted_mask():
     lam = mask_from_tree(RootedTree.validate([0, 0, 1], 3)).lam.copy()
     lam[4] = 1.0  # extra unimodular entry in row i=1
     mask = MaskTable(3, lam)
     from vilwav.mask import check_row_condition
 
-    assert not check_row_condition(mask).ok
+    assert not check_row_condition(mask).passed
 
 
 @given(st.sampled_from([2, 3]).flatmap(tree_and_phases))
