@@ -31,7 +31,11 @@ def main(argv=None):
     ap.add_argument("-p", type=int, default=5, help="prime; its p^(p-2) trees must fit the size cap")
     ap.add_argument("--draws", type=int, default=5, help="random phase draws per tree")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--spectral-only", action="store_true", help="skip the Gram oracles")
+    ap.add_argument(
+        "--spectral-only", action="store_true",
+        help="run the spectral checks only: skip the refinement identity, the two-route psi "
+        "and the Gram check",
+    )
     args = ap.parse_args(argv)
 
     rng = np.random.default_rng(args.seed)

@@ -87,6 +87,20 @@ def _verify_one_tree(payload) -> tuple[str, list[str], float]:
     return str(parent), [c.name for c in checks if not c.passed], worst
 
 
+# --all-trees hands trees to the workers in chunks and reports progress at most this often
+SWEEP_CHUNK = 8
+PROGRESS_EVERY_S = 5.0
+
+
+def _sweep(jobs: list, workers: int):
+    """The results of _verify_one_tree over jobs, lazily and in order."""
+    if workers == 1:
+        yield from map(_verify_one_tree, jobs)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(_verify_one_tree, jobs, chunksize=SWEEP_CHUNK)
+
+
 def cmd_verify(args) -> int:
     spectral_only = args.level == "spectral"
     if args.all_trees is not None:
@@ -97,12 +111,15 @@ def cmd_verify(args) -> int:
         if not 1 <= args.jobs <= cores:
             raise InputError(f"--jobs {args.jobs}: expected 1 to {cores} workers")
         jobs = [(p, list(t.parent), spectral_only, args.tol) for t in enumerate_trees(p)]
-        t0 = time.time()
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                results = list(pool.map(_verify_one_tree, jobs))
-        else:
-            results = [_verify_one_tree(j) for j in jobs]
+        t0 = last = time.time()
+        results = []
+        for result in _sweep(jobs, args.jobs):
+            results.append(result)
+            if time.time() - last >= PROGRESS_EVERY_S:
+                last = time.time()
+                fails = sum(1 for r in results if r[1])
+                print(f"{len(results)}/{len(jobs)} trees, {fails} FAIL, {last - t0:.0f}s",
+                      file=sys.stderr, flush=True)
         bad = [r for r in results if r[1]]
         worst = max(r[2] for r in results)
         print(
@@ -117,21 +134,27 @@ def cmd_verify(args) -> int:
     return EXIT_OK if _print_report(checks) else EXIT_MATH
 
 
+def _require_finite(what: str, values) -> None:
+    if not np.isfinite(np.asarray(values, dtype=complex)).all():
+        raise serialize.FormatError(f"{what} has a value that is not a finite number")
+
+
 def cmd_transform(args) -> int:
     system = serialize.system_from_dict(serialize.load_json(args.system))
     if args.action == "analyze":
         signal = serialize.step_from_dict(serialize.load_json(args.signal))
         if signal.p != system.p:
             raise serialize.FormatError(f"signal p={signal.p} incompatible with system p={system.p}")
+        _require_finite("signal", signal.values)
         level = args.level if args.level is not None else signal.resolution_level - system.M
         grid = transform.project(signal, system, level)
         pyramid = transform.analyze(grid, system, args.levels)
         back = transform.synthesize(pyramid, system)
         keys = set(grid.entries) | set(back.entries)
-        err = max(
-            (abs(grid.entries.get(k, 0.0) - back.entries.get(k, 0.0)) for k in keys),
-            default=0.0,
-        )
+        # np.max, unlike max, keeps a nan
+        err = float(np.max(
+            [abs(grid.entries.get(k, 0.0) - back.entries.get(k, 0.0)) for k in keys], initial=0.0
+        ))
         # rounding grows with the coefficients, so the bound is relative to the largest one
         bound = args.tol * max([1.0, *(abs(v) for v in grid.entries.values())])
         _write(args.out, serialize.pyramid_to_dict(pyramid))
@@ -140,6 +163,8 @@ def cmd_transform(args) -> int:
     pyramid = serialize.pyramid_from_dict(serialize.load_json(args.pyramid))
     if pyramid.p != system.p:
         raise serialize.FormatError(f"pyramid p={pyramid.p} incompatible with system p={system.p}")
+    grids = [pyramid.approx, *(g for level in pyramid.details for g in level)]
+    _require_finite("pyramid", [v for g in grids for v in g.entries.values()])
     grid = transform.synthesize(pyramid, system)
     signal = transform.materialize(grid, system)
     _write(args.out, serialize.step_to_dict(signal))

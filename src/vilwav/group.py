@@ -49,6 +49,14 @@ def unit_roots(p: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def digit_characters(p: int) -> np.ndarray:
+    """(p, p) array: row alpha holds the one-digit character omega^(alpha * a) over a = 0 .. p-1."""
+    table = unit_roots(p)[np.outer(np.arange(p), np.arange(p)) % p]
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=None)
 def digit_table(p: int, w: int) -> np.ndarray:
     """(p^w, w) array: row k holds the base-p digits of k, least significant first."""
     check_table_size(p**w)
@@ -70,8 +78,7 @@ def char_kernel_apply(values: np.ndarray, p: int, w: int, sign: int) -> np.ndarr
     """
     if values.shape[:1] != (p**w,):
         raise ValueError(f"expected a table of length {p**w} along the first axis")
-    omega = unit_roots(p) if sign >= 0 else unit_roots(p).conj()
-    kernel = omega[np.outer(np.arange(p), np.arange(p)) % p]
+    kernel = digit_characters(p) if sign >= 0 else digit_characters(p).conj()
     arr = values.astype(complex).reshape((p,) * w + values.shape[1:])
     for axis in range(w):
         arr = np.moveaxis(arr, axis, 0)

@@ -113,19 +113,31 @@ def orbit_product(mask: MaskTable, w: int) -> np.ndarray:
     return prod
 
 
+# a nan or inf weight turns the products it meets into nan or inf, which fail
+@np.errstate(invalid="ignore", over="ignore")
 def check_vanishing(mask: MaskTable, M: int) -> CheckResult:
     """Exhaustive product check on the shell between levels M and M+1.
 
     For every digit string (alpha_-1, ..., alpha_M) with alpha_M != 0 the
     product of mask values along the dilation orbit must vanish exactly, so
-    no tolerance applies.
+    no tolerance applies.  The largest modulus on the shell is the heaviest
+    path through the M+2 digit positions, with edge weight |lambda[a + p*b]|
+    from digit a to the digit b above it, so a max-product recursion finds it
+    and its digit string in O(M p^2) instead of p^(M+2) products.
     """
     p = mask.p
-    w = M + 2  # digits alpha_-1 .. alpha_M
-    digits = digit_table(p, w)
-    shell = digits[:, w - 1] != 0
-    mags = np.abs(orbit_product(mask, w)[shell])
-    worst = int(np.argmax(mags))
-    dev = float(mags[worst])
-    where = f"digits {tuple(int(d) for d in digits[shell][worst])}" if dev else ""
+    weight = np.abs(mask.lam.reshape(p, p)).T  # [a, b] = |lambda[a + p*b]|
+    best = np.ones(p)  # heaviest path over the digits so far, by its last digit
+    choices = []
+    for _ in range(M + 1):  # digits alpha_0 .. alpha_M
+        paths = best[:, None] * weight  # [last digit, next digit]
+        choices.append(np.argmax(paths, axis=0))  # argmax picks a nan, so a nan spreads
+        best = paths[choices[-1], np.arange(p)]
+    string = [1 + int(np.argmax(best[1:] * weight[1:, 0]))]  # alpha_M != 0, the digit above it 0
+    for choice in reversed(choices):
+        string.insert(0, int(choice[string[0]]))
+    # the deviation is the orbit product along that string, as orbit_product forms it
+    digits = np.array(string)
+    dev = float(np.abs(np.prod(mask.lam[digits + p * np.append(digits[1:], 0)])))
+    where = f"digits {tuple(string)}" if dev else ""
     return CheckResult("mask-vanishing-shell", dev, dev == 0.0, where)

@@ -2,8 +2,12 @@
 
 The coefficients beta solve a p^2 x p^2 character system whose matrix is
 unitary, so they come out of a closed-form adjoint sum.  Each wavelet is
-assembled twice: in time from dilated translates of the refinable function
-and in frequency from the shifted mask, and the two routes must agree.
+assembled twice, and the two routes must agree.  Build takes the time route:
+the refinement sum of dilated translates of phi, where phi itself is the full
+inverse transform of its spectrum (exact zeros included).  Verify adds the
+frequency route: the shifted mask times the dilated spectrum of phi, which
+has p nonzero cosets, inverted as a sum of p characters.  So the check does
+not go through the transform that build used.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .refinable import (
     inverse_transform,
     lattice_sum,
     phi_hat_from_tree,
+    sparse_inverse_transform,
     translate_dilate,  # noqa: F401  unused; perfbench's tracer test expects it bound here
     translation_correlation,
 )
@@ -107,8 +112,13 @@ def shifted_mask(mask: MaskTable, l: int) -> np.ndarray:
 
 
 def psi_freq(phi_hat_table: SpectrumTable, mask: MaskTable, l: int) -> StepFunction:
-    """Wavelet by the frequency route; must match psi_time cell for cell."""
-    return inverse_transform(psi_hat(phi_hat_table, mask, l))
+    """Wavelet by the frequency route; must match psi_time cell for cell.
+
+    The spectrum of a tree's wavelet has p nonzero cosets, so it is inverted
+    as a sum of p characters (sparse_inverse_transform), not by the full
+    transform that build_system uses for phi.
+    """
+    return sparse_inverse_transform(psi_hat(phi_hat_table, mask, l))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+import re
 import warnings
 
 import numpy as np
@@ -151,6 +152,17 @@ def test_verify_report_says_where_a_check_fails(tmp_path, capsys):
     assert " at " not in lines["mask-row-sums"]
 
 
+def test_verify_dense_phi_hat_fails_without_traceback(tmp_path, capsys):
+    # every coset of the spectrum nonzero: the frequency route sums over all of them
+    data = serialize.load_json(build_system_file(tmp_path, {"p": 3, "parent": [0, 0, 1]}))
+    data["phi_hat"]["values"] = [[0.5, 0.25]] * 9
+    assert main(["verify", "--level", "full", write_json(tmp_path / "dense.json", data)]) == EXIT_MATH
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    failed = {line.split()[1] for line in out.splitlines() if line.startswith("FAIL ")}
+    assert {"spectrum-elementary", "psi-two-route"} <= failed
+
+
 def test_verify_tight_tol_fails(tmp_path, capsys):
     sys_file = build_system_file(tmp_path, {"p": 3, "parent": [0, 0, 1]})
     assert main(["--tol", "1e-30", "verify", sys_file]) == EXIT_MATH
@@ -196,6 +208,25 @@ def test_stored_beta_l_is_not_read(p3_payloads, tmp_path):
 def test_verify_all_trees_p3(capsys):
     assert main(["verify", "--all-trees", "3"]) == EXIT_OK
     assert "3 trees at p=3: 3 PASS" in capsys.readouterr().out
+
+
+def test_verify_all_trees_reports_progress_on_stderr(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "PROGRESS_EVERY_S", 0.0)
+    assert main(["verify", "--all-trees", "3", "--jobs", "1"]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert out.startswith("3 trees at p=3: 3 PASS, 0 FAIL, worst deviation ") and out.count("\n") == 1
+    done = [re.fullmatch(r"(\d)/3 trees, 0 FAIL, \d+s", line) for line in err.splitlines()]
+    assert [m and m[1] for m in done] == ["1", "2", "3"]
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores for two workers")
+def test_verify_all_trees_two_workers_match_one(capsys):
+    summaries = []
+    for jobs in ("1", "2"):
+        assert main(["verify", "--all-trees", "5", "--level", "spectral", "--jobs", jobs]) == EXIT_OK
+        summaries.append(capsys.readouterr().out.rsplit(",", 1)[0])  # drop the time
+    assert summaries[0] == summaries[1]
+    assert summaries[0].startswith("125 trees at p=5: 125 PASS, 0 FAIL")
 
 
 def test_verify_all_trees_nonprime_is_input_error(monkeypatch, capsys):
@@ -462,6 +493,16 @@ def every_level_shifted_by_5000(pyramid):
                      "finite", id="phase-inf"),
         pytest.param("pyramid", every_level_shifted_by_5000, 4, EXIT_MATH, "out", "level 5001",
                      id="levels-overflow"),
+        pytest.param("signal", set_in("values", 4, [float("nan"), 0.0]), 3, EXIT_INPUT, "err",
+                     "signal has a value that is not a finite number", id="signal-nan"),
+        pytest.param("signal", set_in("values", 4, [0.0, float("inf")]), 3, EXIT_INPUT, "err",
+                     "signal has a value that is not a finite number", id="signal-inf"),
+        pytest.param("pyramid", set_in("approx", "entries", 0, "value", [float("nan"), 0.0]), 4,
+                     EXIT_INPUT, "err", "pyramid has a value that is not a finite number",
+                     id="pyramid-nan"),
+        pytest.param("pyramid", set_in("details", 1, 0, "entries", 0, "value", [float("-inf"), 0.0]),
+                     4, EXIT_INPUT, "err", "pyramid has a value that is not a finite number",
+                     id="pyramid-inf"),
     ],
 )
 def test_malformed_input_exit_codes(p3_payloads, tmp_path, capsys, kind, change, command, code,

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from vilwav.group import digit_table
 from vilwav.mask import (
     MaskError,
     MaskTable,
@@ -10,6 +11,7 @@ from vilwav.mask import (
     check_vanishing,
     mask_from_tree,
     mask_to_tree,
+    orbit_product,
 )
 from vilwav.tree import RootedTree, TreeError, enumerate_trees
 
@@ -163,3 +165,70 @@ def test_vanishing_tight_at_tree_height(tp):
     assert check_vanishing(mask, M).passed
     if M > 0:
         assert not check_vanishing(mask, M - 1).passed
+
+
+def dense_shell_max(mask, M):
+    """The largest orbit-product modulus on the shell, over all p^(M+2) digit strings."""
+    w = M + 2
+    shell = digit_table(mask.p, w)[:, w - 1] != 0
+    return float(np.abs(orbit_product(mask, w)[shell]).max())
+
+
+def orbit_product_at(mask, where):
+    digits = [int(d) for d in where.removeprefix("digits (").rstrip(")").split(",") if d.strip()]
+    return abs(np.prod([mask.lam[a + mask.p * b] for a, b in zip(digits, digits[1:] + [0])]))
+
+
+def assert_matches_dense_shell_max(mask, M):
+    report = check_vanishing(mask, M)
+    dense = dense_shell_max(mask, M)
+    assert report.passed == (dense == 0.0)
+    assert report.max_deviation == pytest.approx(dense, rel=1e-15, abs=0.0)
+    if dense:  # the reported digit string carries the deviation
+        assert orbit_product_at(mask, report.where) == pytest.approx(report.max_deviation, rel=1e-15)
+    else:
+        assert report.where == ""
+    return report
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_vanishing_recursion_matches_dense_product_on_every_tree(p):
+    rng = np.random.default_rng(p)
+    for tree in enumerate_trees(p):
+        mask = mask_from_tree(tree, {e: float(rng.uniform()) for e in tree.edges()})
+        M = tree.support_exponent
+        assert assert_matches_dense_shell_max(mask, M).passed
+        assert not assert_matches_dense_shell_max(mask, M - 1).passed
+
+
+@given(
+    st.sampled_from([2, 3, 5]).flatmap(
+        lambda p: st.tuples(
+            st.just(p),
+            st.integers(0, 2),
+            st.lists(st.tuples(st.booleans(), st.floats(0.1, 10.0), st.floats(0.0, 1.0)),
+                     min_size=p * p, max_size=p * p),
+        )
+    )
+)
+def test_vanishing_recursion_matches_dense_product_on_random_masks(case):
+    p, M, cells = case
+    lam = [keep * size * np.exp(2j * np.pi * turn) for keep, size, turn in cells]
+    assert_matches_dense_shell_max(MaskTable(p, lam), M)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_vanishing_fails_on_a_non_finite_lambda(bad):
+    lam = mask_from_tree(chain3()).lam.copy()
+    lam[5] = bad  # the edge 1->2
+    report = check_vanishing(MaskTable(3, lam), 1)
+    assert not report.passed and not np.isfinite(report.max_deviation)
+
+
+def test_vanishing_builds_no_shell_table(monkeypatch):
+    # the p=7 chain's shell has 7^7 digit strings; the recursion needs p^2 weights
+    mask = mask_from_tree(RootedTree.validate([0, 0, 1, 2, 3, 4, 5], 7))
+    monkeypatch.setenv("VILWAV_SIZE_CAP", "1000")
+    report = check_vanishing(mask, 5)
+    assert report.passed and report.max_deviation == 0.0
+    assert not check_vanishing(mask, 4).passed

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vilwav.config import MathError
+from vilwav.config import MathError, SizeCapError
 from vilwav.group import digit_table
 from vilwav.mask import mask_from_tree
 from vilwav.refinable import (
@@ -18,6 +18,7 @@ from vilwav.refinable import (
     inner_product,
     inverse_transform,
     phi_hat_from_tree,
+    sparse_inverse_transform,
     spectrum_from_mask_orbit,
     translate_dilate,
     translation_correlation,
@@ -116,6 +117,33 @@ def test_transform_roundtrip_random_spectra(rng):
         spec = SpectrumTable(p, M, vals)
         back = forward_transform(inverse_transform(spec))
         assert np.abs(back.values - spec.values).max() < 1e-12
+
+
+@pytest.mark.parametrize("p, band, nnz", [(2, 0, 1), (3, 1, 0), (3, 2, 5), (5, 2, 125), (7, 3, 7)])
+def test_sparse_inverse_matches_full_transform(p, band, nnz, rng):
+    values = np.zeros(p ** (band + 1), dtype=complex)
+    cosets = rng.choice(len(values), size=nnz, replace=False)
+    values[cosets] = rng.normal(size=nnz) + 1j * rng.normal(size=nnz)
+    spec = SpectrumTable(p, band, values)
+    sparse, full = sparse_inverse_transform(spec), inverse_transform(spec)
+    assert (sparse.support_level, sparse.resolution_level) == (full.support_level, full.resolution_level)
+    assert np.abs(sparse.values - full.values).max() < 1e-13
+
+
+def test_sparse_inverse_counts_every_coset_against_the_size_cap(monkeypatch):
+    # 3 cosets over 27 cells: the dense table fits a cap of 80, the coset sum does not
+    values = np.zeros(27, dtype=complex)
+    values[[0, 4, 20]] = 1.0
+    monkeypatch.setenv("VILWAV_SIZE_CAP", "80")
+    inverse_transform(SpectrumTable(3, 2, values))
+    with pytest.raises(SizeCapError, match="81 entries"):
+        sparse_inverse_transform(SpectrumTable(3, 2, values))
+
+
+def test_sparse_inverse_spreads_a_nan_to_every_cell():
+    values = np.zeros(9, dtype=complex)
+    values[[0, 4]] = [1.0, np.nan]
+    assert np.isnan(sparse_inverse_transform(SpectrumTable(3, 1, values)).values).all()
 
 
 def test_forward_requires_support_in_g_minus1():

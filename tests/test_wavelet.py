@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vilwav import wavelet
+from vilwav import group, refinable, wavelet
 from vilwav.config import SizeCapError
 from vilwav.mask import MaskTable, mask_from_tree
-from vilwav.refinable import StepFunction, all_shifts, gram_matrix, inner_product
+from vilwav.refinable import StepFunction, all_shifts, gram_matrix, inner_product, inverse_transform
 from vilwav.tree import RootedTree, enumerate_trees
 from vilwav.wavelet import (
     assemble_refinement_sum,
@@ -17,6 +17,7 @@ from vilwav.wavelet import (
     beta_shifted,
     build_system,
     psi_freq,
+    psi_hat,
     psi_time,
     shifted_mask_checks,
     solve_beta,
@@ -155,6 +156,55 @@ def test_p7_chain_full_verify_under_default_cap(chain7, monkeypatch):
     monkeypatch.delenv("VILWAV_SIZE_CAP", raising=False)
     checks = verify_wavelet_system(chain7)
     assert len(checks) == 10
+    assert all(c.passed for c in checks), [c for c in checks if not c.passed]
+
+
+def assert_psi_freq_is_the_full_inverse(system):
+    for l in range(1, system.p):
+        full = inverse_transform(psi_hat(system.phi_hat, system.mask, l))
+        assert np.abs(psi_freq(system.phi_hat, system.mask, l).values - full.values).max() < 1e-13
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_psi_freq_matches_the_full_inverse_transform(p):
+    rng = np.random.default_rng(p)
+    for tree in enumerate_trees(p):
+        assert_psi_freq_is_the_full_inverse(
+            build_system(tree, {e: float(rng.uniform()) for e in tree.edges()})
+        )
+
+
+def test_psi_freq_matches_the_full_inverse_transform_p7_chain(chain7):
+    assert_psi_freq_is_the_full_inverse(chain7)
+
+
+def test_psi_freq_runs_no_full_transform(chain3, monkeypatch):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[1:3])
+        return group.char_kernel_apply(*args, **kwargs)
+
+    for module in (refinable, wavelet):
+        monkeypatch.setattr(module, "char_kernel_apply", spy)
+    inverse_transform(chain3.phi_hat)
+    assert calls == [(3, 2)]  # the spy sees the full transform
+    for l in range(1, 3):
+        psi_freq(chain3.phi_hat, chain3.mask, l)
+    assert calls == [(3, 2)]
+
+
+# Three p=7 chains (height 7, M = 5, the deepest trees at p = 7), with seeded phases.
+P7_CHAINS = [(0, 2, 3, 4, 5, 6, 0), (0, 3, 5, 0, 6, 1, 2), (0, 6, 0, 1, 2, 3, 4)]
+
+
+@pytest.mark.parametrize("parent", P7_CHAINS)
+def test_p7_chains_pass_full_verification(parent):
+    tree = RootedTree.validate(parent, 7)
+    assert tree.height() == 7 and tree.support_exponent == 5
+    rng = np.random.default_rng(sum(parent))
+    checks = verify_wavelet_system(build_system(tree, {e: float(rng.uniform()) for e in tree.edges()}))
+    assert [c.name for c in checks] == VERIFY_CHECKS
     assert all(c.passed for c in checks), [c for c in checks if not c.passed]
 
 
