@@ -4,17 +4,26 @@ Everything is plain JSON with complex numbers as [re, im] pairs and all
 tables in canonical little-endian index order.  Files are compact (no
 indentation, which would force the json module's pure-Python encoder) and
 keys are sorted, so the bytes are stable across runs.
+
+The codecs convert whole numpy arrays at once, and every reader and writer
+runs with the cyclic garbage collector paused: a JSON tree holds no cycles,
+and gen-2 passes over a growing tree would cost more than building it.
 """
 
 from __future__ import annotations
 
+import functools
+import gc
 import json
 import math
 from contextlib import contextmanager
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
-from .config import InputError
+from .config import InputError, SizeCapError
+from .group import check_table_size
 from .mask import MaskTable
 from .refinable import SpectrumTable, StepFunction
 from .transform import CoeffGrid, CoeffPyramid, shift_key_digits
@@ -31,23 +40,56 @@ def _malformed(what: str):
     """Re-raise whatever malformed data makes a reader raise as one FormatError."""
     try:
         yield
+    except SizeCapError:
+        raise  # work refused up front, not malformed data
     except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError) as exc:
         raise FormatError(f"{what}: {exc}") from exc
 
 
+def _gc_paused(fn):
+    """Run fn with the cyclic collector paused, restoring its previous state."""
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    return paused
+
+
 def _cpx_out(values) -> list:
-    return [[float(v.real), float(v.imag)] for v in np.asarray(values, dtype=complex)]
+    v = np.asarray(values, dtype=complex)
+    return np.stack([v.real, v.imag], axis=-1).tolist()
 
 
 def _cpx_in(pairs) -> np.ndarray:
+    """The complex array of a list of [re, im] number pairs, bit for bit."""
     with _malformed("bad complex array"):
-        return np.array([complex(re, im) for re, im in pairs])
+        try:
+            parts = np.array(pairs) if len(pairs) else np.zeros((0, 2))
+        except ValueError:  # ragged
+            parts = None
+        if parts is None or parts.shape != (len(pairs), 2):
+            raise ValueError("cannot unpack the values as [re, im] pairs")
+        if parts.dtype.kind not in "biuf":
+            raise TypeError(f"[re, im] pairs must hold numbers, not {parts.dtype}")
+        # assigned part by part: re + 1j * im would turn (0, inf) into (nan, inf)
+        out = np.empty(len(parts), dtype=complex)
+        out.real, out.imag = parts[:, 0], parts[:, 1]
+        return out
 
 
+@_gc_paused
 def dumps(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True) + "\n"
 
 
+@_gc_paused
 def load_json(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -70,6 +112,7 @@ def _require(data: dict, key: str):
 # -- trees --
 
 
+@_gc_paused
 def tree_to_dict(tree: RootedTree, phases: dict | None = None) -> dict:
     out = {"p": tree.p, "parent": list(tree.parent)}
     if phases:
@@ -77,6 +120,7 @@ def tree_to_dict(tree: RootedTree, phases: dict | None = None) -> dict:
     return out
 
 
+@_gc_paused
 def tree_from_dict(data: dict) -> tuple[RootedTree, dict]:
     """The tree and its edge phases; a parent array that is no tree raises TreeError."""
     with _malformed("tree"):
@@ -95,6 +139,7 @@ def tree_from_dict(data: dict) -> tuple[RootedTree, dict]:
 # -- step functions / signals --
 
 
+@_gc_paused
 def step_to_dict(f: StepFunction) -> dict:
     return {
         "p": f.p,
@@ -104,6 +149,7 @@ def step_to_dict(f: StepFunction) -> dict:
     }
 
 
+@_gc_paused
 def step_from_dict(data: dict) -> StepFunction:
     with _malformed("step function"):
         return StepFunction(
@@ -117,11 +163,13 @@ def step_from_dict(data: dict) -> StepFunction:
 # -- masks and wavelet systems --
 
 
+@_gc_paused
 def mask_from_dict(data: dict) -> MaskTable:
     with _malformed("mask"):
         return MaskTable(int(_require(data, "p")), _cpx_in(_require(data, "lambda")))
 
 
+@_gc_paused
 def system_to_dict(system: WaveletSystem) -> dict:
     return {
         "p": system.p,
@@ -135,6 +183,7 @@ def system_to_dict(system: WaveletSystem) -> dict:
     }
 
 
+@_gc_paused
 def system_from_dict(data: dict) -> WaveletSystem:
     """A stored system; its tables must have the shapes its tree gives.
 
@@ -167,26 +216,58 @@ def system_from_dict(data: dict) -> WaveletSystem:
 # -- coefficient grids and pyramids --
 
 
+def _shift_digits(keys: np.ndarray, p: int) -> list:
+    """Each key's digits from position -1 downward, without trailing zeros (key 0 has none)."""
+    powers = p ** np.arange(len(shift_key_digits(int(keys.max(initial=0)), p)), dtype=np.int64)
+    digits = (keys[:, None] // powers % p).tolist()
+    counts = (keys[:, None] >= powers).sum(axis=1).tolist()
+    return [row[:n] for row, n in zip(digits, counts)]
+
+
+def _shift_keys(shifts: list, p: int) -> np.ndarray:
+    """The keys of digit lists; refuses non-integer or out-of-range digits and repeated keys."""
+    counts = np.fromiter(map(len, shifts), dtype=np.int64, count=len(shifts))
+    flat = list(chain.from_iterable(shifts))
+    if not set(map(type, flat)) <= {int}:
+        raise FormatError("shift digits must be integers")
+    digits = np.fromiter(flat, dtype=np.int64, count=len(flat))
+    if digits.size and not 0 <= digits.min() <= digits.max() < p:
+        raise FormatError(f"shift digits outside 0..{p - 1}")
+    width = int(counts.max(initial=0))
+    # The bank lays a grid out as a table over the p^width keys of width
+    # digits; refusing that table here also keeps every key inside int64.
+    check_table_size(p**width)
+    if p**width > np.iinfo(np.int64).max:
+        raise SizeCapError(f"shifts of {width} digits at p={p} do not fit an int64 key")
+    table = np.zeros((len(shifts), width), dtype=np.int64)
+    table[np.arange(width) < counts[:, None]] = digits
+    keys = table @ p ** np.arange(width, dtype=np.int64)
+    ordered = np.sort(keys)
+    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+    if repeated.size:
+        raise FormatError(f"two entries share the shift key {repeated[0]}")
+    return keys
+
+
+@_gc_paused
 def grid_to_dict(grid: CoeffGrid) -> dict:
-    entries = []
-    for key in sorted(grid.entries):
-        v = complex(grid.entries[key])
-        entries.append({"shift": list(shift_key_digits(key, grid.p)), "value": [v.real, v.imag]})
+    keys = sorted(grid.entries)
+    shifts = _shift_digits(np.array(keys, dtype=np.int64), grid.p)
+    values = _cpx_out([grid.entries[k] for k in keys])
+    entries = [{"shift": s, "value": v} for s, v in zip(shifts, values)]
     return {"level": grid.level, "entries": entries}
 
 
+@_gc_paused
 def grid_from_dict(data: dict, p: int) -> CoeffGrid:
     with _malformed("coefficient grid"):
-        entries = {}
-        for item in _require(data, "entries"):
-            digits = [int(d) for d in _require(item, "shift")]
-            if not all(0 <= d < p for d in digits):
-                raise FormatError(f"shift digits {digits} outside 0..{p - 1}")
-            re, im = _require(item, "value")
-            entries[sum(d * p**i for i, d in enumerate(digits))] = complex(re, im)
-        return CoeffGrid(p, int(_require(data, "level")), entries)
+        items = _require(data, "entries")
+        keys = _shift_keys(list(map(itemgetter("shift"), items)), p)
+        values = _cpx_in(list(map(itemgetter("value"), items)))
+        return CoeffGrid(p, int(_require(data, "level")), dict(zip(keys.tolist(), values.tolist())))
 
 
+@_gc_paused
 def pyramid_to_dict(pyramid: CoeffPyramid) -> dict:
     return {
         "p": pyramid.p,
@@ -195,6 +276,7 @@ def pyramid_to_dict(pyramid: CoeffPyramid) -> dict:
     }
 
 
+@_gc_paused
 def pyramid_from_dict(data: dict) -> CoeffPyramid:
     with _malformed("pyramid"):
         p = int(_require(data, "p"))

@@ -9,6 +9,14 @@ Every map is the two-scale contraction refinable.lattice_sum or one of its
 two adjoints.  The group
 addition is carry-free, so supports stay compact and no periodization is
 needed; analysis and synthesis are exact adjoints.
+
+Grids list only the entries that are not exactly zero.  Synthesis first
+sets to zero every cell whose magnitude lies within the worst-case rounding
+error of its own sum, gamma_{p^2+2} * sum |term| with gamma_n = n u / (1 - n u)
+and u = 2^-53: where the exact result is zero, cancellation between the p
+filters would otherwise leave rounding residue of about 1e-16 and add a
+digit to the grid at every level.  Error carried in from coarser levels is
+not counted, so such residue can survive.
 """
 
 from __future__ import annotations
@@ -94,7 +102,11 @@ def _tables(grids, min_width: int) -> tuple[np.ndarray, int]:
 
 
 def _grid(table: np.ndarray, p: int, level: int) -> CoeffGrid:
-    """The grid of a table's entries that are not exactly zero (all-zero rows for a vector value)."""
+    """The grid of a table's entries that are not exactly zero (all-zero rows for a vector value).
+
+    synthesize_level zeroes the cells within gamma_{p^2+2} * sum |term| of zero
+    beforehand, so its rounding residue is dropped here too.
+    """
     keys = np.flatnonzero(table.reshape(len(table), -1).any(axis=1))
     return CoeffGrid(p, level, dict(zip(keys.tolist(), table[keys])))
 
@@ -118,8 +130,21 @@ def synthesize_level(approx: CoeffGrid, details, system: WaveletSystem) -> Coeff
     tables, w = _tables([approx, *details], 1)  # p grids of p^w keys: as many entries as the output
     tables = tables.reshape(len(tables), p ** (w - 1), p, *tables.shape[2:])  # [grid, rest, b_-1]
     total = np.zeros((p ** (w - 1), p, p, *tables.shape[3:]), dtype=complex)  # [rest, b_-1 + a_-2, a_-1]
+    bound = np.zeros(total.shape)  # sum of |term| per cell
     for t, f in zip(tables, (system.beta, *system.beta_l)):
-        total += lattice_sum(t, np.reshape(f, (p, p)).T / math.sqrt(p))
+        k = np.reshape(f, (p, p)).T / math.sqrt(p)
+        total += lattice_sum(t, k)
+        bound += lattice_sum(np.abs(t), np.abs(k))
+    # A cell sums p^2 complex products: p per filter in lattice_sum, then the
+    # p-way accumulation above.  In any summation order the rounding error of
+    # such a sum is at most gamma_{p^2+2} * sum |term|, gamma_n = n u / (1 - n u)
+    # (p^2 - 1 additions, and a complex product costs at most gamma_3).  A
+    # cell within that bound is indistinguishable from zero, so it becomes
+    # exact zero and _grid drops it.  A non-finite bound (an inf or nan term,
+    # or an overflow) leaves its cell alone: inf <= inf would zero it.
+    nu = (p * p + 2) * np.finfo(float).eps / 2
+    bound *= nu / (1 - nu)
+    total[np.isfinite(bound) & (np.abs(total) <= bound)] = 0.0
     return _grid(total.reshape(-1, *tables.shape[3:]), p, approx.level + 1)
 
 

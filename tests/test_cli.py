@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from vilwav import cli, serialize, transform
 from vilwav.cli import EXIT_INPUT, EXIT_MATH, EXIT_OK, main
-from vilwav.refinable import StepFunction
+from vilwav.refinable import StepFunction, embed
 from vilwav.tree import RootedTree
 from vilwav.wavelet import CheckResult, build_system
 
@@ -480,6 +480,15 @@ def every_level_shifted_by_5000(pyramid):
                      "entries", id="7-details"),
         pytest.param("pyramid", set_in("approx", "entries", 0, "shift", [-1]), 4, EXIT_INPUT, "err",
                      "outside", id="7-shift"),
+        pytest.param("pyramid", set_in("approx", "entries", 1, "shift", [1.5]), 4, EXIT_INPUT, "err",
+                     "integers", id="7-shift-fraction"),
+        pytest.param("pyramid", set_in("approx", "entries", 1, "shift", ["2"]), 4, EXIT_INPUT, "err",
+                     "integers", id="7-shift-string"),
+        pytest.param("pyramid", set_in("approx", "entries", 1, "shift", [True]), 4, EXIT_INPUT, "err",
+                     "integers", id="7-shift-bool"),
+        # entry 0 has shift [], key 0 as well
+        pytest.param("pyramid", set_in("approx", "entries", 1, "shift", [0, 0, 0]), 4, EXIT_INPUT,
+                     "err", "share the shift key 0", id="7-shift-repeated"),
         pytest.param("system", set_in("M", 0), 2, EXIT_INPUT, "err", "do not fit", id="system-M"),
         pytest.param("system", drop("phi_hat", "values"), 2, EXIT_INPUT, "err", "'values'",
                      id="phi_hat-values"),
@@ -512,6 +521,68 @@ def test_malformed_input_exit_codes(p3_payloads, tmp_path, capsys, kind, change,
     got, out, err = run_one_line(argv, capsys)
     assert got == code
     assert message in {"out": out, "err": err}[stream]
+
+
+def test_wide_shift_is_refused_by_the_size_cap(p3_payloads, tmp_path, capsys):
+    # 3^40 > 2^63: the key of this shift would wrap in int64 arithmetic
+    wide = mutate(p3_payloads, "pyramid", set_in("approx", "entries", 1, "shift", [0] * 40 + [1]))
+    paths = write_inputs(tmp_path, wide)
+    _, argv = commands(paths, str(tmp_path / "out.json"))[4]
+    code, out, _ = run_one_line(argv, capsys)
+    assert code == EXIT_MATH and "exceeds cap" in out
+
+
+def sparse_round_trip(tmp_path, seed):
+    """The benchmark's signal shape through the CLI: 25 level-3 basis functions on the p=5
+    chain, one with a top digit.  Returns the system, the input coefficients, the signal,
+    the reconstructed signal and the grid the synthesis gave."""
+    rng = np.random.default_rng(seed)
+    tree = RootedTree.validate([0, 0, 1, 2, 3], 5)
+    system = build_system(tree, {edge: float(rng.uniform()) for edge in tree.edges()})
+    n = 5**4
+    keys = {int(rng.integers(n // 5, n))} | {int(k) for k in rng.choice(n, 24, replace=False)}
+    coeffs = {k: complex(rng.normal(), rng.normal()) for k in sorted(keys)}
+    signal = transform.materialize(transform.CoeffGrid(5, 3, coeffs), system)
+    sys_file = write_json(tmp_path / "system.json", serialize.system_to_dict(system))
+    sig_file = write_json(tmp_path / "signal.json", serialize.step_to_dict(signal))
+    pyr_file, out_file = str(tmp_path / "pyr.json"), str(tmp_path / "out.json")
+    assert main(["transform", "analyze", "--system", sys_file, "--signal", sig_file,
+                 "--levels", "3", "--level", "3", "-o", pyr_file]) == EXIT_OK
+    assert main(["transform", "synthesize", "--system", sys_file, "--pyramid", pyr_file,
+                 "-o", out_file]) == EXIT_OK
+    back = serialize.step_from_dict(serialize.load_json(out_file))
+    assert (back.support_level, back.resolution_level) == (signal.support_level, signal.resolution_level)
+    assert np.abs(back.values - signal.values).max() < 1e-12
+    grid = transform.synthesize(serialize.pyramid_from_dict(serialize.load_json(pyr_file)), system)
+    return system, coeffs, signal, back, grid
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_round_trip_of_a_sparse_signal_writes_exact_zeros(tmp_path, capsys, seed):
+    _, coeffs, signal, back, grid = sparse_round_trip(tmp_path, seed)
+    assert set(grid.entries) == set(coeffs)
+    zero = signal.values == 0
+    assert zero.mean() > 0.5
+    assert np.array_equal(back.values[zero], np.zeros(zero.sum()))
+    capsys.readouterr()
+
+
+def test_error_carried_across_synthesis_levels_is_not_cut(tmp_path, capsys):
+    # Each level cuts only its own rounding, so error that coarser levels leave in a
+    # coefficient that should be zero can survive; with this seed seven keys near 1e-16
+    # do (x86-64, OpenBLAS).  The output is still exact zero wherever none of them reaches.
+    system, coeffs, signal, back, grid = sparse_round_trip(tmp_path, 8)
+    extra = set(grid.entries) - set(coeffs)
+    assert all(abs(grid.entries[k]) < 1e-15 for k in extra)
+    lo, hi = signal.support_level, signal.resolution_level
+    reach = np.zeros(np.size(signal.values), dtype=bool)
+    for k in extra:
+        f = transform.materialize(transform.CoeffGrid(5, 3, {k: 1.0}), system)
+        reach |= embed(f, lo, hi) != 0
+    zero = signal.values == 0
+    assert np.array_equal(back.values[zero & ~reach], np.zeros((zero & ~reach).sum()))
+    assert np.abs(back.values[zero]).max() < 1e-14
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("parent, message", [([0, 0], "length 2"), ([0, 2, 1], "cycle: 1->2->1")])

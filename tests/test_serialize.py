@@ -1,10 +1,13 @@
+import gc
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from vilwav import serialize
-from vilwav.transform import CoeffGrid, CoeffPyramid, analyze
+from vilwav.config import SizeCapError
+from vilwav.transform import CoeffGrid, CoeffPyramid, analyze, shift_key_digits
 from vilwav.tree import RootedTree
 from vilwav.wavelet import build_system
 
@@ -101,3 +104,114 @@ def test_haar_system_serializes(tmp_path):
     path.write_text(serialize.dumps(serialize.system_to_dict(system)))
     back = serialize.system_from_dict(serialize.load_json(str(path)))
     assert np.array_equal(back.phi.values, system.phi.values)
+
+
+SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e308, -1e308, 1.0 / 3.0]
+
+
+def test_cpx_codecs_are_bit_exact():
+    values = np.array([complex(re, im) for re in SPECIAL for im in SPECIAL])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # re + 1j * im would warn at (0, inf), and give (nan, inf)
+        direct = serialize._cpx_in(serialize._cpx_out(values))
+        text = serialize.dumps({"v": serialize._cpx_out(values)})
+        through_json = serialize._cpx_in(json.loads(text)["v"])
+    assert direct.tobytes() == values.tobytes()
+    assert through_json.tobytes() == values.tobytes()
+
+
+def test_cpx_codecs_keep_plain_types():
+    assert serialize._cpx_out([1 + 2j, -0.5]) == [[1.0, 2.0], [-0.5, 0.0]]
+    assert all(type(x) is float for pair in serialize._cpx_out([1 + 2j]) for x in pair)
+    assert serialize._cpx_out([]) == []
+    assert serialize._cpx_in([]).shape == (0,)
+    assert serialize._cpx_in([[1, 2], [True, 0.5]]).tolist() == [1 + 2j, 1 + 0.5j]
+
+
+@pytest.mark.parametrize("pairs", [[["1.5", "2"]], [[1.0, 2.0, 3.0]], [1.0, 2.0], [[1.0, 2.0], 1.0],
+                                   [[None, 1.0]], [[]], "ab", 5])
+def test_cpx_in_refuses_what_is_no_list_of_number_pairs(pairs):
+    with pytest.raises(serialize.FormatError, match="complex"):
+        serialize._cpx_in(pairs)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_pyramid_listing_spells_each_key_in_digits(p):
+    keys = [0, p - 1, p, p * p - 1, p**3]
+    grids = [CoeffGrid(p, 1, {k: complex(k, j - k) for k in keys}) for j in range(p)]
+    pyramid = CoeffPyramid(p, grids[0], (tuple(grids[1:]),))
+
+    def listed(grid, j):
+        entries = [{"shift": list(shift_key_digits(k, p)), "value": [float(k), float(j - k)]}
+                   for k in keys]
+        return {"level": 1, "entries": entries}
+
+    want = {"p": p, "approx": listed(grids[0], 0), "details": [[listed(g, j) for j, g in enumerate(grids) if j]]}
+    assert serialize.pyramid_to_dict(pyramid) == want
+    assert [e["shift"] for e in want["approx"]["entries"]] == [[], [p - 1], [0, 1], [p - 1, p - 1], [0, 0, 0, 1]]
+    back = serialize.pyramid_from_dict(json.loads(serialize.dumps(want)))
+    assert back.approx.entries == grids[0].entries
+    assert all(a.entries == b.entries for a, b in zip(back.details[0], grids[1:]))
+
+
+@pytest.mark.parametrize("shifts, message", [
+    ([[1.5]], "integers"),
+    ([["2"]], "integers"),
+    ([[True]], "integers"),
+    ([[1.0]], "integers"),
+    ("12", "integers"),
+    ([[0], [0, 0, 0]], "share the shift key 0"),
+    ([[2, 1], [1], [2, 1, 0]], "share the shift key 5"),
+    ([[3]], "outside"),
+    ([[0, -1]], "outside"),
+    ([[2**70]], "too large"),
+])
+def test_grid_from_dict_refuses_bad_shifts(shifts, message):
+    data = {"level": 0, "entries": [{"shift": s, "value": [1.0, 0.0]} for s in shifts]}
+    with pytest.raises(serialize.FormatError, match=message):
+        serialize.grid_from_dict(data, 3)
+
+
+def test_wide_shift_is_refused_before_its_key_could_wrap(monkeypatch):
+    def grid(digits):
+        return {"level": 0, "entries": [{"shift": digits, "value": [1.0, 0.0]}]}
+
+    wide = grid([0] * 40 + [1])  # key 3^40 > 2^63
+    with pytest.raises(SizeCapError, match="exceeds cap"):
+        serialize.grid_from_dict(wide, 3)
+    monkeypatch.setenv("VILWAV_SIZE_CAP", str(10**30))
+    with pytest.raises(SizeCapError, match="int64"):
+        serialize.grid_from_dict(wide, 3)
+    assert serialize.grid_from_dict(grid([0] * 38 + [2]), 3).entries == {2 * 3**38: 1.0}
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_readers_and_writers_restore_the_collector_state(tmp_path, monkeypatch, enabled):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(serialize.dumps({"p": 3, "parent": [0, 0, 1]}))
+    bad.write_text("{not json")
+    seen = []
+    real_load = json.load
+
+    def load(fh):
+        seen.append(gc.isenabled())
+        return real_load(fh)
+
+    monkeypatch.setattr(serialize.json, "load", load)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        serialize.tree_from_dict(serialize.load_json(str(good)))
+        after_read = gc.isenabled()
+        with pytest.raises(serialize.FormatError):
+            serialize.load_json(str(bad))
+        after_bad_json = gc.isenabled()
+        with pytest.raises(serialize.FormatError):
+            serialize.pyramid_from_dict({"p": 3, "approx": {"level": 0, "entries": [{"shift": [1.5]}]}})
+        after_bad_pyramid = gc.isenabled()
+        serialize.dumps(serialize.tree_to_dict(serialize.tree_from_dict({"p": 3, "parent": [0, 0, 1]})[0]))
+        after_write = gc.isenabled()
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert seen == [False, False]
+    assert [after_read, after_bad_json, after_bad_pyramid, after_write] == [enabled] * 4

@@ -294,3 +294,47 @@ def test_synthesis_counts_every_grid_against_the_size_cap(chain3, monkeypatch):
     analyze_level(grid, chain3)  # one table in, 3 x 3^4 entries out
     with pytest.raises(SizeCapError):
         synthesize_level(grid, (CoeffGrid(3, 0, {}),) * 2, chain3)
+
+
+def test_synthesis_returns_exactly_the_analysed_keys(tree7_a, rng):
+    # scripts/reconstruction_experiment.py's shape: rounding dust would add a digit per level
+    system = build_system(tree7_a, {edge: float(rng.uniform()) for edge in tree7_a.edges()})
+    grid = random_grid(7, 3, 2, rng, n=1024)
+    pyramid = analyze(grid, system, 3)
+    current, sizes = pyramid.approx, []
+    for details in pyramid.details:
+        current = synthesize_level(current, details, system)
+        sizes.append(len(current.entries))
+    assert sizes == [7, 7, 49]
+    assert set(current.entries) == set(grid.entries)
+    assert grid_error(grid, current) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(0.0, math.inf)])
+def test_non_finite_coefficients_stay_non_finite(chain3, bad):
+    approx = CoeffGrid(3, 0, {0: bad, 3: 1.0})
+    with np.errstate(invalid="ignore"):
+        out = synthesize_level(approx, (CoeffGrid(3, 0, {}),) * 2, chain3)
+    touched = [v for k, v in out.entries.items() if k < 9]
+    assert len(touched) == 9 and not np.isfinite(touched).any()
+    assert all(np.isfinite(v) for k, v in out.entries.items() if k >= 9)
+
+
+def test_overflowing_cells_are_kept(chain3):
+    # the sums of |term| overflow to inf everywhere, and inf <= inf must not zero a cell
+    grid = CoeffGrid(3, 0, {k: 1.7e308 for k in range(3)})
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = synthesize_level(grid, (grid, grid), chain3)
+    values = np.array(list(out.entries.values()))
+    assert len(values) == 9 and np.isinf(values).any() and np.isfinite(values).any()
+
+
+def test_tiny_coefficient_next_to_a_large_one_survives(chain3):
+    grid = CoeffGrid(3, 0, {0: 1.0, 1: 1e-9})
+    back = synthesize(analyze(grid, chain3, 2), chain3)
+    assert back.entries[1] == pytest.approx(1e-9, rel=1e-6)
+    # error carried in from coarser levels is no rounding of this level's sum, so it may stay
+    assert all(abs(v) < 1e-15 for k, v in back.entries.items() if k > 1)
+    # the bound scales with the cell's own terms, not with an absolute floor
+    back = synthesize(analyze(CoeffGrid(3, 0, {5: 1e-300}), chain3, 2), chain3)
+    assert set(back.entries) == {5} and back.entries[5] == pytest.approx(1e-300, rel=1e-12)
