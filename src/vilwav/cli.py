@@ -235,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     build_p.add_argument("--seed", type=int, default=0)
     build_p.set_defaults(func=cmd_build)
 
-    verify_p = sub.add_parser("verify", help="verify a built system")
+    verify_p = sub.add_parser("verify", help="verify the system a file's tree and mask generate")
     verify_p.add_argument("system", nargs="?")
     verify_p.add_argument("--level", choices=["spectral", "full"], default="full")
     verify_p.add_argument("--all-trees", type=int, default=None, metavar="P")

@@ -1,9 +1,11 @@
 """JSON artifacts: trees, wavelet systems, signals, coefficient pyramids.
 
 Everything is plain JSON with complex numbers as [re, im] pairs and all
-tables in canonical little-endian index order.  Files are compact (no
-indentation, which would force the json module's pure-Python encoder) and
-keys are sorted, so the bytes are stable across runs.
+tables in canonical little-endian index order.  A wavelet system is stored
+as the tree and mask that fix it; its tables are rebuilt on reading.  Files
+are compact (no indentation, which would force the json module's
+pure-Python encoder) and keys are sorted, so the bytes are stable across
+runs.
 
 The codecs convert whole numpy arrays at once, and every reader and writer
 runs with the cyclic garbage collector paused: a JSON tree holds no cycles,
@@ -25,10 +27,10 @@ import numpy as np
 from .config import InputError, SizeCapError
 from .group import check_table_size
 from .mask import MaskTable
-from .refinable import SpectrumTable, StepFunction
+from .refinable import StepFunction
 from .transform import CoeffGrid, CoeffPyramid, shift_key_digits
 from .tree import RootedTree
-from .wavelet import WaveletSystem
+from .wavelet import WaveletSystem, system_from_mask
 
 
 class FormatError(InputError):
@@ -171,46 +173,25 @@ def mask_from_dict(data: dict) -> MaskTable:
 
 @_gc_paused
 def system_to_dict(system: WaveletSystem) -> dict:
+    """The tree and mask that fix the system; a reader rebuilds its tables from them."""
     return {
         "p": system.p,
         "M": system.M,
         "parent": list(system.tree.parent),
         "lambda": _cpx_out(system.mask.lam),
-        "beta": _cpx_out(system.beta),
-        "phi": step_to_dict(system.phi),
-        "psi": [step_to_dict(f) for f in system.psi],
-        "phi_hat": {"band": system.phi_hat.band, "values": _cpx_out(system.phi_hat.values)},
     }
 
 
 @_gc_paused
 def system_from_dict(data: dict) -> WaveletSystem:
-    """A stored system; its tables must have the shapes its tree gives.
-
-    A "beta_l" entry, which older files carry, is ignored: the wavelet
-    coefficients derive from the checked beta.
-    """
+    """The system a stored tree and mask generate; table keys of older files are not read."""
     with _malformed("system"):
         p, M = int(_require(data, "p")), int(_require(data, "M"))
         tree = RootedTree.validate(_require(data, "parent"), p)
-        raw = _require(data, "phi_hat")
-        phi_hat = SpectrumTable(p, int(_require(raw, "band")), _cpx_in(_require(raw, "values")))
-        system = WaveletSystem(
-            p=p,
-            M=M,
-            tree=tree,
-            mask=mask_from_dict(data),
-            beta=_cpx_in(_require(data, "beta")),
-            phi=step_from_dict(_require(data, "phi")),
-            phi_hat=phi_hat,
-            psi=tuple(step_from_dict(d) for d in _require(data, "psi")),
-        )
-    found = [M, phi_hat.band, system.beta.shape]
-    found += [(f.p, f.support_level, f.resolution_level) for f in (system.phi, *system.psi)]
-    wanted = [tree.support_exponent, M, (p * p,), (p, -1, M), *[(p, -1, M + 1)] * (p - 1)]
-    if found != wanted:
-        raise FormatError(f"system tables do not fit its p={p} tree of M={tree.support_exponent}")
-    return system
+        mask = mask_from_dict(data)
+    if M != tree.support_exponent:
+        raise FormatError(f"system M={M} and its p={p} tree of M={tree.support_exponent} do not fit")
+    return system_from_mask(tree, mask)
 
 
 # -- coefficient grids and pyramids --

@@ -140,7 +140,14 @@ class WaveletSystem:
 
 def build_system(tree: RootedTree, phases=None) -> WaveletSystem:
     """Tree -> mask -> spectrum -> refinable function -> wavelets."""
-    mask = mask_from_tree(tree, phases)
+    return system_from_mask(tree, mask_from_tree(tree, phases))
+
+
+# A stored mask may hold huge or non-finite values; they overflow to inf and
+# nan in the tables, which verify reads as failures.
+@np.errstate(over="ignore", invalid="ignore")
+def system_from_mask(tree: RootedTree, mask: MaskTable) -> WaveletSystem:
+    """The tables a tree and its mask generate, bit for bit as build_system makes them."""
     phi_hat_table = phi_hat_from_tree(tree, mask)
     phi = inverse_transform(phi_hat_table)
     beta = solve_beta(mask)

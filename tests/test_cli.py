@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import os
 import re
@@ -118,32 +119,68 @@ def test_verify_corrupted_lambda(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-def test_verify_nan_psi_cell_fails_two_route(tmp_path, capsys):
-    # json accepts NaN; Python's max(0.0, nan) is 0.0, so the check must not use it
+@pytest.mark.parametrize("value", [1e200, float("nan"), float("inf")])
+@pytest.mark.parametrize("cell", [1, 4])  # the chain's edge 0->1, and a cell off its tree
+def test_verify_extreme_lambda_cell_fails_without_warnings(tmp_path, capsys, value, cell):
     data = serialize.load_json(build_system_file(tmp_path, {"p": 3, "parent": [0, 0, 1]}))
-    data["psi"][0]["values"][5] = [float("nan"), 0.0]
-    assert main(["verify", write_json(tmp_path / "nan.json", data)]) == EXIT_MATH
+    data["lambda"][cell] = [value, 0.0]
+    bad = write_json(tmp_path / "bad.json", data)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the tables rebuilt from this mask overflow
+        assert main(["verify", bad]) == EXIT_MATH
+    out, err = capsys.readouterr()
+    assert any(line.startswith("FAIL ") for line in out.splitlines()) and err == ""
+
+
+def verify_corrupted(tmp_path, monkeypatch, corrupt, *flags):
+    """Exit code of `verify` on the p=3 chain's file, whose system corrupt changes after reading.
+
+    A file holds only the tree and mask, so tables that disagree with them are made in memory.
+    """
+    sys_file = build_system_file(tmp_path, {"p": 3, "parent": [0, 0, 1]})
+    system = serialize.system_from_dict(serialize.load_json(sys_file))
+    monkeypatch.setattr(cli.serialize, "system_from_dict", lambda data: corrupt(system))
+    return main(["verify", *flags, sys_file])
+
+
+def with_psi_cell(system, value):
+    psi = system.psi[0]
+    values = psi.values.copy()
+    values[5] = value
+    return dataclasses.replace(system, psi=(dataclasses.replace(psi, values=values),) + system.psi[1:])
+
+
+def with_phi_hat(system, change):
+    values = system.phi_hat.values.copy()
+    change(values)
+    return dataclasses.replace(system, phi_hat=dataclasses.replace(system.phi_hat, values=values))
+
+
+def test_verify_nan_psi_cell_fails_two_route(tmp_path, capsys, monkeypatch):
+    # Python's max(0.0, nan) is 0.0, so the check must not use it
+    assert verify_corrupted(tmp_path, monkeypatch, lambda s: with_psi_cell(s, np.nan)) == EXIT_MATH
     line = next(x for x in capsys.readouterr().out.splitlines() if "psi-two-route" in x)
     assert line.startswith("FAIL") and "nan" in line
 
 
-def test_verify_huge_psi_cell_fails_without_warnings(tmp_path, capsys):
-    data = serialize.load_json(build_system_file(tmp_path, {"p": 3, "parent": [0, 0, 1]}))
-    data["psi"][0]["values"][5] = [1e200, 0.0]
-    bad = write_json(tmp_path / "huge.json", data)
+def test_verify_huge_psi_cell_fails_without_warnings(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(["verify", bad]) == EXIT_MATH
+        assert verify_corrupted(tmp_path, monkeypatch, lambda s: with_psi_cell(s, 1e200)) == EXIT_MATH
     out, err = capsys.readouterr()
     line = next(x for x in out.splitlines() if "gram-orthonormal-family" in x)
     assert line.startswith("FAIL") and err == ""
 
 
-def test_verify_report_says_where_a_check_fails(tmp_path, capsys):
-    data = serialize.load_json(build_system_file(tmp_path, {"p": 3, "parent": [0, 0, 1]}))
-    data["phi_hat"]["values"][0] = [0.0, 0.0]  # drop the trivial coset
-    assert main(["verify", write_json(tmp_path / "bad.json", data), "--level", "spectral"]) == EXIT_MATH
+def test_verify_report_says_where_a_check_fails(tmp_path, capsys, monkeypatch):
+    def drop_trivial_coset(values):
+        values[0] = 0.0
+
+    code = verify_corrupted(tmp_path, monkeypatch, lambda s: with_phi_hat(s, drop_trivial_coset),
+                            "--level", "spectral")
+    assert code == EXIT_MATH
     out = capsys.readouterr().out
     lines = {line.split()[1]: line for line in out.splitlines() if line.startswith(("PASS", "FAIL"))}
     assert lines["spectrum-elementary"].endswith("at support is 2 cosets with 2 distinct residues, "
@@ -152,15 +189,27 @@ def test_verify_report_says_where_a_check_fails(tmp_path, capsys):
     assert " at " not in lines["mask-row-sums"]
 
 
-def test_verify_dense_phi_hat_fails_without_traceback(tmp_path, capsys):
+def test_verify_dense_phi_hat_fails_without_traceback(tmp_path, capsys, monkeypatch):
     # every coset of the spectrum nonzero: the frequency route sums over all of them
-    data = serialize.load_json(build_system_file(tmp_path, {"p": 3, "parent": [0, 0, 1]}))
-    data["phi_hat"]["values"] = [[0.5, 0.25]] * 9
-    assert main(["verify", "--level", "full", write_json(tmp_path / "dense.json", data)]) == EXIT_MATH
+    def fill(values):
+        values[:] = 0.5 + 0.25j
+
+    code = verify_corrupted(tmp_path, monkeypatch, lambda s: with_phi_hat(s, fill), "--level", "full")
+    assert code == EXIT_MATH
     out, err = capsys.readouterr()
     assert "Traceback" not in out + err
     failed = {line.split()[1] for line in out.splitlines() if line.startswith("FAIL ")}
     assert {"spectrum-elementary", "psi-two-route"} <= failed
+
+
+def test_p7_chain_file_is_its_tree_and_mask_and_verifies(tmp_path, capsys):
+    sys_file = build_system_file(tmp_path, {"p": 7, "parent": [0, 0, 1, 2, 3, 4, 5]})
+    assert os.path.getsize(sys_file) < 1024
+    assert set(serialize.load_json(sys_file)) == {"M", "lambda", "p", "parent"}
+    capsys.readouterr()
+    assert main(["verify", sys_file]) == EXIT_OK
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith(("PASS", "FAIL"))]
+    assert len(lines) == 10 and all(line.startswith("PASS ") for line in lines)
 
 
 def test_verify_tight_tol_fails(tmp_path, capsys):
@@ -189,7 +238,7 @@ def test_tol_must_be_finite_and_positive(monkeypatch, capsys, tol, handler, comm
 
 
 def test_stored_beta_l_is_not_read(p3_payloads, tmp_path):
-    # files written before beta_l was derived carry it beside beta, which alone is checked
+    # older files carry beta_l beside the other tables; no table key is read
     system = serialize.system_from_dict(p3_payloads["system"])
     old = dict(p3_payloads["system"], beta_l=[serialize._cpx_out(bl) for bl in system.beta_l])
     bad = copy.deepcopy(old)
@@ -268,7 +317,7 @@ def test_transform_roundtrip(tmp_path, capsys):
     assert rec.p == 3
 
 
-def test_transform_roundtrip_bound_scales_with_the_signal(tmp_path, capsys):
+def test_transform_roundtrip_bound_scales_with_the_signal(tmp_path, capsys, monkeypatch):
     sys_file = build_system_file(tmp_path, {"p": 3, "parent": [0, 0, 0]})
     rng = np.random.default_rng(5)
     values = rng.normal(size=27) + 1j * rng.normal(size=27)
@@ -283,11 +332,13 @@ def test_transform_roundtrip_bound_scales_with_the_signal(tmp_path, capsys):
     for scale in (1.0, 1e5, 1e8):
         assert analyze(sys_file, scale) == EXIT_OK, scale
     # a beta that no longer pairs with its shifts breaks the round trip at every scale
-    data = serialize.load_json(sys_file)
-    data["beta"][1] = [0.9 * x for x in data["beta"][1]]
-    bad_file = write_json(tmp_path / "bad.json", data)
+    system = serialize.system_from_dict(serialize.load_json(sys_file))
+    beta = system.beta.copy()
+    beta[1] *= 0.9
+    bad = dataclasses.replace(system, beta=beta)
+    monkeypatch.setattr(cli.serialize, "system_from_dict", lambda data: bad)
     for scale in (1.0, 1e8):
-        assert analyze(bad_file, scale) == EXIT_MATH, scale
+        assert analyze(sys_file, scale) == EXIT_MATH, scale
     capsys.readouterr()
 
 
@@ -490,10 +541,10 @@ def every_level_shifted_by_5000(pyramid):
         pytest.param("pyramid", set_in("approx", "entries", 1, "shift", [0, 0, 0]), 4, EXIT_INPUT,
                      "err", "share the shift key 0", id="7-shift-repeated"),
         pytest.param("system", set_in("M", 0), 2, EXIT_INPUT, "err", "do not fit", id="system-M"),
-        pytest.param("system", drop("phi_hat", "values"), 2, EXIT_INPUT, "err", "'values'",
-                     id="phi_hat-values"),
-        pytest.param("system", set_in("phi_hat", 1.5), 2, EXIT_INPUT, "err", "'band'",
-                     id="phi_hat-number"),
+        pytest.param("system", drop("lambda"), 2, EXIT_INPUT, "err", "missing key 'lambda'",
+                     id="lambda-missing"),
+        pytest.param("system", set_in("lambda", [[1.0, 0.0]] * 4), 2, EXIT_INPUT, "err",
+                     "lambda table must have length 9", id="lambda-length"),
         pytest.param("tree", set_in("phases_turns", [0.25]), 1, EXIT_INPUT, "err", "items",
                      id="phases-list"),
         pytest.param("tree", set_in("phases_turns", {"0->1": float("nan")}), 1, EXIT_INPUT, "err",

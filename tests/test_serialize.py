@@ -52,10 +52,26 @@ def test_system_roundtrip(chain3):
 def test_system_file_keeps_beta_only_and_rederives_beta_l_bit_identically():
     system = build_system(RootedTree.validate([0, 0, 1, 1, 2], 5), {(0, 1): 0.3, (1, 3): 0.7})
     data = json.loads(serialize.dumps(serialize.system_to_dict(system)))
-    assert "beta_l" not in data
+    assert set(data) == {"M", "lambda", "p", "parent"}
     back = serialize.system_from_dict(data)
     assert len(back.beta_l) == 4
     assert all(np.array_equal(a, b) for a, b in zip(back.beta_l, system.beta_l))
+
+    # older files also stored the tables; they are not read, and the rebuilt ones equal them
+    old = json.loads(serialize.dumps(dict(
+        data,
+        phi=serialize.step_to_dict(system.phi),
+        psi=[serialize.step_to_dict(f) for f in system.psi],
+        phi_hat={"band": system.phi_hat.band, "values": serialize._cpx_out(system.phi_hat.values)},
+        beta=serialize._cpx_out(system.beta),
+        beta_l=[serialize._cpx_out(bl) for bl in system.beta_l],
+    )))
+    back = serialize.system_from_dict(old)
+    assert np.array_equal(back.phi.values, serialize.step_from_dict(old["phi"]).values)
+    assert all(np.array_equal(a.values, serialize.step_from_dict(b).values) for a, b in zip(back.psi, old["psi"]))
+    assert np.array_equal(back.phi_hat.values, serialize._cpx_in(old["phi_hat"]["values"]))
+    assert np.array_equal(back.beta, serialize._cpx_in(old["beta"]))
+    assert all(np.array_equal(a, serialize._cpx_in(b)) for a, b in zip(back.beta_l, old["beta_l"]))
 
 
 def test_system_roundtrip_is_json_stable(chain3):
