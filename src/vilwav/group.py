@@ -79,12 +79,8 @@ def char_kernel_apply(values: np.ndarray, p: int, w: int, sign: int) -> np.ndarr
     if values.shape[:1] != (p**w,):
         raise ValueError(f"expected a table of length {p**w} along the first axis")
     kernel = digit_characters(p) if sign >= 0 else digit_characters(p).conj()
-    arr = values.astype(complex).reshape((p,) * w + values.shape[1:])
+    arr = values.astype(complex)
     for axis in range(w):
-        arr = np.moveaxis(arr, axis, 0)
-        flat = arr.reshape(p, -1)
-        out = np.empty_like(flat)
-        out[0] = flat.sum(axis=0)
-        out[1:] = kernel[1:] @ (flat - flat[0])
-        arr = np.moveaxis(out.reshape(arr.shape), 0, axis)
+        view = arr.reshape(p ** (w - 1 - axis), p, -1)  # digit `axis` from the top in the middle
+        arr = np.concatenate([view.sum(axis=1, keepdims=True), kernel[1:] @ (view - view[:, :1])], axis=1)
     return arr.reshape(values.shape)

@@ -113,35 +113,24 @@ def inverse_transform(spec: SpectrumTable) -> StepFunction:
     return StepFunction(p, -1, spec.band, values)
 
 
-def sparse_inverse_transform(spec: SpectrumTable) -> StepFunction:
-    """inverse_transform as a sum over the nonzero cosets only.
+def coset_characters(cosets: np.ndarray, p: int, w: int) -> tuple[np.ndarray, ...]:
+    """The characters of level -1 cosets on the cells of [-1, w - 1), as two Kronecker factors.
 
-    A coset's character on the window is the Kronecker product of its
-    per-digit root-of-unity vectors.  Split into the products over the deep
-    and the shallow half of the digits, the sum over nnz cosets is one
-    (p^h x nnz) @ (nnz x p^(w-h)) matrix product: nnz * p^w multiply-adds,
-    against w * p * p^w for the full transform.  The sum leaves rounding
-    (~1e-16) in cells where the full transform gives exact zeros, so build
-    keeps the full one.
+    Row k of a factor is the Kronecker product of coset k's per-digit
+    root-of-unity vectors over the deep (first) or shallow half of its digits.
+    A sum over nnz cosets is then one (p^h x nnz) @ (nnz x p^(w-h)) product:
+    nnz * p^w multiply-adds against w * p * p^w for the full transform, but
+    with rounding (~1e-16) where that gives exact zeros, so build keeps it.
     """
-    p, w = spec.p, spec.band + 1
-    values = np.asarray(spec.values)
-    cosets = np.flatnonzero(values)  # a nan is nonzero, so it reaches every cell
-    check_table_size(max(len(cosets), 1) * p**w)
     digits = (cosets[:, None] // p ** np.arange(w - 1, -1, -1)) % p  # deepest digit first
-    h = (w + 1) // 2
-    deep = _character_rows(values[cosets] / p, digits[:, :h], p)
-    shallow = _character_rows(np.ones(len(cosets)), digits[:, h:], p)
-    return StepFunction(p, -1, spec.band, (deep.T @ shallow).reshape(-1))
-
-
-def _character_rows(lead: np.ndarray, digits: np.ndarray, p: int) -> np.ndarray:
-    """Row k: lead[k] times the Kronecker product of the one-digit characters of digits[k]."""
-    rows = lead.astype(complex)[:, None]
-    for column in digits.T:
-        rows = rows[:, :, None] * digit_characters(p)[column][:, None, :]
-        rows = rows.reshape(len(rows), rows.shape[1] * p)  # no -1: there may be no rows
-    return rows
+    factors = []
+    for half in np.split(digits, [(w + 1) // 2], axis=1):
+        rows = np.ones((len(cosets), 1), dtype=complex)
+        for column in half.T:
+            rows = rows[:, :, None] * digit_characters(p)[column][:, None, :]
+            rows = rows.reshape(len(rows), rows.shape[1] * p)  # no -1: there may be no rows
+        factors.append(rows)
+    return tuple(factors)
 
 
 def forward_transform(f: StepFunction) -> SpectrumTable:
@@ -195,15 +184,16 @@ def check_orthonormality_spectral(spec: SpectrumTable, tol: float = DEFAULT_TOL)
 
 
 def embed(f: StepFunction, lo: int, hi: int) -> np.ndarray:
-    """Cell values of f on the enclosing window [lo, hi), one entry per G_hi cell."""
+    """Cell values of f on the enclosing window [lo, hi), one per G_hi cell: on f's own window, its table."""
     if lo > f.support_level or hi < f.resolution_level:
         raise ValueError("embedding window must contain the function's window")
+    if (lo, hi) == (f.support_level, f.resolution_level):
+        return np.asarray(f.values)
     p = f.p
     check_table_size(p ** (hi - lo))
     k = np.arange(p ** (hi - lo))
     low_width = f.support_level - lo
-    mid = (k // p**low_width) % p**f.width
-    out = np.asarray(f.values)[mid].copy()
+    out = np.asarray(f.values)[(k // p**low_width) % p**f.width]
     if low_width:
         out[k % p**low_width != 0] = 0.0
     return out
@@ -274,16 +264,20 @@ def lattice_sum(g: np.ndarray, k: np.ndarray) -> np.ndarray:
     The relation phi = sum_j beta_j phi(A x - h_j) on tables: g holds cells or
     coefficients as [rest, lowest digit], k the coefficients as [pinned
     digits, lowest shift digit], and trailing axes of g are a batch.  Summed
-    over s = m - c instead, it is one matrix product per r.
+    over s = m - c instead, it is a product with the circulant matrix: one
+    over all r for a single value per cell, one per r for a batch.
     """
     r, p = g.shape[:2]
-    return (_circulant(k) @ g.reshape(r, p, -1)).reshape(r, p, len(k), *g.shape[2:])
+    out = g.reshape(r, p) @ _circulant(k).T if g.size == r * p else _circulant(k) @ g.reshape(r, p, -1)
+    return out.reshape(r, p, len(k), *g.shape[2:])
 
 
 def lattice_sum_adjoint_g(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Adjoint of lattice_sum in g: out[r, c, ...] = sum_{m,q} x[r, m, q, ...] * conj k[q, (m - c) mod p]."""
     r, p = x.shape[:2]
-    return (_circulant(k).conj().T @ x.reshape(r, p * len(k), -1)).reshape(r, p, *x.shape[3:])
+    c = _circulant(k).conj()
+    out = x.reshape(r, len(c)) @ c if x.size == r * len(c) else c.T @ x.reshape(r, len(c), -1)
+    return out.reshape(r, p, *x.shape[3:])
 
 
 def lattice_sum_adjoint_k(x: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -327,6 +321,10 @@ def gram_matrix(funcs, shifts) -> np.ndarray:
     return family @ family.conj().T * float(funcs[0].p) ** -hi
 
 
+# Cells of all functions in one chunk of translation_correlation: 512 kB, a cache-sized working set.
+GRAM_CHUNK_CELLS = 2**15
+
+
 def translation_correlation(funcs, width: int) -> np.ndarray:
     """c[i, k, d] = <f_i, f_k(x - d)> for every shift d of all_shifts(p, width).
 
@@ -335,19 +333,24 @@ def translation_correlation(funcs, width: int) -> np.ndarray:
     over the shift digits; a pair's spectrum product, summed over the other
     digits, inverts to its correlation over every shift.  Digits below every
     support are left out: a shift with one moves each function off all the
-    others, so its entries are zero.
+    others, so its entries are zero.  The products are summed over chunks of
+    the digits [0, hi), reading a function on the common window in place.
     """
     n, p = len(funcs), funcs[0].p
     lo = min(0, *(f.support_level for f in funcs))
     hi = max(0, *(f.resolution_level for f in funcs))
     t = min(width, -lo)  # shift digits inside the window, positions -t .. -1
     check_table_size(n * p ** (hi - lo))
-    # cells[s, i, a, b] is f_i on shift digits s, digits [0, hi) a and digits [lo, -t) b
-    cells = np.empty((p**t, n, p**hi, p ** (-lo - t)), dtype=complex)
-    for i, f in enumerate(funcs):
-        cells[:, i] = embed(f, lo, hi).reshape(p**hi, p**t, -1).transpose(1, 0, 2)
-    spec = char_kernel_apply(cells.reshape(p**t, n, -1), p, t, -1)
-    corr = char_kernel_apply(spec @ spec.conj().transpose(0, 2, 1), p, t, +1) * float(p) ** -(hi + t)
+    tables = [embed(f, lo, hi) for f in funcs]
+    rows = max(1, GRAM_CHUNK_CELLS // (n * p**-lo))  # values of the digits [0, hi) per chunk
+    prod = np.zeros((p**t, n, n), dtype=complex)
+    for top in range(0, p**hi, rows):
+        chunk = slice(top * p**-lo, (top + rows) * p**-lo)
+        # cells[i, a, s, b] is f_i on digits [0, hi) a, shift digits s and digits [lo, -t) b
+        cells = np.stack([table[chunk].reshape(-1, p**t, p ** (-lo - t)) for table in tables])
+        spec = char_kernel_apply(cells.transpose(2, 0, 1, 3).reshape(p**t, n, -1), p, t, -1)
+        prod += spec @ spec.conj().transpose(0, 2, 1)
+    corr = char_kernel_apply(prod, p, t, +1) * float(p) ** -(hi + t)
     out = np.zeros((n, n, p**width), dtype=complex)
     out[:, :, : p**t] = reverse_digits(corr, p, t).transpose(1, 2, 0)
     return out

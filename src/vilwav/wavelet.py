@@ -13,6 +13,7 @@ not go through the transform that build used.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,11 +25,11 @@ from .refinable import (
     StepFunction,
     check_elementary,
     check_orthonormality_spectral,
+    coset_characters,
     embed,
     inverse_transform,
     lattice_sum,
     phi_hat_from_tree,
-    sparse_inverse_transform,
     translate_dilate,  # noqa: F401  unused; perfbench's tracer test expects it bound here
     translation_correlation,
 )
@@ -47,10 +48,13 @@ def solve_beta(mask: MaskTable) -> np.ndarray:
     return char_kernel_apply(crossed, p, 2, +1) / p
 
 
+@lru_cache(maxsize=None)
 def _beta_system(p: int) -> np.ndarray:
     """The dense system (1/p) conj((chi_k, A^-1 h_j)), row k = alpha_-1 + p*alpha_0, column j."""
     d = digit_table(p, 2)
-    return unit_roots(p).conj()[(np.outer(d[:, 0], d[:, 1]) + np.outer(d[:, 1], d[:, 0])) % p] / p
+    table = unit_roots(p).conj()[(np.outer(d[:, 0], d[:, 1]) + np.outer(d[:, 1], d[:, 0])) % p] / p
+    table.setflags(write=False)
+    return table
 
 
 def solve_beta_dense(mask: MaskTable) -> np.ndarray:
@@ -101,24 +105,34 @@ def psi_hat(phi_hat_table: SpectrumTable, mask: MaskTable, l: int) -> SpectrumTa
     frequency-domain refinement identity), band grows by one either way.
     """
     p = mask.p
-    values = np.asarray(phi_hat_table.values).reshape(-1, p)[:, :, None] * shifted_mask(mask, l)
+    values = np.asarray(phi_hat_table.values).reshape(-1, p)[:, :, None] * shifted_masks(mask)[l]
     return SpectrumTable(p, phi_hat_table.band + 1, values.reshape(-1))
 
 
-def shifted_mask(mask: MaskTable, l: int) -> np.ndarray:
-    """m_l as a [xi_0, xi_-1] table: entry (b, a) is lambda at a + p*((b - l) mod p)."""
+def shifted_masks(mask: MaskTable) -> np.ndarray:
+    """Every m_l as one [l, xi_0, xi_-1] table: entry (l, b, a) is lambda at a + p*((b - l) mod p)."""
     p = mask.p
-    return mask.lam.reshape(p, p)[(np.arange(p) - l) % p]
+    return mask.lam.reshape(p, p)[(np.arange(p) - np.arange(p)[:, None]) % p]
 
 
-def psi_freq(phi_hat_table: SpectrumTable, mask: MaskTable, l: int) -> StepFunction:
-    """Wavelet by the frequency route; must match psi_time cell for cell.
+def psi_freq(phi_hat_table: SpectrumTable, mask: MaskTable) -> tuple[StepFunction, ...]:
+    """The p - 1 wavelets by the frequency route; they must match psi_time cell for cell.
 
-    The spectrum of a tree's wavelet has p nonzero cosets, so it is inverted
-    as a sum of p characters (sparse_inverse_transform), not by the full
-    transform that build_system uses for phi.
+    Coset a + p*k of psi_l's spectrum (psi_hat) holds phi_hat[k] * m_l[k mod p, a],
+    so only the p cosets over each support coset k of phi_hat can be nonzero.
+    Their characters (coset_characters) are formed once, and each wavelet is
+    the character sum over the cosets its shifted mask keeps, p for a tree:
+    no dense spectrum, and not the full transform that build uses for phi.
     """
-    return sparse_inverse_transform(psi_hat(phi_hat_table, mask, l))
+    p, w = mask.p, phi_hat_table.band + 2
+    support = np.flatnonzero(phi_hat_table.values)  # a nan is nonzero, so it reaches every cell
+    coeffs = (phi_hat_table.values[support, None] * shifted_masks(mask)[1:, support % p] / p).reshape(p - 1, -1)
+    keep = coeffs != 0
+    check_table_size(max(int(keep.sum(axis=1).max()), 1) * p**w)
+    used = keep.any(axis=0)
+    deep, shallow = coset_characters((np.arange(p) + p * support[:, None]).reshape(-1)[used], p, w)
+    return tuple(StepFunction(p, -1, w - 1, ((deep[k] * c[k, None]).T @ shallow[k]).reshape(-1))
+                 for c, k in zip(coeffs[:, used], keep[:, used]))
 
 
 @dataclass(frozen=True)
@@ -162,8 +176,7 @@ def shifted_mask_checks(mask: MaskTable, tol: float = DEFAULT_TOL) -> CheckResul
     unshifted support, rotated by l, sits.  The deviation is the max violation.
     """
     p = mask.p
-    tables = np.stack([shifted_mask(mask, l) for l in range(p)])  # [l, xi_0, xi_-1]
-    # m_l is m_0 shifted by l, so its support is the unshifted support rotated by l
+    tables = shifted_masks(mask)  # [l, xi_0, xi_-1]
     mods = np.abs(tables)
     modulus_dev = np.where(mods > 0.5, np.abs(mods - 1.0), mods)
     l, k = np.triu_indices(p, 1)
@@ -206,16 +219,24 @@ def verify_wavelet_system(
     phi_fine = embed(system.phi, -1, M + 1)
     checks.append(CheckResult.within("refinement-identity", np.abs(refined.values - phi_fine).max(), tol))
 
-    # two-route wavelet agreement; np.max, unlike max, keeps a nan
-    two_route = np.max([
-        np.abs(psi_freq(system.phi_hat, system.mask, l).values - system.psi[l - 1].values).max()
-        for l in range(1, p)
-    ])
-    checks.append(CheckResult.within("psi-two-route", two_route, tol))
+    # two-route wavelet agreement: the worst cell of each wavelet, then the worst wavelet
+    freq = psi_freq(system.phi_hat, system.mask)
+    worst = [_worst(np.abs(f.values - t.values)) for f, t in zip(freq, system.psi)]
+    l = int(np.argmax([dev for dev, _ in worst]))  # argmax picks the first nan
+    dev, (cell,) = worst[l]
+    checks.append(CheckResult.within("psi-two-route", dev, tol, f"wavelet {l + 1}, cell {cell}" if dev else ""))
 
     # the translates of phi and every psi form one orthonormal family; the
     # shift set is a group, so Gram entry ((i, h), (k, h')) is corr[i, k, h' - h]
     corr = translation_correlation((system.phi,) + system.psi, GRAM_SHIFT_WIDTH)
     corr[:, :, 0] -= np.eye(p)
-    checks.append(CheckResult.within("gram-orthonormal-family", np.abs(corr).max(), tol))
+    dev, (i, k, d) = _worst(np.abs(corr))
+    where = f"functions ({i}, {k}), shift {tuple(d // p**j % p for j in range(GRAM_SHIFT_WIDTH))}"
+    checks.append(CheckResult.within("gram-orthonormal-family", dev, tol, where if dev else ""))
     return checks
+
+
+def _worst(devs: np.ndarray) -> tuple[float, tuple[int, ...]]:
+    """The largest deviation and its index; a nan is the largest."""
+    at = np.unravel_index(np.argmax(devs), devs.shape)  # argmax picks the first nan
+    return float(devs[at]), tuple(int(i) for i in at)

@@ -161,7 +161,7 @@ def test_verify_nan_psi_cell_fails_two_route(tmp_path, capsys, monkeypatch):
     # Python's max(0.0, nan) is 0.0, so the check must not use it
     assert verify_corrupted(tmp_path, monkeypatch, lambda s: with_psi_cell(s, np.nan)) == EXIT_MATH
     line = next(x for x in capsys.readouterr().out.splitlines() if "psi-two-route" in x)
-    assert line.startswith("FAIL") and "nan" in line
+    assert line.startswith("FAIL") and "nan" in line and line.endswith("at wavelet 1, cell 5")
 
 
 def test_verify_huge_psi_cell_fails_without_warnings(tmp_path, capsys, monkeypatch):

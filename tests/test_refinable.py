@@ -1,11 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from vilwav import refinable
 from vilwav.config import MathError, SizeCapError
 from vilwav.group import digit_table
-from vilwav.mask import mask_from_tree
+from vilwav.mask import MaskTable, mask_from_tree
 from vilwav.refinable import (
     SpectrumTable,
     StepFunction,
@@ -17,14 +20,16 @@ from vilwav.refinable import (
     gram_matrix,
     inner_product,
     inverse_transform,
+    lattice_sum,
+    lattice_sum_adjoint_g,
+    lattice_sum_adjoint_k,
     phi_hat_from_tree,
-    sparse_inverse_transform,
     spectrum_from_mask_orbit,
     translate_dilate,
     translation_correlation,
 )
 from vilwav.tree import RootedTree, enumerate_trees
-from vilwav.wavelet import build_system
+from vilwav.wavelet import build_system, psi_freq, psi_hat
 
 OMEGA3 = np.exp(2j * np.pi / 3)
 
@@ -121,29 +126,58 @@ def test_transform_roundtrip_random_spectra(rng):
 
 @pytest.mark.parametrize("p, band, nnz", [(2, 0, 1), (3, 1, 0), (3, 2, 5), (5, 2, 125), (7, 3, 7)])
 def test_sparse_inverse_matches_full_transform(p, band, nnz, rng):
+    # psi_freq's coset sum over a random refinable spectrum and a random dense mask
     values = np.zeros(p ** (band + 1), dtype=complex)
     cosets = rng.choice(len(values), size=nnz, replace=False)
     values[cosets] = rng.normal(size=nnz) + 1j * rng.normal(size=nnz)
     spec = SpectrumTable(p, band, values)
-    sparse, full = sparse_inverse_transform(spec), inverse_transform(spec)
-    assert (sparse.support_level, sparse.resolution_level) == (full.support_level, full.resolution_level)
-    assert np.abs(sparse.values - full.values).max() < 1e-13
+    mask = MaskTable(p, rng.normal(size=p * p) + 1j * rng.normal(size=p * p))
+    sparse = psi_freq(spec, mask)
+    assert len(sparse) == p - 1
+    for l, psi in enumerate(sparse, 1):
+        full = inverse_transform(psi_hat(spec, mask, l))
+        assert (psi.support_level, psi.resolution_level) == (full.support_level, full.resolution_level)
+        assert np.abs(psi.values - full.values).max() < 1e-13
 
 
-def test_sparse_inverse_counts_every_coset_against_the_size_cap(monkeypatch):
-    # 3 cosets over 27 cells: the dense table fits a cap of 80, the coset sum does not
-    values = np.zeros(27, dtype=complex)
-    values[[0, 4, 20]] = 1.0
+def test_sparse_inverse_counts_every_coset_against_the_size_cap(chain3, monkeypatch):
+    # each wavelet has 3 cosets over 27 cells: its dense spectrum fits a cap of 80, the coset sum does not
     monkeypatch.setenv("VILWAV_SIZE_CAP", "80")
-    inverse_transform(SpectrumTable(3, 2, values))
+    inverse_transform(psi_hat(chain3.phi_hat, chain3.mask, 1))
     with pytest.raises(SizeCapError, match="81 entries"):
-        sparse_inverse_transform(SpectrumTable(3, 2, values))
+        psi_freq(chain3.phi_hat, chain3.mask)
 
 
-def test_sparse_inverse_spreads_a_nan_to_every_cell():
-    values = np.zeros(9, dtype=complex)
-    values[[0, 4]] = [1.0, np.nan]
-    assert np.isnan(sparse_inverse_transform(SpectrumTable(3, 1, values)).values).all()
+def test_sparse_inverse_spreads_a_nan_to_every_cell(chain3):
+    values = chain3.phi_hat.values.copy()
+    values[np.flatnonzero(values)[1]] = np.nan
+    lam = chain3.mask.lam.copy()
+    lam[np.flatnonzero(lam)[1]] = np.nan
+    for spec, mask in [(SpectrumTable(3, 1, values), chain3.mask), (chain3.phi_hat, MaskTable(3, lam))]:
+        assert all(np.isnan(psi.values).all() for psi in psi_freq(spec, mask))
+
+
+def cnormal(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("batch", [(), (1,), (1024,)])
+def test_lattice_sums_match_einsum_and_are_adjoint(batch, rng):
+    p, r, q = 5, 25, 5
+    g, k, x = cnormal(rng, r, p, *batch), cnormal(rng, q, p), cnormal(rng, r, p, q, *batch)
+    diff = (np.arange(p)[:, None] - np.arange(p)[None, :]) % p  # [m, c] -> m - c
+    summed = lattice_sum(g, k)
+    assert summed.shape == x.shape
+    assert np.abs(summed - np.einsum("qc,rmc...->rmq...", k, g[:, diff])).max() < 1e-12
+    adj_g = lattice_sum_adjoint_g(x, k)
+    assert np.abs(adj_g - np.einsum("rmq...,qmc->rc...", x, k[:, diff].conj())).max() < 1e-12
+    # adjoint_k takes one signal, so a batch is summed signal by signal
+    gs, xs = g.reshape(r, p, -1), x.reshape(r, p, q, -1)
+    adj_k = sum(lattice_sum_adjoint_k(xs[..., b], gs[..., b]) for b in range(gs.shape[2]))
+    assert np.abs(adj_k - np.einsum("rmqb,rmcb->qc", xs, gs[:, diff].conj())).max() < 1e-10
+    inner = np.vdot(x, summed)  # <lattice_sum(g, k), x>
+    assert abs(inner - np.vdot(adj_g, g)) < 1e-9 * abs(inner)
+    assert abs(inner - np.vdot(adj_k, k)) < 1e-9 * abs(inner)
 
 
 def test_forward_requires_support_in_g_minus1():
@@ -294,17 +328,19 @@ def assert_correlation_is_dense_gram(funcs, width):
     "parent, widths",
     [(t.parent, (2, 3)) for t in enumerate_trees(3)] + [((0, 0, 1, 2, 3), (2,))],
 )
-def test_translation_correlation_matches_dense_gram(parent, widths, rng):
+def test_translation_correlation_matches_dense_gram(parent, widths, rng, monkeypatch):
     # phi and psi differ in resolution level; the noisy psi and the function
     # supported in G_-3 make the family non-orthonormal and put shift digits
-    # below the common support
+    # below the common support.  Chunks of 18 cells sum one or two values of
+    # the digits [0, hi) at a time (p=3: the last chunk is cut short).
     tree = RootedTree.validate(parent, len(parent))
     system = build_system(tree, dict(zip(tree.edges(), rng.uniform(size=tree.p - 1))))
     p, psi = system.p, system.psi[0]
     noisy = StepFunction(p, -1, psi.resolution_level, psi.values + 1e-3 * rng.normal(size=psi.values.shape))
     wide = rng.normal(size=p**3) + 1j * rng.normal(size=p**3)
     wide = StepFunction(p, -3, 0, wide / np.linalg.norm(wide))
-    for width in widths:
+    for width, chunk in itertools.product(widths, (refinable.GRAM_CHUNK_CELLS, 18)):
+        monkeypatch.setattr(refinable, "GRAM_CHUNK_CELLS", chunk)
         corr = assert_correlation_is_dense_gram((system.phi,) + system.psi, width)
         ideal = np.zeros_like(corr)
         ideal[:, :, 0] = np.eye(p)

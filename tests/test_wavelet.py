@@ -1,5 +1,6 @@
 import dataclasses
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,14 @@ from hypothesis import strategies as st
 from vilwav import group, refinable, wavelet
 from vilwav.config import SizeCapError
 from vilwav.mask import MaskTable, mask_from_tree
-from vilwav.refinable import StepFunction, all_shifts, gram_matrix, inner_product, inverse_transform
+from vilwav.refinable import (
+    StepFunction,
+    all_shifts,
+    gram_matrix,
+    inner_product,
+    inverse_transform,
+    translation_correlation,
+)
 from vilwav.tree import RootedTree, enumerate_trees
 from vilwav.wavelet import (
     assemble_refinement_sum,
@@ -20,6 +28,7 @@ from vilwav.wavelet import (
     psi_hat,
     psi_time,
     shifted_mask_checks,
+    shifted_masks,
     solve_beta,
     solve_beta_dense,
     verify_wavelet_system,
@@ -54,6 +63,11 @@ def test_chain_beta_closed_form():
     assert beta[0] == pytest.approx(1.0)
     assert beta[3] == 0.0
     assert beta[1] == pytest.approx((2 + OMEGA3) / 3)
+
+
+def test_beta_system_is_cached_read_only():
+    system = wavelet._beta_system(5)
+    assert wavelet._beta_system(5) is system and not system.flags.writeable
 
 
 @given(st.sampled_from([2, 3, 5]).flatmap(tree_and_phases))
@@ -147,9 +161,22 @@ def test_p7_chain_refinement_and_two_route(chain7):
     assert system.M == 5
     refined = assemble_refinement_sum(system.phi, system.beta)
     assert np.abs(refined.values - embed(system.phi, -1, system.M + 1)).max() < 1e-12
-    for l in range(1, 7):
-        freq = psi_freq(system.phi_hat, system.mask, l)
+    freqs = psi_freq(system.phi_hat, system.mask)
+    assert len(freqs) == 6
+    for l, freq in enumerate(freqs, 1):
         assert np.abs(freq.values - system.psi[l - 1].values).max() < 1e-12
+
+
+def test_p7_chain_gram_correlation_stays_below_its_input_size(chain7):
+    # the correlation is summed over chunks, not over n full-window copies
+    funcs = (chain7.phi,) + chain7.psi
+    tracemalloc.start()
+    try:
+        translation_correlation(funcs, wavelet.GRAM_SHIFT_WIDTH)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < sum(f.values.nbytes for f in funcs)  # 81 MB
 
 
 def test_p7_chain_full_verify_under_default_cap(chain7, monkeypatch):
@@ -160,9 +187,9 @@ def test_p7_chain_full_verify_under_default_cap(chain7, monkeypatch):
 
 
 def assert_psi_freq_is_the_full_inverse(system):
-    for l in range(1, system.p):
+    for l, freq in enumerate(psi_freq(system.phi_hat, system.mask), 1):
         full = inverse_transform(psi_hat(system.phi_hat, system.mask, l))
-        assert np.abs(psi_freq(system.phi_hat, system.mask, l).values - full.values).max() < 1e-13
+        assert np.abs(freq.values - full.values).max() < 1e-13
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -189,8 +216,7 @@ def test_psi_freq_runs_no_full_transform(chain3, monkeypatch):
         monkeypatch.setattr(module, "char_kernel_apply", spy)
     inverse_transform(chain3.phi_hat)
     assert calls == [(3, 2)]  # the spy sees the full transform
-    for l in range(1, 3):
-        psi_freq(chain3.phi_hat, chain3.mask, l)
+    assert len(psi_freq(chain3.phi_hat, chain3.mask)) == 2
     assert calls == [(3, 2)]
 
 
@@ -240,9 +266,7 @@ def test_psi_norm_and_orthogonality_to_phi(chain3):
 
 def test_two_route_psi_star_and_chain(star3, chain3):
     for system in (star3, chain3):
-        for l in range(1, system.p):
-            freq = psi_freq(system.phi_hat, system.mask, l)
-            time = system.psi[l - 1]
+        for freq, time in zip(psi_freq(system.phi_hat, system.mask), system.psi, strict=True):
             assert freq.support_level == time.support_level
             assert freq.resolution_level == time.resolution_level
             assert np.abs(freq.values - time.values).max() < 1e-13
@@ -278,10 +302,33 @@ def test_shifted_mask_structure(chain3):
     assert shifted_mask_checks(chain3.mask).max_deviation == 0.0
 
 
+def test_shifted_masks_gather_every_shift(rng):
+    lam = rng.normal(size=25) + 1j * rng.normal(size=25)
+    tables = shifted_masks(MaskTable(5, lam))
+    for l, b, a in np.ndindex(5, 5, 5):
+        assert tables[l, b, a] == lam[a + 5 * ((b - l) % 5)]
+
+
 def test_wavelet_gram_is_identity(chain3):
     # blocks: psi_1 and psi_2 translates orthonormal, and orthogonal to each other and to phi
     gram = gram_matrix((chain3.phi,) + chain3.psi, all_shifts(3, 2))
     assert np.abs(gram - np.eye(27)).max() < 1e-12
+
+
+def test_verify_says_which_wavelet_cell_and_gram_entry_are_off(chain3):
+    psi = chain3.psi[1]
+    values = psi.values.copy()
+    values[5] += 10.0
+    bent = dataclasses.replace(chain3, psi=(chain3.psi[0], dataclasses.replace(psi, values=values)))
+    checks = {c.name: c for c in verify_wavelet_system(bent)}
+    assert not checks["psi-two-route"].passed
+    assert checks["psi-two-route"].max_deviation == pytest.approx(10.0)
+    assert checks["psi-two-route"].where == "wavelet 2, cell 5"
+    # |psi_2 + 10|^2 puts the largest Gram deviation on psi_2 against itself, unshifted
+    gram = checks["gram-orthonormal-family"]
+    assert not gram.passed and gram.where == "functions (2, 2), shift (0, 0)"
+    assert checks["refinement-identity"].where == ""
+    assert all(c.where == "" for c in verify_wavelet_system(build_system(RootedTree.validate([0, 0], 2))))
 
 
 def test_gram_check_catches_a_perturbed_wavelet(rng):
