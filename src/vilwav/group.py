@@ -31,10 +31,11 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def check_table_size(n_entries: int) -> None:
+def check_table_size(n_entries: int, what: str = "table") -> None:
+    """Refuse `what`, n_entries table entries in all, when that exceeds the size cap."""
     cap = size_cap()
     if n_entries > cap:
-        raise SizeCapError(f"table of {n_entries} entries exceeds cap {cap}")
+        raise SizeCapError(f"{what} of {n_entries} entries exceeds cap {cap}")
 
 
 @lru_cache(maxsize=None)

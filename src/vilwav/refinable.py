@@ -156,7 +156,7 @@ def check_elementary(spec: SpectrumTable, tol: float = DEFAULT_TOL) -> CheckResu
     mods = np.abs(spec.values)
     support = np.flatnonzero(mods > 0.5)
     residues = len(set((support % p).tolist()))
-    digits = digit_table(p, M + 1)[support]
+    digits = support[:, None] // p ** np.arange(M + 1) % p  # row k: the digits of support coset k
     missing = [
         l for l in range(M + 1)
         if not ((digits[:, l] != 0) & (digits[:, l + 1:] == 0).all(axis=1)).any()

@@ -1,24 +1,28 @@
 """Refinement coefficients and the p-1 wavelets of a tree-generated system.
 
 The coefficients beta solve a p^2 x p^2 character system whose matrix is
-unitary, so they come out of a closed-form adjoint sum.  Each wavelet is
-assembled twice, and the two routes must agree.  Build takes the time route:
-the refinement sum of dilated translates of phi, where phi itself is the full
-inverse transform of its spectrum (exact zeros included).  Verify adds the
-frequency route: the shifted mask times the dilated spectrum of phi, which
-has p nonzero cosets, inverted as a sum of p characters.  So the check does
-not go through the transform that build used.
+unitary, so they come out of a closed-form adjoint sum.  A system is built
+as its mask, beta and phi_hat, all that the spectral checks read; the cell
+tables phi (the full inverse transform of phi_hat, exact zeros included)
+and psi are built on first read.  Each wavelet is assembled twice, and the
+two routes must agree.  The psi tables take the time route: the refinement
+sum of dilated translates of phi.  Full verify adds the frequency route: the
+shifted mask times the dilated spectrum of phi, which has p nonzero cosets,
+inverted as a sum of p characters, so the check does not go through the
+transform that phi is built by.  It counts every table it will hold at
+once against the size cap before building any.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .config import DEFAULT_TOL, CheckResult
-from .group import char_kernel_apply, check_table_size, digit_table, unit_roots
+from .group import char_kernel_apply, check_table_size, unit_roots
 from .mask import MaskTable, check_row_condition, check_vanishing, mask_from_tree
 from .refinable import (
     SpectrumTable,
@@ -51,8 +55,8 @@ def solve_beta(mask: MaskTable) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _beta_system(p: int) -> np.ndarray:
     """The dense system (1/p) conj((chi_k, A^-1 h_j)), row k = alpha_-1 + p*alpha_0, column j."""
-    d = digit_table(p, 2)
-    table = unit_roots(p).conj()[(np.outer(d[:, 0], d[:, 1]) + np.outer(d[:, 1], d[:, 0])) % p] / p
+    high, low = np.divmod(np.arange(p * p), p)  # the two digits of each index
+    table = unit_roots(p).conj()[(np.outer(low, high) + np.outer(high, low)) % p] / p
     table.setflags(write=False)
     return table
 
@@ -115,14 +119,14 @@ def shifted_masks(mask: MaskTable) -> np.ndarray:
     return mask.lam.reshape(p, p)[(np.arange(p) - np.arange(p)[:, None]) % p]
 
 
-def psi_freq(phi_hat_table: SpectrumTable, mask: MaskTable) -> tuple[StepFunction, ...]:
-    """The p - 1 wavelets by the frequency route; they must match psi_time cell for cell.
+def psi_freq(phi_hat_table: SpectrumTable, mask: MaskTable) -> Iterator[StepFunction]:
+    """The p - 1 wavelets by the frequency route, one at a time; they must match psi_time cell for cell.
 
     Coset a + p*k of psi_l's spectrum (psi_hat) holds phi_hat[k] * m_l[k mod p, a],
     so only the p cosets over each support coset k of phi_hat can be nonzero.
     Their characters (coset_characters) are formed once, and each wavelet is
     the character sum over the cosets its shifted mask keeps, p for a tree:
-    no dense spectrum, and not the full transform that build uses for phi.
+    no dense spectrum, and not the full transform that phi is built by.
     """
     p, w = mask.p, phi_hat_table.band + 2
     support = np.flatnonzero(phi_hat_table.values)  # a nan is nonzero, so it reaches every cell
@@ -131,20 +135,64 @@ def psi_freq(phi_hat_table: SpectrumTable, mask: MaskTable) -> tuple[StepFunctio
     check_table_size(max(int(keep.sum(axis=1).max()), 1) * p**w)
     used = keep.any(axis=0)
     deep, shallow = coset_characters((np.arange(p) + p * support[:, None]).reshape(-1)[used], p, w)
-    return tuple(StepFunction(p, -1, w - 1, ((deep[k] * c[k, None]).T @ shallow[k]).reshape(-1))
-                 for c, k in zip(coeffs[:, used], keep[:, used]))
+    for c, k in zip(coeffs[:, used], keep[:, used]):
+        yield StepFunction(p, -1, w - 1, ((deep[k] * c[k, None]).T @ shallow[k]).reshape(-1))
+
+
+class _BuiltOnFirstRead:
+    """A table field of WaveletSystem: built from the system when first read, then kept.
+
+    The field's default is this descriptor itself and stands for "not
+    given"; a table given to the constructor is kept as given.
+    """
+
+    def __init__(self, build):
+        self.build = build
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, system, owner=None):
+        if system is None:
+            return self
+        if self.name not in system.__dict__:
+            system.__dict__[self.name] = self.build(system)
+        return system.__dict__[self.name]
+
+    def __set__(self, system, table):
+        if table is not self:
+            system.__dict__[self.name] = table
+
+
+# A huge or non-finite mask value reaches the tables as inf and nan, quietly,
+# as in system_from_mask.  The kernels are looked up when a table is built,
+# so a tracer that rebinds them sees each call.
+@np.errstate(over="ignore", invalid="ignore")
+def _phi_table(system: WaveletSystem) -> StepFunction:
+    """phi, the full inverse transform of phi_hat."""
+    return inverse_transform(system.phi_hat)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _psi_tables(system: WaveletSystem) -> tuple[StepFunction, ...]:
+    """The p - 1 wavelets by the time route, counted with phi against the cap before any is built."""
+    p, M = system.p, system.M
+    check_table_size(p ** (M + 1) + (p - 1) * p ** (M + 2), "phi and the psi tables")
+    return tuple(psi_time(system.phi, beta_l) for beta_l in system.beta_l)
 
 
 @dataclass(frozen=True)
 class WaveletSystem:
+    """A tree's mask, beta and phi_hat; the cell tables phi and psi are built on first read and kept."""
+
     p: int
     M: int
     tree: RootedTree
     mask: MaskTable
     beta: np.ndarray = field(repr=False)
-    phi: StepFunction
     phi_hat: SpectrumTable
-    psi: tuple[StepFunction, ...]
+    phi: StepFunction = field(default=_BuiltOnFirstRead(_phi_table), repr=False, compare=False)
+    psi: tuple[StepFunction, ...] = field(default=_BuiltOnFirstRead(_psi_tables), repr=False, compare=False)
 
     @property
     def beta_l(self) -> tuple[np.ndarray, ...]:
@@ -153,7 +201,7 @@ class WaveletSystem:
 
 
 def build_system(tree: RootedTree, phases=None) -> WaveletSystem:
-    """Tree -> mask -> spectrum -> refinable function -> wavelets."""
+    """Tree -> mask -> spectrum and beta; phi and the wavelets follow on first read."""
     return system_from_mask(tree, mask_from_tree(tree, phases))
 
 
@@ -161,12 +209,9 @@ def build_system(tree: RootedTree, phases=None) -> WaveletSystem:
 # nan in the tables, which verify reads as failures.
 @np.errstate(over="ignore", invalid="ignore")
 def system_from_mask(tree: RootedTree, mask: MaskTable) -> WaveletSystem:
-    """The tables a tree and its mask generate, bit for bit as build_system makes them."""
+    """The system a tree and its mask generate, bit for bit as build_system makes it."""
     phi_hat_table = phi_hat_from_tree(tree, mask)
-    phi = inverse_transform(phi_hat_table)
-    beta = solve_beta(mask)
-    psi = tuple(psi_time(phi, beta_shifted(beta, l, tree.p)) for l in range(1, tree.p))
-    return WaveletSystem(tree.p, tree.support_exponent, tree, mask, beta, phi, phi_hat_table, psi)
+    return WaveletSystem(tree.p, tree.support_exponent, tree, mask, solve_beta(mask), phi_hat_table)
 
 
 def shifted_mask_checks(mask: MaskTable, tol: float = DEFAULT_TOL) -> CheckResult:
@@ -202,6 +247,10 @@ def verify_wavelet_system(
     below tol.
     """
     p, M = system.p, system.M
+    if not spectral_only:
+        # phi, the p - 1 psi, the refinement sum, one frequency-route wavelet
+        # and phi embedded on the Gram window are held at once
+        check_table_size(p ** (M + 1) + (p + 2) * p ** (M + 2), "full verify's tables")
     checks = [
         check_row_condition(system.mask, tol),
         check_vanishing(system.mask, M),
@@ -216,12 +265,14 @@ def verify_wavelet_system(
 
     # refinement identity, cell-exact one level finer
     refined = assemble_refinement_sum(system.phi, system.beta)
-    phi_fine = embed(system.phi, -1, M + 1)
-    checks.append(CheckResult.within("refinement-identity", np.abs(refined.values - phi_fine).max(), tol))
+    dev = np.abs(refined.values - embed(system.phi, -1, M + 1)).max()
+    checks.append(CheckResult.within("refinement-identity", dev, tol))
+    del refined
 
-    # two-route wavelet agreement: the worst cell of each wavelet, then the worst wavelet
+    # two-route wavelet agreement: the worst cell of each wavelet, then the
+    # worst wavelet; each frequency-route wavelet is dropped once compared
     freq = psi_freq(system.phi_hat, system.mask)
-    worst = [_worst(np.abs(f.values - t.values)) for f, t in zip(freq, system.psi)]
+    worst = [_worst(np.abs(next(freq).values - t.values)) for t in system.psi]
     l = int(np.argmax([dev for dev, _ in worst]))  # argmax picks the first nan
     dev, (cell,) = worst[l]
     checks.append(CheckResult.within("psi-two-route", dev, tol, f"wavelet {l + 1}, cell {cell}" if dev else ""))

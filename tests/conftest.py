@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from vilwav import wavelet
 from vilwav.tree import RootedTree
 from vilwav.wavelet import build_system
 
@@ -15,6 +16,9 @@ settings.load_profile("suite")
 # The two seven-vertex trees used throughout as worked p=7 instances.
 TREE7_A_PARENT = (0, 3, 3, 0, 5, 0, 4)
 TREE7_B_PARENT = (0, 3, 3, 0, 5, 0, 2)
+
+# A random p=11 tree of M=5: its ten psi tables of 11^7 cells would take 2.8 GB.
+P11_M5_PARENT = (0, 8, 1, 8, 0, 1, 0, 2, 9, 6, 0)
 
 # One pass/fail line per acceptance criterion, printed in the terminal summary.
 ACCEPTANCE_LINES: list[str] = []
@@ -45,6 +49,16 @@ def tree7_a():
 @pytest.fixture(scope="session")
 def tree7_b():
     return RootedTree.validate(TREE7_B_PARENT, 7)
+
+
+@pytest.fixture
+def no_tables(monkeypatch):
+    """Building phi or any psi table raises."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a phi or psi table was built")
+
+    for name in ("inverse_transform", "psi_time"):
+        monkeypatch.setattr(wavelet, name, refuse)
 
 
 @pytest.fixture

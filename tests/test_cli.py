@@ -16,7 +16,7 @@ from vilwav.refinable import StepFunction, embed
 from vilwav.tree import RootedTree
 from vilwav.wavelet import CheckResult, build_system
 
-from conftest import TREE7_A_PARENT, TREE7_B_PARENT
+from conftest import P11_M5_PARENT, TREE7_A_PARENT, TREE7_B_PARENT
 
 
 def write_json(path, payload):
@@ -210,6 +210,18 @@ def test_p7_chain_file_is_its_tree_and_mask_and_verifies(tmp_path, capsys):
     assert main(["verify", sys_file]) == EXIT_OK
     lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith(("PASS", "FAIL"))]
     assert len(lines) == 10 and all(line.startswith("PASS ") for line in lines)
+
+
+def test_p11_m5_builds_and_verifies_spectrally_and_full_verify_is_refused_up_front(
+    no_tables, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.delenv("VILWAV_SIZE_CAP", raising=False)
+    sys_file = build_system_file(tmp_path, {"p": 11, "parent": list(P11_M5_PARENT)})
+    assert main(["verify", "--level", "spectral", sys_file]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["verify", "--level", "full", sys_file]) == EXIT_MATH
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1 and out[0].startswith("failed: ") and out[0].endswith("exceeds cap 100000000")
 
 
 def test_verify_tight_tol_fails(tmp_path, capsys):

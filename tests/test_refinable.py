@@ -132,7 +132,7 @@ def test_sparse_inverse_matches_full_transform(p, band, nnz, rng):
     values[cosets] = rng.normal(size=nnz) + 1j * rng.normal(size=nnz)
     spec = SpectrumTable(p, band, values)
     mask = MaskTable(p, rng.normal(size=p * p) + 1j * rng.normal(size=p * p))
-    sparse = psi_freq(spec, mask)
+    sparse = tuple(psi_freq(spec, mask))
     assert len(sparse) == p - 1
     for l, psi in enumerate(sparse, 1):
         full = inverse_transform(psi_hat(spec, mask, l))
@@ -145,7 +145,7 @@ def test_sparse_inverse_counts_every_coset_against_the_size_cap(chain3, monkeypa
     monkeypatch.setenv("VILWAV_SIZE_CAP", "80")
     inverse_transform(psi_hat(chain3.phi_hat, chain3.mask, 1))
     with pytest.raises(SizeCapError, match="81 entries"):
-        psi_freq(chain3.phi_hat, chain3.mask)
+        next(psi_freq(chain3.phi_hat, chain3.mask))
 
 
 def test_sparse_inverse_spreads_a_nan_to_every_cell(chain3):

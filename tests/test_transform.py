@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -294,6 +295,17 @@ def test_synthesis_counts_every_grid_against_the_size_cap(chain3, monkeypatch):
     analyze_level(grid, chain3)  # one table in, 3 x 3^4 entries out
     with pytest.raises(SizeCapError):
         synthesize_level(grid, (CoeffGrid(3, 0, {}),) * 2, chain3)
+
+
+def test_synthesis_of_a_huge_coefficient_warns_nothing(chain3):
+    # 1e308 from every grid sums past the double range; the output says so with inf, not a warning
+    huge = CoeffGrid(3, 0, {0: 1e308})
+    pyramid = CoeffPyramid(3, huge, ((huge, huge),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        signal = materialize(synthesize(pyramid, chain3), chain3)
+        analyze(project(signal, chain3, 1), chain3, 1)
+    assert not np.isfinite(signal.values).all()
 
 
 def test_synthesis_returns_exactly_the_analysed_keys(tree7_a, rng):

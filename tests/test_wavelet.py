@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vilwav import group, refinable, wavelet
+from vilwav import group, mask, refinable, serialize, wavelet
 from vilwav.config import SizeCapError
 from vilwav.mask import MaskTable, mask_from_tree
 from vilwav.refinable import (
@@ -20,6 +20,7 @@ from vilwav.refinable import (
 )
 from vilwav.tree import RootedTree, enumerate_trees
 from vilwav.wavelet import (
+    WaveletSystem,
     assemble_refinement_sum,
     beta_residual,
     beta_shifted,
@@ -33,6 +34,8 @@ from vilwav.wavelet import (
     solve_beta_dense,
     verify_wavelet_system,
 )
+
+from conftest import P11_M5_PARENT
 
 OMEGA3 = np.exp(2j * np.pi / 3)
 
@@ -142,10 +145,67 @@ def test_refinement_sum_requires_support_level_minus1(chain3):
 
 
 def test_refinement_sum_respects_size_cap(monkeypatch):
-    # phi of the chain has 9 cells, its refinement sum 27
+    # phi of the chain has 9 cells, its refinement sum 27; build makes neither, psi needs both
     monkeypatch.setenv("VILWAV_SIZE_CAP", "20")
+    system = build_system(RootedTree.validate([0, 0, 1], 3))
     with pytest.raises(SizeCapError):
-        build_system(RootedTree.validate([0, 0, 1], 3))
+        system.psi
+
+
+def test_build_serialize_and_spectral_verify_build_no_table(no_tables):
+    system = build_system(RootedTree.validate([0, 0, 1, 2, 3], 5), {(0, 1): 0.3})
+    back = serialize.system_from_dict(serialize.system_to_dict(system))
+    for s in (system, back):
+        assert all(c.passed for c in verify_wavelet_system(s, spectral_only=True))
+        assert "phi=" not in repr(s) and "psi=" not in repr(s)
+    with pytest.raises(AssertionError, match="was built"):
+        back.psi
+
+
+# The benchmark's deep7 trees: heights 2 to 6 at p = 7.
+DEEP7 = [(0,) * 7, (0, 3, 3, 0, 5, 0, 4), (0, 3, 3, 0, 5, 0, 2), (0, 0, 1, 2, 3, 0, 0), (0, 0, 1, 2, 3, 4, 0)]
+
+
+def test_tables_read_later_are_the_eager_construction():
+    rng = np.random.default_rng(11)
+    trees = [*enumerate_trees(3), *enumerate_trees(5), *(RootedTree.validate(t, 7) for t in DEEP7)]
+    for tree in trees:
+        system = build_system(tree, {e: float(rng.uniform()) for e in tree.edges()})
+        phi = inverse_transform(system.phi_hat)
+        psi = [psi_time(phi, beta_shifted(system.beta, l, tree.p)) for l in range(1, tree.p)]
+        for lazy, eager in zip((system.phi, *system.psi), (phi, *psi), strict=True):
+            assert (lazy.support_level, lazy.resolution_level) == (eager.support_level, eager.resolution_level)
+            assert np.array_equal(lazy.values, eager.values)
+        assert system.phi is system.phi and system.psi is system.psi  # built once, then kept
+
+
+def test_a_given_table_is_kept():
+    system = build_system(RootedTree.validate([0, 0, 1], 3))
+    phi = StepFunction(3, -1, 1, np.arange(9))
+    assert WaveletSystem(3, 1, system.tree, system.mask, system.beta, system.phi_hat, phi=phi).phi is phi
+    assert dataclasses.replace(system, psi=()).psi == ()
+
+
+def test_full_verify_counts_its_tables_before_building_any(no_tables, monkeypatch):
+    # the p = 3 chain holds 9 + 5 * 27 = 144 cells at once in full verify
+    system = build_system(RootedTree.validate([0, 0, 1], 3))
+    monkeypatch.setenv("VILWAV_SIZE_CAP", "143")
+    with pytest.raises(SizeCapError, match="full verify's tables of 144 entries exceeds cap 143"):
+        verify_wavelet_system(system)
+    assert len(verify_wavelet_system(system, spectral_only=True)) == 7
+
+
+def test_spectral_verify_reads_no_digit_table(monkeypatch):
+    # at p = 11, M = 5 a digit table over phi_hat's window would be 85 MB, kept by its cache
+    system = build_system(RootedTree.validate(P11_M5_PARENT, 11))
+
+    def refuse(*args):
+        raise AssertionError("digit_table called")
+
+    for module in (group, mask, refinable):
+        monkeypatch.setattr(module, "digit_table", refuse)
+    checks = verify_wavelet_system(system, spectral_only=True)
+    assert len(checks) == 7 and all(c.passed for c in checks)
 
 
 @pytest.fixture(scope="module")
@@ -161,7 +221,7 @@ def test_p7_chain_refinement_and_two_route(chain7):
     assert system.M == 5
     refined = assemble_refinement_sum(system.phi, system.beta)
     assert np.abs(refined.values - embed(system.phi, -1, system.M + 1)).max() < 1e-12
-    freqs = psi_freq(system.phi_hat, system.mask)
+    freqs = tuple(psi_freq(system.phi_hat, system.mask))
     assert len(freqs) == 6
     for l, freq in enumerate(freqs, 1):
         assert np.abs(freq.values - system.psi[l - 1].values).max() < 1e-12
@@ -177,6 +237,19 @@ def test_p7_chain_gram_correlation_stays_below_its_input_size(chain7):
     finally:
         tracemalloc.stop()
     assert peak < sum(f.values.nbytes for f in funcs)  # 81 MB
+
+
+def test_p7_chain_verify_holds_one_frequency_route_wavelet_at_a_time(chain7):
+    # with the tables already read, verify's own peak stays below the p - 1 wavelets it compares
+    held = sum(f.values.nbytes for f in chain7.psi)  # 79 MB
+    tracemalloc.start()
+    try:
+        checks = verify_wavelet_system(chain7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(c.passed for c in checks)
+    assert peak < held
 
 
 def test_p7_chain_full_verify_under_default_cap(chain7, monkeypatch):
@@ -216,7 +289,7 @@ def test_psi_freq_runs_no_full_transform(chain3, monkeypatch):
         monkeypatch.setattr(module, "char_kernel_apply", spy)
     inverse_transform(chain3.phi_hat)
     assert calls == [(3, 2)]  # the spy sees the full transform
-    assert len(psi_freq(chain3.phi_hat, chain3.mask)) == 2
+    assert len(tuple(psi_freq(chain3.phi_hat, chain3.mask))) == 2
     assert calls == [(3, 2)]
 
 
