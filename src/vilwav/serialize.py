@@ -2,10 +2,13 @@
 
 Everything is plain JSON with complex numbers as [re, im] pairs and all
 tables in canonical little-endian index order.  A wavelet system is stored
-as the tree and mask that fix it; its tables are rebuilt on reading.  Files
-are compact (no indentation, which would force the json module's
-pure-Python encoder) and keys are sorted, so the bytes are stable across
-runs.
+as the tree and mask that fix it; its tables are rebuilt on reading.  A
+coefficient grid is two columns, {"level": L, "keys": [k, ...], "values":
+[[re, im], ...]}: the keys ascend, and each is the shift's canonical index,
+whose base-p digits (least significant first) are the shift's digits from
+position -1 downward.  Files are compact (no indentation, which would force
+the json module's pure-Python encoder) and keys are sorted, so the bytes
+are stable across runs.
 
 The codecs convert whole numpy arrays at once, and every reader and writer
 runs with the cyclic garbage collector paused: a JSON tree holds no cycles,
@@ -19,8 +22,6 @@ import gc
 import json
 import math
 from contextlib import contextmanager
-from itertools import chain
-from operator import itemgetter
 
 import numpy as np
 
@@ -94,11 +95,11 @@ def dumps(obj: dict) -> str:
 @_gc_paused
 def load_json(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, a huge int, deep nesting
         raise FormatError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise FormatError(f"{path}: top-level JSON object expected")
@@ -197,55 +198,39 @@ def system_from_dict(data: dict) -> WaveletSystem:
 # -- coefficient grids and pyramids --
 
 
-def _shift_digits(keys: np.ndarray, p: int) -> list:
-    """Each key's digits from position -1 downward, without trailing zeros (key 0 has none)."""
-    powers = p ** np.arange(len(shift_key_digits(int(keys.max(initial=0)), p)), dtype=np.int64)
-    digits = (keys[:, None] // powers % p).tolist()
-    counts = (keys[:, None] >= powers).sum(axis=1).tolist()
-    return [row[:n] for row, n in zip(digits, counts)]
-
-
-def _shift_keys(shifts: list, p: int) -> np.ndarray:
-    """The keys of digit lists; refuses non-integer or out-of-range digits and repeated keys."""
-    counts = np.fromiter(map(len, shifts), dtype=np.int64, count=len(shifts))
-    flat = list(chain.from_iterable(shifts))
-    if not set(map(type, flat)) <= {int}:
-        raise FormatError("shift digits must be integers")
-    digits = np.fromiter(flat, dtype=np.int64, count=len(flat))
-    if digits.size and not 0 <= digits.min() <= digits.max() < p:
-        raise FormatError(f"shift digits outside 0..{p - 1}")
-    width = int(counts.max(initial=0))
+def _check_shift_keys(keys, p: int) -> None:
+    """Refuse keys that are no list of distinct integers >= 0 or whose table p^width is too large."""
+    if not isinstance(keys, list) or not set(map(type, keys)) <= {int}:
+        raise FormatError("shift keys must be a list of integers")
+    if keys and min(keys) < 0:
+        raise FormatError(f"shift key {min(keys)} is outside 0, 1, 2, ...")
+    width = len(shift_key_digits(max(keys, default=0), p))
     # The bank lays a grid out as a table over the p^width keys of width
     # digits; refusing that table here also keeps every key inside int64.
     check_table_size(p**width)
     if p**width > np.iinfo(np.int64).max:
-        raise SizeCapError(f"shifts of {width} digits at p={p} do not fit an int64 key")
-    table = np.zeros((len(shifts), width), dtype=np.int64)
-    table[np.arange(width) < counts[:, None]] = digits
-    keys = table @ p ** np.arange(width, dtype=np.int64)
-    ordered = np.sort(keys)
+        raise SizeCapError(f"shift keys of {width} digits at p={p} do not fit an int64 key")
+    ordered = np.sort(np.fromiter(keys, dtype=np.int64, count=len(keys)))
     repeated = ordered[1:][ordered[1:] == ordered[:-1]]
     if repeated.size:
         raise FormatError(f"two entries share the shift key {repeated[0]}")
-    return keys
 
 
 @_gc_paused
 def grid_to_dict(grid: CoeffGrid) -> dict:
     keys = sorted(grid.entries)
-    shifts = _shift_digits(np.array(keys, dtype=np.int64), grid.p)
-    values = _cpx_out([grid.entries[k] for k in keys])
-    entries = [{"shift": s, "value": v} for s, v in zip(shifts, values)]
-    return {"level": grid.level, "entries": entries}
+    return {"level": grid.level, "keys": keys, "values": _cpx_out([grid.entries[k] for k in keys])}
 
 
 @_gc_paused
 def grid_from_dict(data: dict, p: int) -> CoeffGrid:
     with _malformed("coefficient grid"):
-        items = _require(data, "entries")
-        keys = _shift_keys(list(map(itemgetter("shift"), items)), p)
-        values = _cpx_in(list(map(itemgetter("value"), items)))
-        return CoeffGrid(p, int(_require(data, "level")), dict(zip(keys.tolist(), values.tolist())))
+        keys = _require(data, "keys")
+        _check_shift_keys(keys, p)
+        values = _cpx_in(_require(data, "values"))
+        if len(keys) != len(values):
+            raise FormatError(f"{len(keys)} shift keys for {len(values)} values")
+        return CoeffGrid(p, int(_require(data, "level")), dict(zip(keys, values.tolist())))
 
 
 @_gc_paused
@@ -261,6 +246,8 @@ def pyramid_to_dict(pyramid: CoeffPyramid) -> dict:
 def pyramid_from_dict(data: dict) -> CoeffPyramid:
     with _malformed("pyramid"):
         p = int(_require(data, "p"))
+        if p < 2:  # the shift keys are base-p numbers
+            raise FormatError(f"p={p} is no prime")
         approx = grid_from_dict(_require(data, "approx"), p)
         details = tuple(
             tuple(grid_from_dict(g, p) for g in level) for level in _require(data, "details")

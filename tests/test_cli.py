@@ -464,7 +464,16 @@ def p3_payloads():
 
 
 def write_inputs(directory, payloads):
-    return {kind: write_json(directory / f"{kind}.json", data) for kind, data in payloads.items()}
+    """One file per kind: a payload as JSON, or bytes as they are."""
+    paths = {}
+    for kind, data in payloads.items():
+        path = directory / f"{kind}.json"
+        if isinstance(data, bytes):
+            path.write_bytes(data)
+            paths[kind] = str(path)
+        else:
+            paths[kind] = write_json(path, data)
+    return paths
 
 
 def commands(paths, out):
@@ -493,9 +502,16 @@ def run_one_line(argv, capsys):
 
 
 def mutate(payloads, kind, change):
+    """Payloads with one kind changed in place, or replaced by the bytes that change returns."""
     bad = copy.deepcopy(payloads)
-    change(bad[kind])
+    replaced = change(bad[kind])
+    if isinstance(replaced, bytes):
+        bad[kind] = replaced
     return bad
+
+
+def raw(text):
+    return lambda data: text
 
 
 def set_in(*path_and_value):
@@ -520,6 +536,19 @@ def mismatched_detail_levels(pyramid):
     pyramid["details"][0][1]["level"] += 1
 
 
+def entries_layout(pyramid):
+    """The layout of older pyramid files: one {"shift": digits, "value": [re, im]} per key."""
+    for grid in [pyramid["approx"], *(g for level in pyramid["details"] for g in level)]:
+        keys, values = grid.pop("keys"), grid.pop("values")
+        grid["entries"] = [{"shift": list(transform.shift_key_digits(k, 3)), "value": v}
+                           for k, v in zip(keys, values)]
+
+
+def huge_first_key(pyramid):
+    """The file with a key of 5000 digits put first: more than json reads as an int."""
+    return serialize.dumps(pyramid).replace('"keys": [', '"keys": [' + "9" * 5000 + ", ", 1).encode()
+
+
 def every_level_shifted_by_5000(pyramid):
     # consistent levels, but p^(level/2) is no double at p=3
     for grid in [pyramid["approx"], *(g for level in pyramid["details"] for g in level)]:
@@ -537,21 +566,35 @@ def every_level_shifted_by_5000(pyramid):
                      id="6-levels"),
         pytest.param("pyramid", set_in("approx", "level", "x"), 4, EXIT_INPUT, "err", "'x'",
                      id="7-level"),
-        pytest.param("pyramid", set_in("approx", "entries", 0, "value", 1.0), 4, EXIT_INPUT, "err",
+        pytest.param("pyramid", set_in("approx", "values", 0, 1.0), 4, EXIT_INPUT, "err",
                      "unpack", id="7-value"),
         pytest.param("pyramid", set_in("details", {"level": 0}), 4, EXIT_INPUT, "err",
-                     "entries", id="7-details"),
-        pytest.param("pyramid", set_in("approx", "entries", 0, "shift", [-1]), 4, EXIT_INPUT, "err",
+                     "missing key 'keys'", id="7-details"),
+        pytest.param("pyramid", set_in("approx", "keys", 0, -1), 4, EXIT_INPUT, "err",
                      "outside", id="7-shift"),
-        pytest.param("pyramid", set_in("approx", "entries", 1, "shift", [1.5]), 4, EXIT_INPUT, "err",
+        pytest.param("pyramid", set_in("approx", "keys", 1, 1.5), 4, EXIT_INPUT, "err",
                      "integers", id="7-shift-fraction"),
-        pytest.param("pyramid", set_in("approx", "entries", 1, "shift", ["2"]), 4, EXIT_INPUT, "err",
+        pytest.param("pyramid", set_in("approx", "keys", 1, "2"), 4, EXIT_INPUT, "err",
                      "integers", id="7-shift-string"),
-        pytest.param("pyramid", set_in("approx", "entries", 1, "shift", [True]), 4, EXIT_INPUT, "err",
+        pytest.param("pyramid", set_in("approx", "keys", 1, True), 4, EXIT_INPUT, "err",
                      "integers", id="7-shift-bool"),
-        # entry 0 has shift [], key 0 as well
-        pytest.param("pyramid", set_in("approx", "entries", 1, "shift", [0, 0, 0]), 4, EXIT_INPUT,
+        # key 0 comes first
+        pytest.param("pyramid", set_in("approx", "keys", 1, 0), 4, EXIT_INPUT,
                      "err", "share the shift key 0", id="7-shift-repeated"),
+        pytest.param("pyramid", lambda pyramid: pyramid["approx"]["values"].pop(), 4, EXIT_INPUT,
+                     "err", "shift keys for", id="7-keys-length"),
+        pytest.param("pyramid", entries_layout, 4, EXIT_INPUT, "err", "missing key 'keys'",
+                     id="7-entries-layout"),
+        pytest.param("pyramid", set_in("p", 1), 4, EXIT_INPUT, "err", "p=1 is no prime",
+                     id="7-p"),
+        pytest.param("tree", raw(b'{"p": 3, "parent": [0, 0, 1], "x": "\xe9"}'), 0, EXIT_INPUT,
+                     "err", "utf-8", id="json-not-utf8"),
+        pytest.param("tree", raw(b'{"p": ' + b"9" * 5000 + b', "parent": [0, 0, 1]}'), 0, EXIT_INPUT,
+                     "err", "4300 digits", id="json-huge-int"),
+        pytest.param("pyramid", huge_first_key, 4, EXIT_INPUT, "err", "4300 digits",
+                     id="json-huge-key"),
+        pytest.param("tree", raw(b'{"p": ' + b"[" * 200_000 + b"]" * 200_000 + b"}"), 0, EXIT_INPUT,
+                     "err", "recursion", id="json-deep"),
         pytest.param("system", set_in("M", 0), 2, EXIT_INPUT, "err", "do not fit", id="system-M"),
         pytest.param("system", drop("lambda"), 2, EXIT_INPUT, "err", "missing key 'lambda'",
                      id="lambda-missing"),
@@ -569,10 +612,10 @@ def every_level_shifted_by_5000(pyramid):
                      "signal has a value that is not a finite number", id="signal-nan"),
         pytest.param("signal", set_in("values", 4, [0.0, float("inf")]), 3, EXIT_INPUT, "err",
                      "signal has a value that is not a finite number", id="signal-inf"),
-        pytest.param("pyramid", set_in("approx", "entries", 0, "value", [float("nan"), 0.0]), 4,
+        pytest.param("pyramid", set_in("approx", "values", 0, [float("nan"), 0.0]), 4,
                      EXIT_INPUT, "err", "pyramid has a value that is not a finite number",
                      id="pyramid-nan"),
-        pytest.param("pyramid", set_in("details", 1, 0, "entries", 0, "value", [float("-inf"), 0.0]),
+        pytest.param("pyramid", set_in("details", 1, 0, "values", 0, [float("-inf"), 0.0]),
                      4, EXIT_INPUT, "err", "pyramid has a value that is not a finite number",
                      id="pyramid-inf"),
     ],
@@ -587,12 +630,13 @@ def test_malformed_input_exit_codes(p3_payloads, tmp_path, capsys, kind, change,
 
 
 def test_wide_shift_is_refused_by_the_size_cap(p3_payloads, tmp_path, capsys):
-    # 3^40 > 2^63: the key of this shift would wrap in int64 arithmetic
-    wide = mutate(p3_payloads, "pyramid", set_in("approx", "entries", 1, "shift", [0] * 40 + [1]))
-    paths = write_inputs(tmp_path, wide)
-    _, argv = commands(paths, str(tmp_path / "out.json"))[4]
-    code, out, _ = run_one_line(argv, capsys)
-    assert code == EXIT_MATH and "exceeds cap" in out
+    # each key > 2^63 would wrap in int64 arithmetic; 10^4299 has the most digits json reads
+    for key in (3**40, 10**4299):
+        wide = mutate(p3_payloads, "pyramid", set_in("approx", "keys", 1, key))
+        paths = write_inputs(tmp_path, wide)
+        _, argv = commands(paths, str(tmp_path / "out.json"))[4]
+        code, out, _ = run_one_line(argv, capsys)
+        assert code == EXIT_MATH and "exceeds cap" in out
 
 
 def sparse_round_trip(tmp_path, seed):
@@ -724,6 +768,9 @@ JSON_VALUES = st.one_of(
     st.lists(st.integers(-3, 3), max_size=3),
     st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
 )
+# what may replace a pyramid's shift key besides: ints past int64 (up to the most
+# digits json reads), floats and bools
+KEY_VALUES = st.one_of(JSON_VALUES, st.integers(2**63, 10**4299), st.floats(), st.booleans())
 
 
 def json_paths(obj, path=()):
@@ -751,7 +798,8 @@ def test_fuzz_mutated_inputs_exit_cleanly(p3_payloads, tmp_path, capsys, monkeyp
         new_key = data.draw(st.text(max_size=3)) if op == "rename" else None
     else:
         op = data.draw(st.sampled_from(["replace", "delete"]))
-        new_value = data.draw(JSON_VALUES) if op == "replace" else None
+        is_key = kind == "pyramid" and where[-1:] == ["keys"]
+        new_value = data.draw(KEY_VALUES if is_key else JSON_VALUES) if op == "replace" else None
 
     def change(payload):
         for key in where:

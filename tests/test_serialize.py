@@ -154,51 +154,84 @@ def test_cpx_in_refuses_what_is_no_list_of_number_pairs(pairs):
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_pyramid_listing_spells_each_key_in_digits(p):
     keys = [0, p - 1, p, p * p - 1, p**3]
-    grids = [CoeffGrid(p, 1, {k: complex(k, j - k) for k in keys}) for j in range(p)]
+    grids = [CoeffGrid(p, 1, {k: complex(k, j - k) for k in reversed(keys)}) for j in range(p)]
     pyramid = CoeffPyramid(p, grids[0], (tuple(grids[1:]),))
 
-    def listed(grid, j):
-        entries = [{"shift": list(shift_key_digits(k, p)), "value": [float(k), float(j - k)]}
-                   for k in keys]
-        return {"level": 1, "entries": entries}
+    def listed(j):
+        return {"level": 1, "keys": keys, "values": [[float(k), float(j - k)] for k in keys]}
 
-    want = {"p": p, "approx": listed(grids[0], 0), "details": [[listed(g, j) for j, g in enumerate(grids) if j]]}
+    want = {"p": p, "approx": listed(0), "details": [[listed(j) for j in range(1, p)]]}
     assert serialize.pyramid_to_dict(pyramid) == want
-    assert [e["shift"] for e in want["approx"]["entries"]] == [[], [p - 1], [0, 1], [p - 1, p - 1], [0, 0, 0, 1]]
+    # the file's p spells each key back in digits, from position -1 downward
+    assert [list(shift_key_digits(k, p)) for k in want["approx"]["keys"]] == [
+        [], [p - 1], [0, 1], [p - 1, p - 1], [0, 0, 0, 1]]
     back = serialize.pyramid_from_dict(json.loads(serialize.dumps(want)))
     assert back.approx.entries == grids[0].entries
     assert all(a.entries == b.entries for a, b in zip(back.details[0], grids[1:]))
 
 
+def test_grid_dict_is_a_level_and_two_columns_in_ascending_key_order(chain3, rng):
+    grid = CoeffGrid(3, 0, {k: complex(rng.normal(), rng.normal()) for k in rng.permutation(81).tolist()})
+    pyramid = serialize.pyramid_to_dict(analyze(grid, chain3, 2))
+    for g in [pyramid["approx"], *(g for level in pyramid["details"] for g in level)]:
+        assert set(g) == {"level", "keys", "values"}
+        assert all(type(k) is int for k in g["keys"])
+        assert g["keys"] == sorted(set(g["keys"])) and len(g["values"]) == len(g["keys"])
+
+
+def test_benchmark_shaped_pyramid_survives_a_file_round_trip(tmp_path, rng):
+    # the filter-bank benchmark's cascade pyramid: the p=5 chain, 5^7 keys, 3 levels
+    system = build_system(RootedTree.validate([0, 0, 1, 2, 3], 5), {(0, 1): 0.3, (2, 3): 0.6})
+    grid = CoeffGrid(5, 0, dict(enumerate((rng.normal(size=5**7) + 1j * rng.normal(size=5**7)).tolist())))
+    pyramid = analyze(grid, system, 3)
+    path = tmp_path / "pyramid.json"
+    path.write_text(serialize.dumps(serialize.pyramid_to_dict(pyramid)))
+    back = serialize.pyramid_from_dict(serialize.load_json(str(path)))
+    for a, b in zip([back.approx, *sum(back.details, ())], [pyramid.approx, *sum(pyramid.details, ())]):
+        assert (a.level, a.entries) == (b.level, b.entries)
+
+
+def test_pyramid_values_are_bit_exact():
+    values = [complex(re, im) for re in SPECIAL for im in SPECIAL]
+    grid = CoeffGrid(2, 0, dict(enumerate(values)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        text = serialize.dumps(serialize.pyramid_to_dict(CoeffPyramid(2, grid, ((grid,),))))
+        back = serialize.pyramid_from_dict(json.loads(text))
+    for g in (back.approx, back.details[0][0]):
+        assert np.array(list(g.entries.values())).tobytes() == np.array(values).tobytes()
+
+
 @pytest.mark.parametrize("shifts, message", [
-    ([[1.5]], "integers"),
-    ([["2"]], "integers"),
-    ([[True]], "integers"),
-    ([[1.0]], "integers"),
+    ([1.5], "integers"),
+    (["2"], "integers"),
+    ([True], "integers"),
+    ([1.0], "integers"),
     ("12", "integers"),
-    ([[0], [0, 0, 0]], "share the shift key 0"),
-    ([[2, 1], [1], [2, 1, 0]], "share the shift key 5"),
-    ([[3]], "outside"),
-    ([[0, -1]], "outside"),
-    ([[2**70]], "too large"),
+    ([0, 0], "share the shift key 0"),
+    ([5, 1, 5], "share the shift key 5"),
+    ([-1], "outside"),
+    ([0, -1], "outside"),
+    ([[0, 1]], "integers"),
 ])
 def test_grid_from_dict_refuses_bad_shifts(shifts, message):
-    data = {"level": 0, "entries": [{"shift": s, "value": [1.0, 0.0]} for s in shifts]}
+    data = {"level": 0, "keys": shifts, "values": [[1.0, 0.0]] * len(shifts)}
     with pytest.raises(serialize.FormatError, match=message):
         serialize.grid_from_dict(data, 3)
 
 
 def test_wide_shift_is_refused_before_its_key_could_wrap(monkeypatch):
-    def grid(digits):
-        return {"level": 0, "entries": [{"shift": digits, "value": [1.0, 0.0]}]}
+    def grid(key):
+        return {"level": 0, "keys": [key], "values": [[1.0, 0.0]]}
 
-    wide = grid([0] * 40 + [1])  # key 3^40 > 2^63
-    with pytest.raises(SizeCapError, match="exceeds cap"):
-        serialize.grid_from_dict(wide, 3)
+    for key in (3**40, 2**70):  # each > 2^63
+        with pytest.raises(SizeCapError, match="exceeds cap"):
+            serialize.grid_from_dict(grid(key), 3)
     monkeypatch.setenv("VILWAV_SIZE_CAP", str(10**30))
-    with pytest.raises(SizeCapError, match="int64"):
-        serialize.grid_from_dict(wide, 3)
-    assert serialize.grid_from_dict(grid([0] * 38 + [2]), 3).entries == {2 * 3**38: 1.0}
+    for key in (3**40, 2**70):
+        with pytest.raises(SizeCapError, match="int64"):
+            serialize.grid_from_dict(grid(key), 3)
+    assert serialize.grid_from_dict(grid(2 * 3**38), 3).entries == {2 * 3**38: 1.0}
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -223,7 +256,7 @@ def test_readers_and_writers_restore_the_collector_state(tmp_path, monkeypatch, 
             serialize.load_json(str(bad))
         after_bad_json = gc.isenabled()
         with pytest.raises(serialize.FormatError):
-            serialize.pyramid_from_dict({"p": 3, "approx": {"level": 0, "entries": [{"shift": [1.5]}]}})
+            serialize.pyramid_from_dict({"p": 3, "approx": {"level": 0, "keys": [1.5], "values": []}})
         after_bad_pyramid = gc.isenabled()
         serialize.dumps(serialize.tree_to_dict(serialize.tree_from_dict({"p": 3, "parent": [0, 0, 1]})[0]))
         after_write = gc.isenabled()
