@@ -13,6 +13,7 @@ of every index and char_kernel_apply applies the pairing between the two.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -35,7 +36,17 @@ def check_table_size(n_entries: int, what: str = "table") -> None:
     """Refuse `what`, n_entries table entries in all, when that exceeds the size cap."""
     cap = size_cap()
     if n_entries > cap:
-        raise SizeCapError(f"{what} of {n_entries} entries exceeds cap {cap}")
+        raise SizeCapError(f"{what} of {_count(n_entries)} entries exceeds cap {cap}")
+
+
+def _count(n: int) -> str:
+    """n in full, or past 18 digits the power of ten below it: p^width of a file's
+    widest key can have more digits than str() converts or one error line should hold."""
+    if n < 10**18:
+        return str(n)
+    exp = int(math.log10(n))  # off by at most one either way
+    exp += (10 ** (exp + 1) <= n) - (10**exp > n)
+    return f"at least 10^{exp}"
 
 
 @lru_cache(maxsize=None)

@@ -1,14 +1,18 @@
 """JSON artifacts: trees, wavelet systems, signals, coefficient pyramids.
 
-Everything is plain JSON with complex numbers as [re, im] pairs and all
-tables in canonical little-endian index order.  A wavelet system is stored
-as the tree and mask that fix it; its tables are rebuilt on reading.  A
-coefficient grid is two columns, {"level": L, "keys": [k, ...], "values":
-[[re, im], ...]}: the keys ascend, and each is the shift's canonical index,
-whose base-p digits (least significant first) are the shift's digits from
-position -1 downward.  Files are compact (no indentation, which would force
-the json module's pure-Python encoder) and keys are sorted, so the bytes
-are stable across runs.
+Everything is plain JSON with all tables in canonical little-endian index
+order.  Complex numbers are [re, im] pairs in every file but a pyramid.  A
+wavelet system is stored as the tree and mask that fix it; its tables are
+rebuilt on reading.  A coefficient grid is two columns, {"level": L, "keys":
+[k, ...], "values": "<base64>"}: the keys ascend, and each is the shift's
+canonical index, whose base-p digits (least significant first) are the
+shift's digits from position -1 downward.  The values are one base64 string
+of the little-endian complex128 bytes (re then im) of each key's value, in
+key order: a pyramid is an intermediate file between `analyze` and
+`synthesize`, and its tens of thousands of values would otherwise cost two
+float reprs each to write and two float parses each to read.  Files are
+compact (no indentation, which would force the json module's pure-Python
+encoder) and keys are sorted, so the bytes are stable across runs.
 
 The codecs convert whole numpy arrays at once, and every reader and writer
 runs with the cyclic garbage collector paused: a JSON tree holds no cycles,
@@ -17,6 +21,7 @@ and gen-2 passes over a growing tree would cost more than building it.
 
 from __future__ import annotations
 
+import base64
 import functools
 import gc
 import json
@@ -89,7 +94,7 @@ def _cpx_in(pairs) -> np.ndarray:
 
 @_gc_paused
 def dumps(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True) + "\n"
+    return json.dumps(obj, sort_keys=True, check_circular=False) + "\n"
 
 
 @_gc_paused
@@ -216,10 +221,32 @@ def _check_shift_keys(keys, p: int) -> None:
         raise FormatError(f"two entries share the shift key {repeated[0]}")
 
 
+# a grid's values column: each value's re and im as little-endian doubles
+_GRID_VALUE = np.dtype("<c16")
+
+
 @_gc_paused
 def grid_to_dict(grid: CoeffGrid) -> dict:
     keys = sorted(grid.entries)
-    return {"level": grid.level, "keys": keys, "values": _cpx_out([grid.entries[k] for k in keys])}
+    values = np.array([grid.entries[k] for k in keys], dtype=_GRID_VALUE).tobytes()
+    return {"level": grid.level, "keys": keys, "values": base64.b64encode(values).decode("ascii")}
+
+
+def _grid_values(text, n_keys: int) -> np.ndarray:
+    """The n_keys complex values a grid's base64 column holds, bit for bit."""
+    if isinstance(text, list):
+        raise FormatError("grid values are [re, im] pairs, a layout no longer read: "
+                          "a pyramid file holds them as one base64 string of little-endian complex128")
+    if not isinstance(text, str):
+        raise FormatError(f"grid values must be a base64 string, not {type(text).__name__}")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a character outside ASCII
+        raise FormatError(f"grid values are no base64: {exc}") from exc
+    if len(raw) != _GRID_VALUE.itemsize * n_keys:
+        raise FormatError(f"{n_keys} shift keys for {len(raw)} value bytes, "
+                          f"not {_GRID_VALUE.itemsize} bytes a key")
+    return np.frombuffer(raw, dtype=_GRID_VALUE)
 
 
 @_gc_paused
@@ -227,9 +254,7 @@ def grid_from_dict(data: dict, p: int) -> CoeffGrid:
     with _malformed("coefficient grid"):
         keys = _require(data, "keys")
         _check_shift_keys(keys, p)
-        values = _cpx_in(_require(data, "values"))
-        if len(keys) != len(values):
-            raise FormatError(f"{len(keys)} shift keys for {len(values)} values")
+        values = _grid_values(_require(data, "values"), len(keys))
         return CoeffGrid(p, int(_require(data, "level")), dict(zip(keys, values.tolist())))
 
 

@@ -1,8 +1,10 @@
+import base64
 import copy
 import dataclasses
 import json
 import os
 import re
+import struct
 import warnings
 
 import numpy as np
@@ -536,12 +538,44 @@ def mismatched_detail_levels(pyramid):
     pyramid["details"][0][1]["level"] += 1
 
 
+def pyramid_grids(pyramid):
+    return [pyramid["approx"], *(g for level in pyramid["details"] for g in level)]
+
+
+def value_pairs(grid):
+    """A grid's base64 values column as [re, im] pairs."""
+    return serialize._cpx_out(np.frombuffer(base64.b64decode(grid["values"]), dtype="<c16"))
+
+
+def value_bytes(*path_and_change):
+    """Change the bytes of the values column of the grid at path, and encode them again."""
+    *path, change = path_and_change
+
+    def edit(pyramid):
+        grid = pyramid
+        for key in path:
+            grid = grid[key]
+        grid["values"] = base64.b64encode(change(base64.b64decode(grid["values"]))).decode()
+    return edit
+
+
+def first_value(re, im):
+    return lambda raw: struct.pack("<dd", re, im) + raw[16:]
+
+
 def entries_layout(pyramid):
     """The layout of older pyramid files: one {"shift": digits, "value": [re, im]} per key."""
-    for grid in [pyramid["approx"], *(g for level in pyramid["details"] for g in level)]:
-        keys, values = grid.pop("keys"), grid.pop("values")
+    for grid in pyramid_grids(pyramid):
+        keys, values = grid.pop("keys"), value_pairs(grid)
+        del grid["values"]
         grid["entries"] = [{"shift": list(transform.shift_key_digits(k, 3)), "value": v}
                            for k, v in zip(keys, values)]
+
+
+def pairs_layout(pyramid):
+    """The columnar layout with its values as [re, im] pairs, not base64."""
+    for grid in pyramid_grids(pyramid):
+        grid["values"] = value_pairs(grid)
 
 
 def huge_first_key(pyramid):
@@ -551,7 +585,7 @@ def huge_first_key(pyramid):
 
 def every_level_shifted_by_5000(pyramid):
     # consistent levels, but p^(level/2) is no double at p=3
-    for grid in [pyramid["approx"], *(g for level in pyramid["details"] for g in level)]:
+    for grid in pyramid_grids(pyramid):
         grid["level"] += 5000
 
 
@@ -566,8 +600,19 @@ def every_level_shifted_by_5000(pyramid):
                      id="6-levels"),
         pytest.param("pyramid", set_in("approx", "level", "x"), 4, EXIT_INPUT, "err", "'x'",
                      id="7-level"),
-        pytest.param("pyramid", set_in("approx", "values", 0, 1.0), 4, EXIT_INPUT, "err",
-                     "unpack", id="7-value"),
+        # the last value without its imaginary part
+        pytest.param("pyramid", value_bytes("approx", lambda raw: raw[:-8]), 4, EXIT_INPUT, "err",
+                     "value bytes", id="7-value"),
+        pytest.param("pyramid", value_bytes("approx", lambda raw: raw + b"\0"), 4, EXIT_INPUT, "err",
+                     "value bytes, not 16 bytes a key", id="7-value-bytes"),
+        pytest.param("pyramid", set_in("approx", "values", 1.5), 4, EXIT_INPUT, "err",
+                     "base64 string, not float", id="7-values-float"),
+        pytest.param("pyramid", set_in("approx", "values", "AAAA#AAA"), 4, EXIT_INPUT, "err",
+                     "no base64", id="7-values-base64"),
+        pytest.param("pyramid", set_in("approx", "values", "AAAAAAAAAAAAAAAAAAAAAA=é"), 4,
+                     EXIT_INPUT, "err", "no base64", id="7-values-ascii"),
+        pytest.param("pyramid", pairs_layout, 4, EXIT_INPUT, "err",
+                     "base64 string of little-endian complex128", id="7-pairs-layout"),
         pytest.param("pyramid", set_in("details", {"level": 0}), 4, EXIT_INPUT, "err",
                      "missing key 'keys'", id="7-details"),
         pytest.param("pyramid", set_in("approx", "keys", 0, -1), 4, EXIT_INPUT, "err",
@@ -581,7 +626,7 @@ def every_level_shifted_by_5000(pyramid):
         # key 0 comes first
         pytest.param("pyramid", set_in("approx", "keys", 1, 0), 4, EXIT_INPUT,
                      "err", "share the shift key 0", id="7-shift-repeated"),
-        pytest.param("pyramid", lambda pyramid: pyramid["approx"]["values"].pop(), 4, EXIT_INPUT,
+        pytest.param("pyramid", value_bytes("approx", lambda raw: raw[:-16]), 4, EXIT_INPUT,
                      "err", "shift keys for", id="7-keys-length"),
         pytest.param("pyramid", entries_layout, 4, EXIT_INPUT, "err", "missing key 'keys'",
                      id="7-entries-layout"),
@@ -612,10 +657,10 @@ def every_level_shifted_by_5000(pyramid):
                      "signal has a value that is not a finite number", id="signal-nan"),
         pytest.param("signal", set_in("values", 4, [0.0, float("inf")]), 3, EXIT_INPUT, "err",
                      "signal has a value that is not a finite number", id="signal-inf"),
-        pytest.param("pyramid", set_in("approx", "values", 0, [float("nan"), 0.0]), 4,
+        pytest.param("pyramid", value_bytes("approx", first_value(float("nan"), 0.0)), 4,
                      EXIT_INPUT, "err", "pyramid has a value that is not a finite number",
                      id="pyramid-nan"),
-        pytest.param("pyramid", set_in("details", 1, 0, "values", 0, [float("-inf"), 0.0]),
+        pytest.param("pyramid", value_bytes("details", 1, 0, first_value(float("-inf"), 0.0)),
                      4, EXIT_INPUT, "err", "pyramid has a value that is not a finite number",
                      id="pyramid-inf"),
     ],
@@ -630,13 +675,16 @@ def test_malformed_input_exit_codes(p3_payloads, tmp_path, capsys, kind, change,
 
 
 def test_wide_shift_is_refused_by_the_size_cap(p3_payloads, tmp_path, capsys):
-    # each key > 2^63 would wrap in int64 arithmetic; 10^4299 has the most digits json reads
-    for key in (3**40, 10**4299):
+    # each key > 2^63 would wrap in int64 arithmetic; 10^4299 and 4 300 nines have the
+    # most digits json reads, and at p=7 the table of 5 089-digit keys has 4 301 digits,
+    # more than str() converts
+    for p, key in ((3, 3**40), (3, 10**4299), (7, int("9" * 4300))):
         wide = mutate(p3_payloads, "pyramid", set_in("approx", "keys", 1, key))
+        wide["pyramid"]["p"] = p
         paths = write_inputs(tmp_path, wide)
         _, argv = commands(paths, str(tmp_path / "out.json"))[4]
         code, out, _ = run_one_line(argv, capsys)
-        assert code == EXIT_MATH and "exceeds cap" in out
+        assert code == EXIT_MATH and "exceeds cap" in out and len(out) < 120, out
 
 
 def sparse_round_trip(tmp_path, seed):

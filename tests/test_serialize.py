@@ -1,5 +1,7 @@
+import base64
 import gc
 import json
+import struct
 import warnings
 
 import numpy as np
@@ -158,7 +160,8 @@ def test_pyramid_listing_spells_each_key_in_digits(p):
     pyramid = CoeffPyramid(p, grids[0], (tuple(grids[1:]),))
 
     def listed(j):
-        return {"level": 1, "keys": keys, "values": [[float(k), float(j - k)] for k in keys]}
+        values = b"".join(struct.pack("<dd", k, j - k) for k in keys)
+        return {"level": 1, "keys": keys, "values": base64.b64encode(values).decode()}
 
     want = {"p": p, "approx": listed(0), "details": [[listed(j) for j in range(1, p)]]}
     assert serialize.pyramid_to_dict(pyramid) == want
@@ -176,7 +179,8 @@ def test_grid_dict_is_a_level_and_two_columns_in_ascending_key_order(chain3, rng
     for g in [pyramid["approx"], *(g for level in pyramid["details"] for g in level)]:
         assert set(g) == {"level", "keys", "values"}
         assert all(type(k) is int for k in g["keys"])
-        assert g["keys"] == sorted(set(g["keys"])) and len(g["values"]) == len(g["keys"])
+        assert g["keys"] == sorted(set(g["keys"]))
+        assert type(g["values"]) is str and len(base64.b64decode(g["values"], validate=True)) == 16 * len(g["keys"])
 
 
 def test_benchmark_shaped_pyramid_survives_a_file_round_trip(tmp_path, rng):
@@ -186,20 +190,29 @@ def test_benchmark_shaped_pyramid_survives_a_file_round_trip(tmp_path, rng):
     pyramid = analyze(grid, system, 3)
     path = tmp_path / "pyramid.json"
     path.write_text(serialize.dumps(serialize.pyramid_to_dict(pyramid)))
+    # 16 value bytes a key in base64, about 21 bytes; as exact decimal text it was 3.86 MB
+    assert path.stat().st_size < 2_200_000
     back = serialize.pyramid_from_dict(serialize.load_json(str(path)))
     for a, b in zip([back.approx, *sum(back.details, ())], [pyramid.approx, *sum(pyramid.details, ())]):
         assert (a.level, a.entries) == (b.level, b.entries)
 
 
 def test_pyramid_values_are_bit_exact():
-    values = [complex(re, im) for re in SPECIAL for im in SPECIAL]
-    grid = CoeffGrid(2, 0, dict(enumerate(values)))
+    # a quiet nan with payload 0x1234 and a negative one, besides SPECIAL's
+    # +-0, +-inf, +-5e-324 and +-1e308
+    nans = [struct.unpack("<d", struct.pack("<Q", bits))[0] for bits in (0x7FF8000000001234, 0xFFF8000000000001)]
+    parts = np.array(SPECIAL + nans)
+    values = np.empty(len(parts) ** 2, dtype=complex)
+    values.real, values.imag = np.repeat(parts, len(parts)), np.tile(parts, len(parts))
+    grid = CoeffGrid(2, 0, dict(enumerate(values.tolist())))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         text = serialize.dumps(serialize.pyramid_to_dict(CoeffPyramid(2, grid, ((grid,),))))
         back = serialize.pyramid_from_dict(json.loads(text))
     for g in (back.approx, back.details[0][0]):
-        assert np.array(list(g.entries.values())).tobytes() == np.array(values).tobytes()
+        assert np.array(list(g.entries.values())).tobytes() == values.tobytes()
+    one = serialize.grid_to_dict(CoeffGrid(2, 0, {0: 1 + 2j}))
+    assert base64.b64decode(one["values"]) == struct.pack("<dd", 1.0, 2.0)
 
 
 @pytest.mark.parametrize("shifts, message", [
@@ -215,14 +228,14 @@ def test_pyramid_values_are_bit_exact():
     ([[0, 1]], "integers"),
 ])
 def test_grid_from_dict_refuses_bad_shifts(shifts, message):
-    data = {"level": 0, "keys": shifts, "values": [[1.0, 0.0]] * len(shifts)}
+    data = {"level": 0, "keys": shifts, "values": base64.b64encode(bytes(16 * len(shifts))).decode()}
     with pytest.raises(serialize.FormatError, match=message):
         serialize.grid_from_dict(data, 3)
 
 
 def test_wide_shift_is_refused_before_its_key_could_wrap(monkeypatch):
     def grid(key):
-        return {"level": 0, "keys": [key], "values": [[1.0, 0.0]]}
+        return {"level": 0, "keys": [key], "values": base64.b64encode(struct.pack("<dd", 1.0, 0.0)).decode()}
 
     for key in (3**40, 2**70):  # each > 2^63
         with pytest.raises(SizeCapError, match="exceeds cap"):
