@@ -10,7 +10,7 @@ import argparse
 
 import numpy as np
 
-from vilwav.transform import CoeffGrid, analyze_level, synthesize_level
+from vilwav.transform import CoeffGrid, analyze_level, grid_error, synthesize_level
 from vilwav.tree import sample_tree
 from vilwav.wavelet import build_system
 
@@ -33,11 +33,7 @@ def battery(system, n_signals, levels, rng):
         current = approx
     for details in reversed(stack):
         current = synthesize_level(current, details, system)
-    recon = max(
-        float(np.abs(grid.entries.get(k, 0.0) - current.entries.get(k, 0.0)).max())
-        for k in set(grid.entries) | set(current.entries)
-    )
-    return recon, parseval
+    return grid_error(grid, current), parseval
 
 
 def main():

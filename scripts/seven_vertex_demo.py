@@ -12,7 +12,7 @@ import argparse
 import numpy as np
 
 from vilwav.mask import mask_from_tree
-from vilwav.transform import CoeffGrid, analyze, synthesize
+from vilwav.transform import CoeffGrid, analyze, grid_error, synthesize
 from vilwav.tree import RootedTree
 from vilwav.wavelet import build_system, verify_wavelet_system
 
@@ -51,7 +51,7 @@ def show_tree(label, parent, seed):
     rng = np.random.default_rng(seed)
     grid = CoeffGrid(p, 0, {k: complex(rng.normal(), rng.normal()) for k in range(p * p)})
     back = synthesize(analyze(grid, system, 3), system)
-    err = max(abs(grid.entries.get(k, 0) - back.entries.get(k, 0)) for k in set(grid.entries) | set(back.entries))
+    err = grid_error(grid, back)
     print(f"   3-level filter bank round trip error: {err:.3e}")
     print()
 

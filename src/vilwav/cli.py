@@ -134,8 +134,8 @@ def cmd_verify(args) -> int:
     return EXIT_OK if _print_report(checks) else EXIT_MATH
 
 
-def _require_finite(what: str, values) -> None:
-    if not np.isfinite(np.asarray(values, dtype=complex)).all():
+def _require_finite(what: str, *arrays) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
         raise serialize.FormatError(f"{what} has a value that is not a finite number")
 
 
@@ -150,13 +150,9 @@ def cmd_transform(args) -> int:
         grid = transform.project(signal, system, level)
         pyramid = transform.analyze(grid, system, args.levels)
         back = transform.synthesize(pyramid, system)
-        keys = set(grid.entries) | set(back.entries)
-        # np.max, unlike max, keeps a nan
-        err = float(np.max(
-            [abs(grid.entries.get(k, 0.0) - back.entries.get(k, 0.0)) for k in keys], initial=0.0
-        ))
+        err = transform.grid_error(grid, back)
         # rounding grows with the coefficients, so the bound is relative to the largest one
-        bound = args.tol * max([1.0, *(abs(v) for v in grid.entries.values())])
+        bound = args.tol * max(1.0, float(np.max(np.abs(grid.values), initial=0.0)))
         _write(args.out, serialize.pyramid_to_dict(pyramid))
         print(f"wrote pyramid ({args.levels} levels) to {args.out}; round-trip error {err:.3e}")
         return EXIT_OK if err < bound else EXIT_MATH
@@ -164,7 +160,7 @@ def cmd_transform(args) -> int:
     if pyramid.p != system.p:
         raise serialize.FormatError(f"pyramid p={pyramid.p} incompatible with system p={system.p}")
     grids = [pyramid.approx, *(g for level in pyramid.details for g in level)]
-    _require_finite("pyramid", [v for g in grids for v in g.entries.values()])
+    _require_finite("pyramid", *(g.values for g in grids))
     grid = transform.synthesize(pyramid, system)
     signal = transform.materialize(grid, system)
     _write(args.out, serialize.step_to_dict(signal))

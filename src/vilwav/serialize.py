@@ -31,10 +31,9 @@ from contextlib import contextmanager
 import numpy as np
 
 from .config import InputError, SizeCapError
-from .group import check_table_size
 from .mask import MaskTable
 from .refinable import StepFunction
-from .transform import CoeffGrid, CoeffPyramid, shift_key_digits
+from .transform import CoeffGrid, CoeffPyramid, check_key_range
 from .tree import RootedTree
 from .wavelet import WaveletSystem, system_from_mask
 
@@ -203,22 +202,17 @@ def system_from_dict(data: dict) -> WaveletSystem:
 # -- coefficient grids and pyramids --
 
 
-def _check_shift_keys(keys, p: int) -> None:
-    """Refuse keys that are no list of distinct integers >= 0 or whose table p^width is too large."""
+def _check_shift_keys(keys, p: int) -> np.ndarray:
+    """The int64 column of a file's shift keys: distinct integers >= 0 of a width the cap admits."""
     if not isinstance(keys, list) or not set(map(type, keys)) <= {int}:
         raise FormatError("shift keys must be a list of integers")
-    if keys and min(keys) < 0:
-        raise FormatError(f"shift key {min(keys)} is outside 0, 1, 2, ...")
-    width = len(shift_key_digits(max(keys, default=0), p))
-    # The bank lays a grid out as a table over the p^width keys of width
-    # digits; refusing that table here also keeps every key inside int64.
-    check_table_size(p**width)
-    if p**width > np.iinfo(np.int64).max:
-        raise SizeCapError(f"shift keys of {width} digits at p={p} do not fit an int64 key")
-    ordered = np.sort(np.fromiter(keys, dtype=np.int64, count=len(keys)))
+    check_key_range(keys, p)  # before any int64 conversion
+    column = np.fromiter(keys, dtype=np.int64, count=len(keys))
+    ordered = np.sort(column)
     repeated = ordered[1:][ordered[1:] == ordered[:-1]]
     if repeated.size:
         raise FormatError(f"two entries share the shift key {repeated[0]}")
+    return column
 
 
 # a grid's values column: each value's re and im as little-endian doubles
@@ -227,9 +221,10 @@ _GRID_VALUE = np.dtype("<c16")
 
 @_gc_paused
 def grid_to_dict(grid: CoeffGrid) -> dict:
-    keys = sorted(grid.entries)
-    values = np.array([grid.entries[k] for k in keys], dtype=_GRID_VALUE).tobytes()
-    return {"level": grid.level, "keys": keys, "values": base64.b64encode(values).decode("ascii")}
+    order = np.argsort(grid.keys)
+    values = grid.values[order].astype(_GRID_VALUE).tobytes()
+    return {"level": grid.level, "keys": grid.keys[order].tolist(),
+            "values": base64.b64encode(values).decode("ascii")}
 
 
 def _grid_values(text, n_keys: int) -> np.ndarray:
@@ -252,10 +247,9 @@ def _grid_values(text, n_keys: int) -> np.ndarray:
 @_gc_paused
 def grid_from_dict(data: dict, p: int) -> CoeffGrid:
     with _malformed("coefficient grid"):
-        keys = _require(data, "keys")
-        _check_shift_keys(keys, p)
+        keys = _check_shift_keys(_require(data, "keys"), p)
         values = _grid_values(_require(data, "values"), len(keys))
-        return CoeffGrid(p, int(_require(data, "level")), dict(zip(keys, values.tolist())))
+        return CoeffGrid(p, int(_require(data, "level")), keys=keys, values=values)
 
 
 @_gc_paused

@@ -1,16 +1,17 @@
 """Multi-level analysis/synthesis filter bank over a tree-generated system.
 
-Coefficient grids are dicts at the API, keyed by the canonical index of the
-lattice shift (base-p digits read from position -1 downward); the bank runs
-on dense digit tables over those keys.  A table covers all p^w keys of up to
-w digits, so it suits dense grids (every key below some p^w, as analysis,
-projection and the scripts make them); a grid of a few wide keys pays p^w.
+A coefficient grid is two columns: the canonical indices of its lattice
+shifts (base-p digits read from position -1 downward) and their values.
+The bank scatters them into dense digit tables over those keys and gathers
+the nonzero rows back.  A table covers all p^w keys of up to w digits, so it
+suits dense grids (every key below some p^w, as analysis, projection and the
+scripts make them); a grid of a few wide keys pays p^w.
 Every map is the two-scale contraction refinable.lattice_sum or one of its
 two adjoints.  The group
 addition is carry-free, so supports stay compact and no periodization is
 needed; analysis and synthesis are exact adjoints.
 
-Grids list only the entries that are not exactly zero.  Synthesis first
+Grids list only the keys whose values are not exactly zero.  Synthesis first
 sets to zero every cell whose magnitude lies within the worst-case rounding
 error of its own sum, gamma_{p^2+2} * sum |term| with gamma_n = n u / (1 - n u)
 and u = 2^-53: where the exact result is zero, cancellation between the p
@@ -21,12 +22,13 @@ not counted, so such residue can survive.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config import InputError, MathError
+from .config import InputError, MathError, SizeCapError
 from .group import check_table_size
 from .refinable import (
     StepFunction,
@@ -44,20 +46,36 @@ class LevelMismatchError(InputError):
     pass
 
 
-@dataclass(frozen=True)
 class CoeffGrid:
-    """Coordinates on one scale: shift key -> coefficient.
-
-    Values are complex scalars, or equal-length numpy vectors when many
-    signals are pushed through the bank at once.
+    """Coordinates on one scale as two columns: `keys`, distinct int64 shift keys,
+    and `values`, their complex coefficients of shape (n,), or (n, batch) when a
+    batch of signals is pushed through the bank at once.  A grid given as a dict
+    {key: value} builds its columns on first read; `entries`, that dict, is a
+    view built on first read and kept.  The package reads only the columns.
     """
 
-    p: int
-    level: int
-    entries: dict = field(default_factory=dict)
+    def __init__(self, p: int, level: int, entries: dict | None = None, *, keys=None, values=None):
+        self.p, self.level = p, level
+        if keys is None:
+            self.entries = {} if entries is None else entries
+        else:
+            self.keys, self.values = keys, values
+
+    @functools.cached_property
+    def entries(self) -> dict:
+        return dict(zip(self.keys.tolist(), self.values))
+
+    @functools.cached_property
+    def keys(self) -> np.ndarray:
+        check_key_range(self.entries, self.p)  # before any int64 conversion
+        return np.fromiter(self.entries, dtype=np.int64, count=len(self.entries))
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        return np.array(list(self.entries.values()), dtype=complex)
 
     def energy(self):
-        return sum((np.abs(v) ** 2 for v in self.entries.values()), start=0.0)
+        return np.sum(np.abs(self.values) ** 2, axis=0)
 
 
 @dataclass(frozen=True)
@@ -69,11 +87,7 @@ class CoeffPyramid:
     details: tuple  # coarsest-first tuple of (p-1)-tuples of CoeffGrid
 
     def energy(self):
-        total = self.approx.energy()
-        for level_grids in self.details:
-            for g in level_grids:
-                total = total + g.energy()
-        return total
+        return sum((g.energy() for level in self.details for g in level), start=self.approx.energy())
 
 
 def shift_key_digits(key: int, p: int) -> tuple[int, ...]:
@@ -85,19 +99,38 @@ def shift_key_digits(key: int, p: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
+def check_key_range(keys, p: int) -> None:
+    """Refuse negative shift keys, and keys of w digits when the size cap or int64 refuses p^w."""
+    if keys and min(keys) < 0:  # the key itself may have thousands of digits
+        raise InputError("a shift key is outside 0, 1, 2, ...")
+    width = len(shift_key_digits(max(keys, default=0), p))
+    check_table_size(p**width)
+    if p**width > np.iinfo(np.int64).max:
+        raise SizeCapError(f"shift keys of {width} digits at p={p} do not fit an int64 key")
+
+
+def grid_error(a: CoeffGrid, b: CoeffGrid) -> float:
+    """max |a - b| over the keys of both grids and the batch axis; nan if a difference is."""
+    keys = np.union1d(a.keys, b.keys)
+    diff = np.zeros((len(keys), *a.values.shape[1:]), dtype=complex)
+    diff[np.searchsorted(keys, a.keys)] = a.values
+    diff[np.searchsorted(keys, b.keys)] -= b.values
+    return float(np.max(np.abs(diff), initial=0.0))
+
+
 def _tables(grids, min_width: int) -> tuple[np.ndarray, int]:
     """Dense [grid, key, ...] tables over the p^w keys of w >= min_width shift digits.
 
     w is the digit count of the largest key; a vector value adds its axis last.
     """
     p = grids[0].p
-    keys = [k for g in grids for k in g.entries]
-    values = [v for g in grids for v in g.entries.values()]
-    w = max(min_width, len(shift_key_digits(max(keys, default=0), p)))
-    batch = np.shape(values[0]) if values else ()
+    top = max((int(g.keys.max()) for g in grids if len(g.keys)), default=0)
+    w = max(min_width, len(shift_key_digits(top, p)))
+    batch = next((g.values.shape[1:] for g in grids if len(g.values)), ())
     check_table_size(len(grids) * p**w * math.prod(batch))
     tables = np.zeros((len(grids), p**w, *batch), dtype=complex)
-    tables[np.repeat(np.arange(len(grids)), [len(g.entries) for g in grids]), keys] = values
+    for table, g in zip(tables, grids):
+        table[g.keys] = g.values
     return tables, w
 
 
@@ -108,7 +141,7 @@ def _grid(table: np.ndarray, p: int, level: int) -> CoeffGrid:
     beforehand, so its rounding residue is dropped here too.
     """
     keys = np.flatnonzero(table.reshape(len(table), -1).any(axis=1))
-    return CoeffGrid(p, level, dict(zip(keys.tolist(), table[keys])))
+    return CoeffGrid(p, level, keys=keys, values=table[keys])
 
 
 # Huge coefficients overflow to inf and nan in the outputs, which a round-trip

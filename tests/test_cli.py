@@ -687,6 +687,15 @@ def test_wide_shift_is_refused_by_the_size_cap(p3_payloads, tmp_path, capsys):
         assert code == EXIT_MATH and "exceeds cap" in out and len(out) < 120, out
 
 
+def test_negative_wide_shift_gives_one_short_line(p3_payloads, tmp_path, capsys):
+    # 4 300 nines is the most digits json reads; the line must not spell them out
+    wide = mutate(p3_payloads, "pyramid", set_in("approx", "keys", 1, -int("9" * 4300)))
+    paths = write_inputs(tmp_path, wide)
+    _, argv = commands(paths, str(tmp_path / "out.json"))[4]
+    code, _, err = run_one_line(argv, capsys)
+    assert code == EXIT_INPUT and err.startswith("input error:") and len(err) < 120, err
+
+
 def sparse_round_trip(tmp_path, seed):
     """The benchmark's signal shape through the CLI: 25 level-3 basis functions on the p=5
     chain, one with a top digit.  Returns the system, the input coefficients, the signal,

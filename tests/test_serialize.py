@@ -247,6 +247,18 @@ def test_wide_shift_is_refused_before_its_key_could_wrap(monkeypatch):
     assert serialize.grid_from_dict(grid(2 * 3**38), 3).entries == {2 * 3**38: 1.0}
 
 
+def test_codecs_never_build_the_dict(chain3, rng):
+    grid = CoeffGrid(3, 0, keys=np.arange(27), values=rng.normal(size=27) + 1j * rng.normal(size=27))
+    pyramid = analyze(grid, chain3, 2)
+    data = json.loads(serialize.dumps(serialize.pyramid_to_dict(pyramid)))
+    back = serialize.pyramid_from_dict(data)
+    grids = [grid, pyramid.approx, back.approx, *sum(pyramid.details + back.details, ())]
+    serialize.grid_to_dict(grid)
+    assert all("entries" not in vars(g) for g in grids)
+    # the file's keys column is the grid's, as int64 with no copy through a dict
+    assert back.approx.keys.dtype == np.int64 and back.approx.keys.tolist() == data["approx"]["keys"]
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_readers_and_writers_restore_the_collector_state(tmp_path, monkeypatch, enabled):
     good, bad = tmp_path / "good.json", tmp_path / "bad.json"

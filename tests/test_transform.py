@@ -1,12 +1,14 @@
+import ast
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vilwav.config import SizeCapError
+from vilwav.config import InputError, SizeCapError
 from vilwav.refinable import StepFunction, embed, inner_product, translate_dilate
 from vilwav.transform import (
     CoeffGrid,
@@ -350,3 +352,76 @@ def test_tiny_coefficient_next_to_a_large_one_survives(chain3):
     # the bound scales with the cell's own terms, not with an absolute floor
     back = synthesize(analyze(CoeffGrid(3, 0, {5: 1e-300}), chain3, 2), chain3)
     assert set(back.entries) == {5} and back.entries[5] == pytest.approx(1e-300, rel=1e-12)
+
+
+def column_twin(grid):
+    """The grid rebuilt from its columns alone, with no dict behind it."""
+    return CoeffGrid(grid.p, grid.level, keys=grid.keys.copy(), values=grid.values.copy())
+
+
+def all_grids(pyramid):
+    return [pyramid.approx, *(g for level in pyramid.details for g in level)]
+
+
+def same_grid(a, b):
+    return (a.level, a.keys.tobytes(), a.values.tobytes()) == (b.level, b.keys.tobytes(), b.values.tobytes())
+
+
+def test_bank_never_builds_the_dict(rng):
+    system = build_system(RootedTree.validate([0, 0, 1, 2, 3], 5), {(0, 1): 0.3})
+    grid = column_twin(random_grid(5, 3, 3, rng))
+    pyramid = analyze(grid, system, 2)
+    back = synthesize(pyramid, system)
+    signal = materialize(back, system)
+    projected = project(signal, system, 3)
+    for g in (grid, *all_grids(pyramid), back, projected):
+        assert "entries" not in vars(g)
+    assert grid_error(projected, grid) < 1e-12
+
+
+@pytest.mark.parametrize("width, n", [(5, None), (2, 1024)])
+def test_dict_and_column_grids_give_bit_identical_results(width, n, rng):
+    # the benchmark's two shapes: a scalar 5^5-key grid and 49 keys x 1024 signals at p=7
+    p, parent = (5, [0, 0, 1, 2, 3]) if n is None else (7, [0, 3, 3, 0, 5, 0, 4])
+    system = build_system(RootedTree.validate(parent, p), {(0, 3) if p == 7 else (0, 1): 0.4})
+    grid = random_grid(p, 3, width, rng, n=n)
+    twin = column_twin(grid)
+    assert "entries" not in vars(twin)
+    a, b = analyze(grid, system, 3), analyze(twin, system, 3)
+    assert all(same_grid(x, y) for x, y in zip(all_grids(a), all_grids(b)))
+    assert same_grid(synthesize(a, system), synthesize(b, system))
+
+
+def test_dict_key_past_int64_is_refused_by_the_size_cap(chain3):
+    grid = CoeffGrid(3, 0, {3**45: 1.0})
+    for read in (lambda: grid.keys, lambda: analyze_level(grid, chain3), lambda: materialize(grid, chain3)):
+        with pytest.raises(SizeCapError):
+            read()
+
+
+@pytest.mark.parametrize("entries", [{-1: 1.0}, {-1: 1.0, 4: 1.0}])
+def test_negative_dict_key_is_refused(chain3, entries):
+    # a negative key has no base-p digits, and a table index of -1 would wrap to the last key
+    with pytest.raises(InputError, match="outside"):
+        analyze_level(CoeffGrid(3, 0, entries), chain3)
+
+
+def test_energy_is_one_sum_over_the_value_column():
+    assert CoeffGrid(3, 0, {}).energy() == 0.0
+    assert CoeffGrid(3, 0, {0: 3 + 4j, 2: 1.0}).energy() == 26.0
+    batch = CoeffGrid(3, 0, keys=np.array([0, 1]), values=np.array([[1, 2j], [3j, 0]]))
+    assert batch.energy().tolist() == [10.0, 4.0]
+
+
+def test_no_module_but_the_grid_reads_its_dict_view():
+    # the bank, the codecs and the CLI run on the columns; `entries` is for callers only
+    readers = []
+    for path in sorted((Path(__file__).parents[1] / "src" / "vilwav").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "CoeffGrid" and path.name == "transform.py":
+                allowed = {id(n) for n in ast.walk(node)}
+        readers += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == "entries" and id(node) not in allowed]
+    assert readers == []
