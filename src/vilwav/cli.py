@@ -19,7 +19,7 @@ import numpy as np
 
 from . import serialize, transform, wavelet
 from .config import DEFAULT_TOL, InputError, MathError
-from .group import is_prime
+from .group import check_table_size, is_prime
 from .mask import mask_to_tree
 from .refinable import StepFunction
 from .tree import RootedTree, enumerate_trees
@@ -77,14 +77,24 @@ def _print_report(checks) -> bool:
     return ok
 
 
-def _verify_one_tree(payload) -> tuple[str, list[str], float]:
-    """(parent, names of the failing checks, worst deviation) for one tree."""
-    p, parent, spectral_only, tol = payload
-    tree = RootedTree.validate(parent, p)
-    system = build_system(tree)
-    checks = verify_wavelet_system(system, spectral_only=spectral_only, tol=tol)
-    worst = max(c.max_deviation for c in checks)
-    return str(parent), [c.name for c in checks if not c.passed], worst
+def _verify_one_tree(payload) -> tuple[float, list[str]]:
+    """(worst deviation, one FAIL line per failing draw) of tree number i in Prufer order: draw 0
+    has zero phases, draw k those of _random_phases(tree, (p, i, k)), the same on every worker."""
+    i, tree, spectral_only, tol, draws = payload
+    devs, fails = [], []
+    for k in range(draws + 1):
+        system = build_system(tree, _random_phases(tree, (tree.p, i, k)) if k else {})
+        checks = verify_wavelet_system(system, spectral_only=spectral_only, tol=tol)
+        try:
+            round_trip = mask_to_tree(system.mask, tol=tol)[0] == tree
+        except MathError:
+            round_trip = False
+        failed = [c.name for c in checks if not c.passed] + ([] if round_trip else ["mask-to-tree"])
+        devs.append(max(c.max_deviation for c in checks))
+        if failed:
+            where = f"parent={list(tree.parent)}" + (f" draw={k}" if k else "")
+            fails.append(f"FAIL {where} dev={devs[-1]:.3e} checks={','.join(failed)}")
+    return max(devs), fails
 
 
 # --all-trees hands trees to the workers in chunks and reports progress at most this often
@@ -103,35 +113,43 @@ def _sweep(jobs: list, workers: int):
 
 def cmd_verify(args) -> int:
     spectral_only = args.level == "spectral"
-    if args.all_trees is not None:
-        p = args.all_trees
-        if not is_prime(p):
-            raise InputError(f"--all-trees {p}: p must be prime")
-        cores = os.cpu_count() or 1
-        if not 1 <= args.jobs <= cores:
-            raise InputError(f"--jobs {args.jobs}: expected 1 to {cores} workers")
-        jobs = [(p, list(t.parent), spectral_only, args.tol) for t in enumerate_trees(p)]
-        t0 = last = time.time()
-        results = []
-        for result in _sweep(jobs, args.jobs):
-            results.append(result)
-            if time.time() - last >= PROGRESS_EVERY_S:
-                last = time.time()
-                fails = sum(1 for r in results if r[1])
-                print(f"{len(results)}/{len(jobs)} trees, {fails} FAIL, {last - t0:.0f}s",
-                      file=sys.stderr, flush=True)
-        bad = [r for r in results if r[1]]
-        worst = max(r[2] for r in results)
-        print(
-            f"{len(results)} trees at p={p}: {len(results) - len(bad)} PASS, "
-            f"{len(bad)} FAIL, worst deviation {worst:.3e}, {time.time() - t0:.1f}s"
-        )
-        for parent, failed, dev in bad:
-            print(f"FAIL parent={parent} dev={dev:.3e} checks={','.join(failed)}")
-        return EXIT_OK if not bad else EXIT_MATH
-    system = serialize.system_from_dict(serialize.load_json(args.system))
-    checks = verify_wavelet_system(system, spectral_only=spectral_only, tol=args.tol)
-    return EXIT_OK if _print_report(checks) else EXIT_MATH
+    if args.all_trees is None:
+        if args.jobs is not None or args.draws is not None:
+            raise InputError("--jobs and --draws need --all-trees P")
+        system = serialize.system_from_dict(serialize.load_json(args.system))
+        checks = verify_wavelet_system(system, spectral_only=spectral_only, tol=args.tol)
+        return EXIT_OK if _print_report(checks) else EXIT_MATH
+    if args.system is not None:
+        raise InputError(f"{args.system}: --all-trees verifies no system file")
+    p, draws = args.all_trees, args.draws or 0
+    if not is_prime(p):
+        raise InputError(f"--all-trees {p}: p must be prime")
+    cores = os.cpu_count() or 1
+    if args.jobs is not None and not 1 <= args.jobs <= cores:
+        raise InputError(f"--jobs {args.jobs}: expected 1 to {cores} workers")
+    if draws < 0:
+        raise InputError(f"--draws {draws}: expected 0 or more")
+    # p^(p-2) trees, clipped as enumerate_trees clips them, of draws + 1 systems each
+    check_table_size(p ** min(p - 2, 64) * (draws + 1), "tree × draw sweep")
+    jobs = [(i, t, spectral_only, args.tol, draws) for i, t in enumerate(enumerate_trees(p))]
+    t0 = last = time.time()
+    results = []
+    for result in _sweep(jobs, args.jobs or 1):
+        results.append(result)
+        if time.time() - last >= PROGRESS_EVERY_S:
+            last = time.time()
+            fails = sum(1 for r in results if r[1])
+            print(f"{len(results)}/{len(jobs)} trees, {fails} FAIL, {last - t0:.0f}s",
+                  file=sys.stderr, flush=True)
+    bad = [r for r in results if r[1]]
+    worst = max(r[0] for r in results)
+    print(
+        f"{len(results)} trees at p={p}: {len(results) - len(bad)} PASS, "
+        f"{len(bad)} FAIL, worst deviation {worst:.3e}, {time.time() - t0:.1f}s"
+    )
+    for _, lines in bad:
+        print("\n".join(lines))
+    return EXIT_OK if not bad else EXIT_MATH
 
 
 def _require_finite(what: str, *arrays) -> None:
@@ -235,7 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p.add_argument("system", nargs="?")
     verify_p.add_argument("--level", choices=["spectral", "full"], default="full")
     verify_p.add_argument("--all-trees", type=int, default=None, metavar="P")
-    verify_p.add_argument("--jobs", type=int, default=1, help="workers for --all-trees, 1..cores")
+    verify_p.add_argument("--jobs", type=int, help="workers for --all-trees, 1..cores (default 1)")
+    verify_p.add_argument("--draws", type=int, metavar="K", help="phase draws per tree besides zero (default 0)")
     verify_p.set_defaults(func=cmd_verify)
 
     trans_p = sub.add_parser("transform", help="run the filter bank")

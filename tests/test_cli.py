@@ -269,8 +269,20 @@ def test_stored_beta_l_is_not_read(p3_payloads, tmp_path):
 
 
 def test_verify_all_trees_p3(capsys):
-    assert main(["verify", "--all-trees", "3"]) == EXIT_OK
-    assert "3 trees at p=3: 3 PASS" in capsys.readouterr().out
+    for draws in ([], ["--draws", "1"]):
+        assert main(["verify", "--all-trees", "3", *draws]) == EXIT_OK
+        assert "3 trees at p=3: 3 PASS" in capsys.readouterr().out
+
+
+def test_failed_round_trip_is_a_fail_line(capsys):
+    # |e^(2 pi i theta)| is 1 only to about 1e-16, so at --tol 1e-30 mask_to_tree refuses
+    # a random-phase mask; the sweep reports that as the draw's failing check
+    assert main(["--tol", "1e-30", "verify", "--all-trees", "3", "--draws", "1"]) == EXIT_MATH
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("3 trees at p=3: 0 PASS, 3 FAIL")
+    drawn = [line for line in out if line.startswith("FAIL ") and " draw=1 " in line]
+    assert len(drawn) == 3 and any(line.endswith(",mask-to-tree") for line in drawn)
+    assert not any(line.startswith("failed:") for line in out)
 
 
 def test_verify_all_trees_reports_progress_on_stderr(monkeypatch, capsys):
@@ -284,12 +296,15 @@ def test_verify_all_trees_reports_progress_on_stderr(monkeypatch, capsys):
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores for two workers")
 def test_verify_all_trees_two_workers_match_one(capsys):
-    summaries = []
-    for jobs in ("1", "2"):
-        assert main(["verify", "--all-trees", "5", "--level", "spectral", "--jobs", jobs]) == EXIT_OK
-        summaries.append(capsys.readouterr().out.rsplit(",", 1)[0])  # drop the time
-    assert summaries[0] == summaries[1]
-    assert summaries[0].startswith("125 trees at p=5: 125 PASS, 0 FAIL")
+    # a tree's phase draws are seeded by its position, so they do not depend on the worker
+    for draws in ("0", "2"):
+        summaries = []
+        for jobs in ("1", "2"):
+            argv = ["verify", "--all-trees", "5", "--level", "spectral", "--jobs", jobs, "--draws", draws]
+            assert main(argv) == EXIT_OK
+            summaries.append(capsys.readouterr().out.rsplit(",", 1)[0])  # drop the time
+        assert summaries[0] == summaries[1]
+        assert summaries[0].startswith("125 trees at p=5: 125 PASS, 0 FAIL")
 
 
 def test_verify_all_trees_nonprime_is_input_error(monkeypatch, capsys):
@@ -795,8 +810,32 @@ def no_sweep(monkeypatch):
 
 
 def test_oversized_sweep_is_refused_up_front(no_sweep, capsys):
-    code, out, _ = run_one_line(["verify", "--all-trees", "11"], capsys)
-    assert code == EXIT_MATH and "exceeds cap" in out
+    # 11^9 trees exceed the default size cap, with or without phase draws
+    for draws in ([], ["--draws", "1"]):
+        code, out, _ = run_one_line(["verify", "--all-trees", "11", *draws], capsys)
+        assert code == EXIT_MATH and "exceeds cap" in out
+
+
+def test_sweep_counts_every_draw_against_the_cap(monkeypatch, capsys):
+    # 625 is the largest table a spectral verify at p=5 builds, and 125 trees x 5 systems
+    monkeypatch.setenv("VILWAV_SIZE_CAP", "625")
+    assert main(["verify", "--all-trees", "5", "--level", "spectral", "--draws", "4"]) == EXIT_OK
+    from vilwav import tree as tree_module
+
+    monkeypatch.setattr(tree_module, "prufer_to_parent", never)
+    code, out, _ = run_one_line(["verify", "--all-trees", "5", "--level", "spectral", "--draws", "5"], capsys)
+    assert code == EXIT_MATH and out == "failed: tree × draw sweep of 750 entries exceeds cap 625\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "system.py", "--all-trees", "3"], "--all-trees verifies no system file"),
+    (["verify", "system.json", "--jobs", "2"], "need --all-trees"),
+    (["verify", "system.json", "--draws", "1"], "need --all-trees"),
+    (["verify", "--all-trees", "3", "--draws", "-1"], "--draws -1"),
+])
+def test_sweep_flags_out_of_place_are_input_errors(no_sweep, capsys, argv, message):
+    code, _, err = run_one_line(argv, capsys)
+    assert code == EXIT_INPUT and message in err
 
 
 @pytest.mark.parametrize("jobs", [0, -1, (os.cpu_count() or 1) + 1])
