@@ -6,8 +6,6 @@ from .refinable import (
     StepFunction,
     check_elementary,
     check_orthonormality_spectral,
-    forward_transform,
-    gram_matrix,
     inverse_transform,
     phi_hat_from_tree,
     translation_correlation,
@@ -19,7 +17,6 @@ from .wavelet import (
     beta_shifted,
     build_system,
     psi_freq,
-    psi_time,
     solve_beta,
     verify_wavelet_system,
 )
@@ -41,15 +38,12 @@ __all__ = [
     "check_row_condition",
     "check_vanishing",
     "enumerate_trees",
-    "forward_transform",
-    "gram_matrix",
     "inverse_transform",
     "mask_from_tree",
     "mask_to_tree",
     "phi_hat_from_tree",
     "project",
     "psi_freq",
-    "psi_time",
     "solve_beta",
     "synthesize",
     "synthesize_level",

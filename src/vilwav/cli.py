@@ -130,7 +130,7 @@ def cmd_verify(args) -> int:
     if draws < 0:
         raise InputError(f"--draws {draws}: expected 0 or more")
     # p^(p-2) trees, clipped as enumerate_trees clips them, of draws + 1 systems each
-    check_table_size(p ** min(p - 2, 64) * (draws + 1), "tree × draw sweep")
+    check_table_size(p ** min(p - 2, 64) * (draws + 1), "tree × draw sweep", "systems")
     jobs = [(i, t, spectral_only, args.tol, draws) for i, t in enumerate(enumerate_trees(p))]
     t0 = last = time.time()
     results = []

@@ -32,11 +32,11 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def check_table_size(n_entries: int, what: str = "table") -> None:
-    """Refuse `what`, n_entries table entries in all, when that exceeds the size cap."""
+def check_table_size(count: int, what: str = "table", unit: str = "entries") -> None:
+    """Refuse `what`, count `unit` in all (table entries by default), when that exceeds the size cap."""
     cap = size_cap()
-    if n_entries > cap:
-        raise SizeCapError(f"{what} of {_count(n_entries)} entries exceeds cap {cap}")
+    if count > cap:
+        raise SizeCapError(f"{what} of {_count(count)} {unit} exceeds cap {cap}")
 
 
 def _count(n: int) -> str:

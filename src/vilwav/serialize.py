@@ -35,7 +35,7 @@ from .mask import MaskTable
 from .refinable import StepFunction
 from .transform import CoeffGrid, CoeffPyramid, check_key_range
 from .tree import RootedTree
-from .wavelet import WaveletSystem, system_from_mask
+from .wavelet import WaveletSystem
 
 
 class FormatError(InputError):
@@ -196,7 +196,7 @@ def system_from_dict(data: dict) -> WaveletSystem:
         mask = mask_from_dict(data)
     if M != tree.support_exponent:
         raise FormatError(f"system M={M} and its p={p} tree of M={tree.support_exponent} do not fit")
-    return system_from_mask(tree, mask)
+    return WaveletSystem(tree, mask)
 
 
 # -- coefficient grids and pyramids --

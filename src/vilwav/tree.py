@@ -122,7 +122,7 @@ def enumerate_trees(p: int) -> Iterator[RootedTree]:
 
     Refused before the first tree when the count, clipped at p^64 (past any cap), exceeds the cap.
     """
-    check_table_size(p ** min(p - 2, 64))
+    check_table_size(p ** min(p - 2, 64), "tree enumeration", "trees")
     if p == 2:
         yield RootedTree.validate((0, 0), 2)
         return

@@ -1,23 +1,24 @@
 """Refinement coefficients and the p-1 wavelets of a tree-generated system.
 
 The coefficients beta solve a p^2 x p^2 character system whose matrix is
-unitary, so they come out of a closed-form adjoint sum.  A system is built
-as its mask, beta and phi_hat, all that the spectral checks read; the cell
-tables phi (the full inverse transform of phi_hat, exact zeros included)
-and psi are built on first read.  Each wavelet is assembled twice, and the
-two routes must agree.  The psi tables take the time route: the refinement
-sum of dilated translates of phi.  Full verify adds the frequency route: the
-shifted mask times the dilated spectrum of phi, which has p nonzero cosets,
-inverted as a sum of p characters, so the check does not go through the
-transform that phi is built by.  It counts every table it will hold at
-once against the size cap before building any.
+unitary, so they come out of a closed-form adjoint sum.  A system is its
+tree and mask.  beta and phi_hat, all that the spectral checks read, are
+computed with it; the cell tables phi (the full inverse transform of
+phi_hat, exact zeros included) and psi are built on first read.  Each
+wavelet is assembled twice, and the two routes must agree.  The psi tables
+take the time route: the refinement sum of dilated translates of phi.  Full
+verify adds the frequency route: the shifted mask times the dilated
+spectrum of phi, which has p nonzero cosets, inverted as a sum of p
+characters, so the check does not go through the transform that phi is
+built by.  It counts every table it will hold at once against the size cap
+before building any.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -139,79 +140,62 @@ def psi_freq(phi_hat_table: SpectrumTable, mask: MaskTable) -> Iterator[StepFunc
         yield StepFunction(p, -1, w - 1, ((deep[k] * c[k, None]).T @ shallow[k]).reshape(-1))
 
 
-class _BuiltOnFirstRead:
-    """A table field of WaveletSystem: built from the system when first read, then kept.
-
-    The field's default is this descriptor itself and stands for "not
-    given"; a table given to the constructor is kept as given.
-    """
-
-    def __init__(self, build):
-        self.build = build
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, system, owner=None):
-        if system is None:
-            return self
-        if self.name not in system.__dict__:
-            system.__dict__[self.name] = self.build(system)
-        return system.__dict__[self.name]
-
-    def __set__(self, system, table):
-        if table is not self:
-            system.__dict__[self.name] = table
-
-
-# A huge or non-finite mask value reaches the tables as inf and nan, quietly,
-# as in system_from_mask.  The kernels are looked up when a table is built,
-# so a tracer that rebinds them sees each call.
-@np.errstate(over="ignore", invalid="ignore")
-def _phi_table(system: WaveletSystem) -> StepFunction:
-    """phi, the full inverse transform of phi_hat."""
-    return inverse_transform(system.phi_hat)
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _psi_tables(system: WaveletSystem) -> tuple[StepFunction, ...]:
-    """The p - 1 wavelets by the time route, counted with phi against the cap before any is built."""
-    p, M = system.p, system.M
-    check_table_size(p ** (M + 1) + (p - 1) * p ** (M + 2), "phi and the psi tables")
-    return tuple(psi_time(system.phi, beta_l) for beta_l in system.beta_l)
-
-
 @dataclass(frozen=True)
 class WaveletSystem:
-    """A tree's mask, beta and phi_hat; the cell tables phi and psi are built on first read and kept."""
+    """The system a tree and its mask generate; every table is derived from the two.
 
-    p: int
-    M: int
+    beta and phi_hat, all that the spectral checks read, are computed at
+    construction; M, beta_l and the cell tables phi and psi on first read,
+    then kept.  So dataclasses.replace builds no cell table.
+    """
+
     tree: RootedTree
     mask: MaskTable
-    beta: np.ndarray = field(repr=False)
-    phi_hat: SpectrumTable
-    phi: StepFunction = field(default=_BuiltOnFirstRead(_phi_table), repr=False, compare=False)
-    psi: tuple[StepFunction, ...] = field(default=_BuiltOnFirstRead(_psi_tables), repr=False, compare=False)
+    beta: np.ndarray = field(init=False, repr=False)
+    phi_hat: SpectrumTable = field(init=False)
+
+    # A stored mask may hold huge or non-finite values; here and in phi and
+    # psi they overflow to inf and nan, quietly, and verify reads them as failures.
+    @np.errstate(over="ignore", invalid="ignore")
+    def __post_init__(self):
+        object.__setattr__(self, "phi_hat", phi_hat_from_tree(self.tree, self.mask))
+        object.__setattr__(self, "beta", solve_beta(self.mask))
 
     @property
+    def p(self) -> int:
+        """The prime of the group, the tree's vertex count."""
+        return self.tree.p
+
+    @cached_property
+    def M(self) -> int:
+        """The tree's support exponent, height - 2: phi_hat lives on band M."""
+        return self.tree.support_exponent
+
+    @cached_property
     def beta_l(self) -> tuple[np.ndarray, ...]:
-        """The wavelet coefficients, derived from beta so a system holds them once."""
+        """The wavelet coefficients, derived from beta, which beta-residual checks."""
         return tuple(beta_shifted(self.beta, l, self.p) for l in range(1, self.p))
+
+    # The kernels are looked up when a table is built, so a tracer that
+    # rebinds them sees each call.
+    @cached_property
+    @np.errstate(over="ignore", invalid="ignore")
+    def phi(self) -> StepFunction:
+        """phi, the full inverse transform of phi_hat."""
+        return inverse_transform(self.phi_hat)
+
+    @cached_property
+    @np.errstate(over="ignore", invalid="ignore")
+    def psi(self) -> tuple[StepFunction, ...]:
+        """The p - 1 wavelets by the time route, counted with phi against the cap before any is built."""
+        p, M = self.p, self.M
+        check_table_size(p ** (M + 1) + (p - 1) * p ** (M + 2), "phi and the psi tables")
+        return tuple(psi_time(self.phi, beta_l) for beta_l in self.beta_l)
 
 
 def build_system(tree: RootedTree, phases=None) -> WaveletSystem:
     """Tree -> mask -> spectrum and beta; phi and the wavelets follow on first read."""
-    return system_from_mask(tree, mask_from_tree(tree, phases))
-
-
-# A stored mask may hold huge or non-finite values; they overflow to inf and
-# nan in the tables, which verify reads as failures.
-@np.errstate(over="ignore", invalid="ignore")
-def system_from_mask(tree: RootedTree, mask: MaskTable) -> WaveletSystem:
-    """The system a tree and its mask generate, bit for bit as build_system makes it."""
-    phi_hat_table = phi_hat_from_tree(tree, mask)
-    return WaveletSystem(tree.p, tree.support_exponent, tree, mask, solve_beta(mask), phi_hat_table)
+    return WaveletSystem(tree, mask_from_tree(tree, phases))
 
 
 def shifted_mask_checks(mask: MaskTable, tol: float = DEFAULT_TOL) -> CheckResult:

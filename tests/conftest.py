@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -59,6 +61,17 @@ def no_tables(monkeypatch):
 
     for name in ("inverse_transform", "psi_time"):
         monkeypatch.setattr(wavelet, name, refuse)
+
+
+def tampered(system, **tables):
+    """A copy of system with the named tables (beta, phi_hat, M, phi, psi) set as given.
+
+    The copy takes the system's fields only; a table not named is derived
+    from the copy when read, so a tampered phi_hat reaches phi and psi.
+    """
+    copy = object.__new__(type(system))
+    vars(copy).update({f.name: getattr(system, f.name) for f in dataclasses.fields(system)}, **tables)
+    return copy
 
 
 @pytest.fixture

@@ -18,7 +18,7 @@ from vilwav.refinable import StepFunction, embed
 from vilwav.tree import RootedTree
 from vilwav.wavelet import CheckResult, build_system
 
-from conftest import P11_M5_PARENT, TREE7_A_PARENT, TREE7_B_PARENT
+from conftest import P11_M5_PARENT, TREE7_A_PARENT, TREE7_B_PARENT, tampered
 
 
 def write_json(path, payload):
@@ -150,13 +150,15 @@ def with_psi_cell(system, value):
     psi = system.psi[0]
     values = psi.values.copy()
     values[5] = value
-    return dataclasses.replace(system, psi=(dataclasses.replace(psi, values=values),) + system.psi[1:])
+    return tampered(system, psi=(dataclasses.replace(psi, values=values),) + system.psi[1:])
 
 
 def with_phi_hat(system, change):
+    """system with phi_hat changed, and phi and psi still the tables the true phi_hat gives."""
     values = system.phi_hat.values.copy()
     change(values)
-    return dataclasses.replace(system, phi_hat=dataclasses.replace(system.phi_hat, values=values))
+    phi_hat = dataclasses.replace(system.phi_hat, values=values)
+    return tampered(system, phi_hat=phi_hat, phi=system.phi, psi=system.psi)
 
 
 def test_verify_nan_psi_cell_fails_two_route(tmp_path, capsys, monkeypatch):
@@ -364,7 +366,7 @@ def test_transform_roundtrip_bound_scales_with_the_signal(tmp_path, capsys, monk
     system = serialize.system_from_dict(serialize.load_json(sys_file))
     beta = system.beta.copy()
     beta[1] *= 0.9
-    bad = dataclasses.replace(system, beta=beta)
+    bad = tampered(system, beta=beta)
     monkeypatch.setattr(cli.serialize, "system_from_dict", lambda data: bad)
     for scale in (1.0, 1e8):
         assert analyze(sys_file, scale) == EXIT_MATH, scale
@@ -814,6 +816,7 @@ def test_oversized_sweep_is_refused_up_front(no_sweep, capsys):
     for draws in ([], ["--draws", "1"]):
         code, out, _ = run_one_line(["verify", "--all-trees", "11", *draws], capsys)
         assert code == EXIT_MATH and "exceeds cap" in out
+        assert " systems exceeds" in out and "entries" not in out
 
 
 def test_sweep_counts_every_draw_against_the_cap(monkeypatch, capsys):
@@ -824,7 +827,7 @@ def test_sweep_counts_every_draw_against_the_cap(monkeypatch, capsys):
 
     monkeypatch.setattr(tree_module, "prufer_to_parent", never)
     code, out, _ = run_one_line(["verify", "--all-trees", "5", "--level", "spectral", "--draws", "5"], capsys)
-    assert code == EXIT_MATH and out == "failed: tree × draw sweep of 750 entries exceeds cap 625\n"
+    assert code == EXIT_MATH and out == "failed: tree × draw sweep of 750 systems exceeds cap 625\n"
 
 
 @pytest.mark.parametrize("argv, message", [

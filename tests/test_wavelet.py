@@ -35,7 +35,7 @@ from vilwav.wavelet import (
     verify_wavelet_system,
 )
 
-from conftest import P11_M5_PARENT
+from conftest import P11_M5_PARENT, tampered
 
 OMEGA3 = np.exp(2j * np.pi / 3)
 
@@ -179,11 +179,21 @@ def test_tables_read_later_are_the_eager_construction():
         assert system.phi is system.phi and system.psi is system.psi  # built once, then kept
 
 
-def test_a_given_table_is_kept():
-    system = build_system(RootedTree.validate([0, 0, 1], 3))
-    phi = StepFunction(3, -1, 1, np.arange(9))
-    assert WaveletSystem(3, 1, system.tree, system.mask, system.beta, system.phi_hat, phi=phi).phi is phi
-    assert dataclasses.replace(system, psi=()).psi == ()
+def test_replace_builds_no_table(no_tables):
+    # replace reads the fields it is not given; phi and psi are none of them
+    system = build_system(RootedTree.validate(P11_M5_PARENT, 11))
+    assert dataclasses.replace(system, mask=system.mask).M == 5
+
+
+def test_a_system_is_its_tree_and_mask():
+    assert [f.name for f in dataclasses.fields(WaveletSystem) if f.init] == ["tree", "mask"]
+
+
+def test_package_exports_no_oracle():
+    import vilwav
+
+    assert not {"forward_transform", "gram_matrix", "psi_time"} & set(vilwav.__all__)
+    assert all(hasattr(vilwav, name) for name in vilwav.__all__)
 
 
 def test_full_verify_counts_its_tables_before_building_any(no_tables, monkeypatch):
@@ -392,7 +402,7 @@ def test_verify_says_which_wavelet_cell_and_gram_entry_are_off(chain3):
     psi = chain3.psi[1]
     values = psi.values.copy()
     values[5] += 10.0
-    bent = dataclasses.replace(chain3, psi=(chain3.psi[0], dataclasses.replace(psi, values=values)))
+    bent = tampered(chain3, psi=(chain3.psi[0], dataclasses.replace(psi, values=values)))
     checks = {c.name: c for c in verify_wavelet_system(bent)}
     assert not checks["psi-two-route"].passed
     assert checks["psi-two-route"].max_deviation == pytest.approx(10.0)
@@ -408,7 +418,7 @@ def test_gram_check_catches_a_perturbed_wavelet(rng):
     system = build_system(RootedTree.validate([0, 0, 1, 2, 3], 5))
     psi = system.psi[1]
     bent = StepFunction(5, -1, psi.resolution_level, psi.values + 1e-6 * rng.normal(size=psi.values.shape))
-    bad = dataclasses.replace(system, psi=system.psi[:1] + (bent,) + system.psi[2:])
+    bad = tampered(system, psi=system.psi[:1] + (bent,) + system.psi[2:])
     gram = {c.name: c for c in verify_wavelet_system(bad)}["gram-orthonormal-family"]
     dense = gram_matrix((bad.phi,) + bad.psi, all_shifts(5, 2))
     assert not gram.passed
@@ -463,7 +473,7 @@ def test_tol_reaches_every_check_but_the_exact_one(chain3):
     failed = [c.name for c in checks if not c.passed]
     assert failed and failed == [c.name for c in checks if c.max_deviation > 0]
     # one level short, an orbit product survives on the shell whatever the tolerance
-    short = verify_wavelet_system(dataclasses.replace(chain3, M=0), spectral_only=True, tol=0.5)
+    short = verify_wavelet_system(tampered(chain3, M=0), spectral_only=True, tol=0.5)
     assert [c.name for c in short if not c.passed] == ["mask-vanishing-shell"]
 
 
