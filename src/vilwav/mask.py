@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_TOL, CheckResult, MathError
-from .group import digit_table, is_prime
+from .group import is_prime
 from .tree import RootedTree, TreeError
 
 
@@ -98,21 +98,6 @@ def check_row_condition(mask: MaskTable, tol: float = DEFAULT_TOL) -> CheckResul
     return residue_sums_check("mask-row-sums", sums, tol)
 
 
-def orbit_product(mask: MaskTable, w: int) -> np.ndarray:
-    """prod_k lambda[d_k + p*d_(k+1)] for every digit string d over a width-w window.
-
-    The digit above the window is zero; the remaining factors along the
-    dilation orbit are lambda_0 = 1.
-    """
-    p = mask.p
-    digits = digit_table(p, w)
-    prod = np.ones(p**w, dtype=complex)
-    for k in range(w):
-        hi = digits[:, k + 1] if k + 1 < w else 0
-        prod *= mask.lam[digits[:, k] + p * hi]
-    return prod
-
-
 # a nan or inf weight turns the products it meets into nan or inf, which fail
 @np.errstate(invalid="ignore", over="ignore")
 def check_vanishing(mask: MaskTable, M: int) -> CheckResult:
@@ -136,7 +121,7 @@ def check_vanishing(mask: MaskTable, M: int) -> CheckResult:
     string = [1 + int(np.argmax(best[1:] * weight[1:, 0]))]  # alpha_M != 0, the digit above it 0
     for choice in reversed(choices):
         string.insert(0, int(choice[string[0]]))
-    # the deviation is the orbit product along that string, as orbit_product forms it
+    # the deviation is the orbit product along that string, as oracle.orbit_product forms it
     digits = np.array(string)
     dev = float(np.abs(np.prod(mask.lam[digits + p * np.append(digits[1:], 0)])))
     where = f"digits {tuple(string)}" if dev else ""

@@ -1,0 +1,68 @@
+"""Dense reference routes that re-verify the production ones; only the tests call them.
+
+The orbit-product spectrum, the forward transform, the dense Gram matrix,
+the dense beta solve and the dense wavelet spectrum.  No module of the
+package imports this one, so `import vilwav` neither loads nor compiles it.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .group import char_kernel_apply, digit_table
+from .mask import MaskTable
+from .refinable import SpectrumTable, StepFunction, translated_cell_matrix
+from .wavelet import _beta_system, shifted_masks
+
+
+def orbit_product(mask: MaskTable, w: int) -> np.ndarray:
+    """prod_k lambda[d_k + p*d_(k+1)] for every digit string d over a width-w window.
+
+    The digit above the window is zero; the remaining factors along the
+    dilation orbit are lambda_0 = 1.
+    """
+    p = mask.p
+    digits = digit_table(p, w)
+    prod = np.ones(p**w, dtype=complex)
+    for k in range(w):
+        hi = digits[:, k + 1] if k + 1 < w else 0
+        prod *= mask.lam[digits[:, k] + p * hi]
+    return prod
+
+
+def forward_transform(f: StepFunction) -> SpectrumTable:
+    """Fourier transform of a step function supported in G_{-1}."""
+    if f.support_level != -1:
+        raise ValueError("forward_transform expects support level -1")
+    p, w = f.p, f.width
+    values = char_kernel_apply(np.asarray(f.values), p, w, -1) * float(p) ** -f.resolution_level
+    return SpectrumTable(p, f.resolution_level, values)
+
+
+def gram_matrix(funcs, shifts) -> np.ndarray:
+    """Dense oracle: Gram matrix of the translates of every function over the given shifts.
+
+    Rows and columns run function-major: block (i, k) pairs the translates
+    of funcs[i] with those of funcs[k].  translation_correlation gives the
+    same entries without a row per translate.
+    """
+    lo = min(min(f.support_level for f in funcs), -max((len(h) for h in shifts), default=0))
+    hi = max(f.resolution_level for f in funcs)
+    family = np.vstack([translated_cell_matrix(f, shifts, lo, hi) for f in funcs])
+    return family @ family.conj().T * float(funcs[0].p) ** -hi
+
+
+def solve_beta_dense(mask: MaskTable) -> np.ndarray:
+    """Generic dense solve of the same system; independent check of solve_beta."""
+    return np.linalg.solve(_beta_system(mask.p), mask.lam)
+
+
+def psi_hat(phi_hat_table: SpectrumTable, mask: MaskTable, l: int) -> SpectrumTable:
+    """Wavelet spectrum: shifted mask times the dilated refinable spectrum.
+
+    l = 0 reproduces the spectrum of the refinable function itself (the
+    frequency-domain refinement identity), band grows by one either way.
+    """
+    p = mask.p
+    values = np.asarray(phi_hat_table.values).reshape(-1, p)[:, :, None] * shifted_masks(mask)[l]
+    return SpectrumTable(p, phi_hat_table.band + 1, values.reshape(-1))

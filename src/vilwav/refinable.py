@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, CheckResult, MathError
 from .group import char_kernel_apply, check_table_size, digit_characters, digit_table
-from .mask import MaskTable, orbit_product, residue_sums_check
+from .mask import MaskTable, residue_sums_check
 from .tree import RootedTree
 
 
@@ -95,16 +95,6 @@ def phi_hat_from_tree(tree: RootedTree, mask: MaskTable) -> SpectrumTable:
     return SpectrumTable(p, M, values)
 
 
-def spectrum_from_mask_orbit(mask: MaskTable, M: int) -> SpectrumTable:
-    """Oracle route: the truncated product of mask values along the dilation orbit.
-
-    Factors past the window are taken as lambda_0 = 1, which every mask of a
-    tree satisfies (mask_to_tree checks it); a MaskTable with lambda_0 != 1
-    does not get that factor.
-    """
-    return SpectrumTable(mask.p, M, orbit_product(mask, M + 1))
-
-
 def inverse_transform(spec: SpectrumTable) -> StepFunction:
     """Invert a level -1 coset table to a step function on [-1, band)."""
     p, w = spec.p, spec.band + 1
@@ -131,15 +121,6 @@ def coset_characters(cosets: np.ndarray, p: int, w: int) -> tuple[np.ndarray, ..
             rows = rows.reshape(len(rows), rows.shape[1] * p)  # no -1: there may be no rows
         factors.append(rows)
     return tuple(factors)
-
-
-def forward_transform(f: StepFunction) -> SpectrumTable:
-    """Fourier transform of a step function supported in G_{-1}."""
-    if f.support_level != -1:
-        raise ValueError("forward_transform expects support level -1")
-    p, w = f.p, f.width
-    values = char_kernel_apply(np.asarray(f.values), p, w, -1) * float(p) ** -f.resolution_level
-    return SpectrumTable(p, f.resolution_level, values)
 
 
 def check_elementary(spec: SpectrumTable, tol: float = DEFAULT_TOL) -> CheckResult:
@@ -180,7 +161,7 @@ def check_orthonormality_spectral(spec: SpectrumTable, tol: float = DEFAULT_TOL)
     return residue_sums_check("spectrum-residue-sums", sums, tol)
 
 
-# -- cell-level machinery: embedding, translation, dilation, Gram oracles --
+# -- cell-level machinery: embedding, translation, dilation, the Gram correlation --
 
 
 def embed(f: StepFunction, lo: int, hi: int) -> np.ndarray:
@@ -306,19 +287,6 @@ def translated_cell_matrix(f: StepFunction, shifts, lo: int, hi: int) -> np.ndar
     hmat = np.array([[shift_digit(h, lo + slot) for slot in range(w)] for h in shifts])
     idx = ((digits[None, :, :] - hmat[:, None, :]) % p) @ powers
     return base[idx]
-
-
-def gram_matrix(funcs, shifts) -> np.ndarray:
-    """Dense oracle: Gram matrix of the translates of every function over the given shifts.
-
-    Rows and columns run function-major: block (i, k) pairs the translates
-    of funcs[i] with those of funcs[k].  translation_correlation gives the
-    same entries without a row per translate.
-    """
-    lo = min(min(f.support_level for f in funcs), -max((len(h) for h in shifts), default=0))
-    hi = max(f.resolution_level for f in funcs)
-    family = np.vstack([translated_cell_matrix(f, shifts, lo, hi) for f in funcs])
-    return family @ family.conj().T * float(funcs[0].p) ** -hi
 
 
 # Cells of all functions in one chunk of translation_correlation: 512 kB, a cache-sized working set.

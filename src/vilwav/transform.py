@@ -7,17 +7,17 @@ the nonzero rows back.  A table covers all p^w keys of up to w digits, so it
 suits dense grids (every key below some p^w, as analysis, projection and the
 scripts make them); a grid of a few wide keys pays p^w.
 Every map is the two-scale contraction refinable.lattice_sum or one of its
-two adjoints.  The group
-addition is carry-free, so supports stay compact and no periodization is
-needed; analysis and synthesis are exact adjoints.
+two adjoints.  The group addition is carry-free, so supports stay compact
+and no periodization is needed; analysis and synthesis are exact adjoints.
 
-Grids list only the keys whose values are not exactly zero.  Synthesis first
-sets to zero every cell whose magnitude lies within the worst-case rounding
-error of its own sum, gamma_{p^2+2} * sum |term| with gamma_n = n u / (1 - n u)
-and u = 2^-53: where the exact result is zero, cancellation between the p
-filters would otherwise leave rounding residue of about 1e-16 and add a
-digit to the grid at every level.  Error carried in from coarser levels is
-not counted, so such residue can survive.
+Grids list only the keys whose values are not exactly zero.  Analysis and
+synthesis first set to zero every cell whose magnitude lies within the
+worst-case rounding error of its own sum, gamma_{p^2+2} * sum |term| with
+gamma_n = n u / (1 - n u) and u = 2^-53: where the exact result is zero,
+cancellation (between the p filters, or of the exact terms zero phases
+give) would otherwise leave rounding residue and add a digit to the grid at
+every level.  Error carried in from coarser levels is not counted, so such
+residue can survive.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .group import check_table_size
 from .refinable import (
     StepFunction,
     dilation_scale,
+    embed,
     lattice_sum,
     lattice_sum_adjoint_g,
     lattice_sum_adjoint_k,
@@ -137,8 +138,7 @@ def _tables(grids, min_width: int) -> tuple[np.ndarray, int]:
 def _grid(table: np.ndarray, p: int, level: int) -> CoeffGrid:
     """The grid of a table's entries that are not exactly zero (all-zero rows for a vector value).
 
-    synthesize_level zeroes the cells within gamma_{p^2+2} * sum |term| of zero
-    beforehand, so its rounding residue is dropped here too.
+    analyze_level and synthesize_level first cut rounding residue to zero (_cut_rounding).
     """
     keys = np.flatnonzero(table.reshape(len(table), -1).any(axis=1))
     return CoeffGrid(p, level, keys=keys, values=table[keys])
@@ -152,8 +152,10 @@ def analyze_level(grid: CoeffGrid, system: WaveletSystem) -> tuple[CoeffGrid, tu
     p = system.p
     (x,), w = _tables([grid], 2)
     x = x.reshape(p ** (w - 2), p, p, *x.shape[1:])  # [rest, b_-1 + a_-2, a_-1]
-    filters = (system.beta, *system.beta_l)
-    outs = [lattice_sum_adjoint_g(x, np.reshape(f, (p, p)).T / math.sqrt(p)) for f in filters]
+    ks = [np.reshape(f, (p, p)).T / math.sqrt(p) for f in (system.beta, *system.beta_l)]
+    # each beta_l is beta times roots of unity, so one sum of |term| serves every filter
+    bound = lattice_sum_adjoint_g(np.abs(x), np.abs(ks[0]))
+    outs = [_cut_rounding(lattice_sum_adjoint_g(x, k), bound, p) for k in ks]
     approx, *details = (_grid(o.reshape(-1, *x.shape[3:]), p, grid.level - 1) for o in outs)
     return approx, tuple(details)
 
@@ -172,17 +174,23 @@ def synthesize_level(approx: CoeffGrid, details, system: WaveletSystem) -> Coeff
         k = np.reshape(f, (p, p)).T / math.sqrt(p)
         total += lattice_sum(t, k)
         bound += lattice_sum(np.abs(t), np.abs(k))
-    # A cell sums p^2 complex products: p per filter in lattice_sum, then the
-    # p-way accumulation above.  In any summation order the rounding error of
-    # such a sum is at most gamma_{p^2+2} * sum |term|, gamma_n = n u / (1 - n u)
-    # (p^2 - 1 additions, and a complex product costs at most gamma_3).  A
-    # cell within that bound is indistinguishable from zero, so it becomes
-    # exact zero and _grid drops it.  A non-finite bound (an inf or nan term,
-    # or an overflow) leaves its cell alone: inf <= inf would zero it.
+    return _grid(_cut_rounding(total, bound, p).reshape(-1, *tables.shape[3:]), p, approx.level + 1)
+
+
+def _cut_rounding(total: np.ndarray, bound: np.ndarray, p: int) -> np.ndarray:
+    """Zero, in place, each cell of total within the rounding error of its own sum.
+
+    A cell sums p^2 complex products (all of one filter in analysis, p of
+    each filter in synthesis), whose magnitudes sum to its bound.  In any
+    order such a sum rounds by at most gamma_{p^2+2} * bound, gamma_n =
+    n u / (1 - n u) (p^2 - 1 additions; a complex product costs at most
+    gamma_3), so a cell within that is indistinguishable from zero, and _grid
+    drops it.  A non-finite bound (an inf or nan term, or an overflow) leaves
+    its cell alone: inf <= inf would zero it.
+    """
     nu = (p * p + 2) * np.finfo(float).eps / 2
-    bound *= nu / (1 - nu)
-    total[np.isfinite(bound) & (np.abs(total) <= bound)] = 0.0
-    return _grid(total.reshape(-1, *tables.shape[3:]), p, approx.level + 1)
+    total[np.isfinite(bound) & (np.abs(total) <= bound * (nu / (1 - nu)))] = 0.0
+    return total
 
 
 def analyze(grid: CoeffGrid, system: WaveletSystem, levels: int) -> CoeffPyramid:
@@ -220,11 +228,9 @@ def project(f: StepFunction, system: WaveletSystem, level: int) -> CoeffGrid:
         )
     width = max(level - f.support_level, 1)
     scale = dilation_scale(p, level) * float(p) ** -f.resolution_level
-    check_table_size(p ** (f.resolution_level - level + width))
     # f on the basis window [level - width, f.resolution_level), which may start below
     # f's own, summed over the digits from M + level up, where the basis is constant
-    x = np.zeros((np.size(f.values), p ** (f.support_level - level + width)), dtype=complex)
-    x[:, 0] = f.values
+    x = embed(f, level - width, f.resolution_level)
     x = x.reshape(-1, p ** (M + width)).sum(axis=0).reshape(p**M, p, p ** (width - 1))
     k = lattice_sum_adjoint_k(x, np.asarray(system.phi.values).reshape(-1, p))
     return _grid(reverse_digits(k, p, width - 1).reshape(-1) * scale, p, level)

@@ -62,11 +62,6 @@ def _beta_system(p: int) -> np.ndarray:
     return table
 
 
-def solve_beta_dense(mask: MaskTable) -> np.ndarray:
-    """Generic dense solve of the same system; independent check of solve_beta."""
-    return np.linalg.solve(_beta_system(mask.p), mask.lam)
-
-
 def beta_residual(mask: MaskTable, beta: np.ndarray, tol: float = DEFAULT_TOL) -> CheckResult:
     """Max deviation when beta is substituted back into the defining system."""
     dev = np.abs(_beta_system(mask.p) @ beta - mask.lam).max()
@@ -103,17 +98,6 @@ def psi_time(phi: StepFunction, beta_l: np.ndarray) -> StepFunction:
     return assemble_refinement_sum(phi, beta_l)
 
 
-def psi_hat(phi_hat_table: SpectrumTable, mask: MaskTable, l: int) -> SpectrumTable:
-    """Wavelet spectrum: shifted mask times the dilated refinable spectrum.
-
-    l = 0 reproduces the spectrum of the refinable function itself (the
-    frequency-domain refinement identity), band grows by one either way.
-    """
-    p = mask.p
-    values = np.asarray(phi_hat_table.values).reshape(-1, p)[:, :, None] * shifted_masks(mask)[l]
-    return SpectrumTable(p, phi_hat_table.band + 1, values.reshape(-1))
-
-
 def shifted_masks(mask: MaskTable) -> np.ndarray:
     """Every m_l as one [l, xi_0, xi_-1] table: entry (l, b, a) is lambda at a + p*((b - l) mod p)."""
     p = mask.p
@@ -123,7 +107,7 @@ def shifted_masks(mask: MaskTable) -> np.ndarray:
 def psi_freq(phi_hat_table: SpectrumTable, mask: MaskTable) -> Iterator[StepFunction]:
     """The p - 1 wavelets by the frequency route, one at a time; they must match psi_time cell for cell.
 
-    Coset a + p*k of psi_l's spectrum (psi_hat) holds phi_hat[k] * m_l[k mod p, a],
+    Coset a + p*k of psi_l's spectrum (oracle.psi_hat) holds phi_hat[k] * m_l[k mod p, a],
     so only the p cosets over each support coset k of phi_hat can be nonzero.
     Their characters (coset_characters) are formed once, and each wavelet is
     the character sum over the cosets its shifted mask keeps, p for a tree:

@@ -915,3 +915,20 @@ def test_fuzz_mutated_inputs_exit_cleanly(p3_payloads, tmp_path, capsys, monkeyp
             capsys.readouterr()
             assert main(argv) in (EXIT_OK, EXIT_MATH, EXIT_INPUT), argv
             assert "Traceback" not in capsys.readouterr().err
+
+
+def test_zero_phase_build_analyzes_twenty_levels_under_a_small_cap(tmp_path, capsys, monkeypatch):
+    # zero phases cancel exactly, and analysis cuts the rounding dust they leave;
+    # otherwise it gains a digit per level and 20 levels pass this cap
+    monkeypatch.setenv("VILWAV_SIZE_CAP", "100000")
+    tree = {"p": 3, "parent": [0, 0, 1], "phases_turns": {"0->1": 0.25, "1->2": 0.6}}
+    tree_path = write_json(tmp_path / "tree.json", tree)
+    sys_file = str(tmp_path / "system.json")
+    assert main(["build", tree_path, "-o", sys_file, "--phases", "zero"]) == EXIT_OK
+    zero = serialize.system_to_dict(build_system(RootedTree.validate([0, 0, 1], 3)))
+    assert serialize.load_json(sys_file) == zero
+    signal = StepFunction(3, -1, 2, np.random.default_rng(5).normal(size=27))
+    sig_file = write_json(tmp_path / "sig.json", serialize.step_to_dict(signal))
+    assert main(["transform", "analyze", "--system", sys_file, "--signal", sig_file,
+                 "--levels", "20", "-o", str(tmp_path / "pyr.json")]) == EXIT_OK
+    capsys.readouterr()

@@ -11,8 +11,8 @@ from vilwav.mask import (
     check_vanishing,
     mask_from_tree,
     mask_to_tree,
-    orbit_product,
 )
+from vilwav.oracle import orbit_product
 from vilwav.tree import RootedTree, TreeError, enumerate_trees
 
 from conftest import TREE7_B_PARENT

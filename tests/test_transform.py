@@ -354,6 +354,38 @@ def test_tiny_coefficient_next_to_a_large_one_survives(chain3):
     assert set(back.entries) == {5} and back.entries[5] == pytest.approx(1e-300, rel=1e-12)
 
 
+def test_analysis_keeps_tiny_coefficients(chain3):
+    # analysis cuts by the same bound: it scales with each cell's own terms
+    def split(entries):
+        approx, details = analyze_level(CoeffGrid(3, 0, entries), chain3)
+        return [approx, *details]
+
+    for mixed, big, tiny in zip(split({0: 1.0, 1: 1e-9}), split({0: 1.0}), split({1: 1.0})):
+        assert set(mixed.entries) == set(big.entries) | set(tiny.entries)
+        for k, v in tiny.entries.items():
+            assert mixed.entries[k] - big.entries.get(k, 0.0) == pytest.approx(1e-9 * v, rel=1e-6)
+    for lone, unit in zip(split({5: 1e-300}), split({5: 1.0})):
+        assert set(lone.entries) == set(unit.entries)
+        assert all(lone.entries[k] == pytest.approx(1e-300 * v, rel=1e-12) for k, v in unit.entries.items())
+
+
+def test_zero_phase_round_trips_return_exactly_the_input_keys(rng):
+    # zero phases cancel exactly; analysis's rounding dust used to gain a digit per level
+    for tree in list(enumerate_trees(5))[::5]:
+        system = build_system(tree)
+        grid = random_grid(5, 0, 2, rng)
+        back = synthesize(analyze(grid, system, 8), system)
+        assert set(back.entries) == set(grid.entries), tree.parent
+        assert grid_error(grid, back) < 1e-12
+
+
+def test_p3_chain_returns_its_keys_through_30_levels(chain3, rng):
+    # with a digit of dust per level, this grid passed the size cap near 17 levels
+    grid = random_grid(3, 0, 2, rng)
+    back = synthesize(analyze(grid, chain3, 30), chain3)
+    assert set(back.entries) == set(range(9)) and grid_error(grid, back) < 1e-12
+
+
 def column_twin(grid):
     """The grid rebuilt from its columns alone, with no dict behind it."""
     return CoeffGrid(grid.p, grid.level, keys=grid.keys.copy(), values=grid.values.copy())

@@ -1,6 +1,10 @@
+import ast
 import dataclasses
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,10 +14,10 @@ from hypothesis import strategies as st
 from vilwav import group, mask, refinable, serialize, wavelet
 from vilwav.config import SizeCapError
 from vilwav.mask import MaskTable, mask_from_tree
+from vilwav.oracle import gram_matrix, psi_hat, solve_beta_dense
 from vilwav.refinable import (
     StepFunction,
     all_shifts,
-    gram_matrix,
     inner_product,
     inverse_transform,
     translation_correlation,
@@ -26,12 +30,10 @@ from vilwav.wavelet import (
     beta_shifted,
     build_system,
     psi_freq,
-    psi_hat,
     psi_time,
     shifted_mask_checks,
     shifted_masks,
     solve_beta,
-    solve_beta_dense,
     verify_wavelet_system,
 )
 
@@ -196,6 +198,32 @@ def test_package_exports_no_oracle():
     assert all(hasattr(vilwav, name) for name in vilwav.__all__)
 
 
+def test_no_package_module_imports_the_oracles():
+    package = Path(wavelet.__file__).parent
+    importers = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "oracle.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [f"{node.module or ''}.{a.name}" for a in node.names] + [node.module or ""]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            importers += [f"{path.name}:{node.lineno}" for n in names if "oracle" in n.split(".")]
+    assert importers == []
+
+
+def test_importing_the_package_leaves_the_oracles_unloaded():
+    modules = ["cli", "config", "group", "mask", "refinable", "serialize", "transform", "tree", "wavelet"]
+    code = "import sys, vilwav\n" + "".join(f"import vilwav.{m}\n" for m in modules)
+    code += "print('vilwav.oracle' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_full_verify_counts_its_tables_before_building_any(no_tables, monkeypatch):
     # the p = 3 chain holds 9 + 5 * 27 = 144 cells at once in full verify
     system = build_system(RootedTree.validate([0, 0, 1], 3))
@@ -212,8 +240,8 @@ def test_spectral_verify_reads_no_digit_table(monkeypatch):
     def refuse(*args):
         raise AssertionError("digit_table called")
 
-    for module in (group, mask, refinable):
-        monkeypatch.setattr(module, "digit_table", refuse)
+    for module in (group, mask, refinable):  # raising=False: a module need not bind it
+        monkeypatch.setattr(module, "digit_table", refuse, raising=False)
     checks = verify_wavelet_system(system, spectral_only=True)
     assert len(checks) == 7 and all(c.passed for c in checks)
 
@@ -356,8 +384,6 @@ def test_two_route_psi_star_and_chain(star3, chain3):
 
 
 def test_psi_freq_support_disjoint_from_phi_hat(chain3):
-    from vilwav.wavelet import psi_hat
-
     phi_support = np.flatnonzero(np.abs(chain3.phi_hat.values) > 1e-12)
     for l in range(1, 3):
         spec = psi_hat(chain3.phi_hat, chain3.mask, l)
@@ -367,8 +393,6 @@ def test_psi_freq_support_disjoint_from_phi_hat(chain3):
 
 
 def test_psi_hat_l0_reproduces_phi_hat(chain3):
-    from vilwav.wavelet import psi_hat
-
     spec = psi_hat(chain3.phi_hat, chain3.mask, 0)
     width = 3**(chain3.M + 1)
     # refinement in frequency: entries above the old band must vanish
