@@ -293,32 +293,27 @@ def translated_cell_matrix(f: StepFunction, shifts, lo: int, hi: int) -> np.ndar
 GRAM_CHUNK_CELLS = 2**15
 
 
-def translation_correlation(funcs, width: int) -> np.ndarray:
-    """c[i, k, d] = <f_i, f_k(x - d)> for every shift d of all_shifts(p, width).
+def translation_correlation(funcs) -> np.ndarray:
+    """c[i, k, d] = <f_i, f_k(x - d)> for the p shifts d of one digit, at position -1.
 
+    The functions lie in G_-1, and a shift with a digit at -2 or below moves
+    G_-1 off itself, so those entries are zero and are not computed.
     Translation is a carry-free digit shift, so the Gram entry of f_i(x - h)
     against f_k(x - h') is c[i, k, h' - h].  Each function is transformed once
-    over the shift digits; a pair's spectrum product, summed over the other
-    digits, inverts to its correlation over every shift.  Digits below every
-    support are left out: a shift with one moves each function off all the
-    others, so its entries are zero.  The products are summed over chunks of
-    the digits [0, hi), reading a function on the common window in place.
+    over the shift digit; a pair's spectrum product, summed over the other
+    digits in chunks of the digits [0, hi), inverts to its correlation.
     """
+    if any(f.support_level != -1 for f in funcs):
+        raise ValueError("the Gram correlation takes functions supported in G_-1")
     n, p = len(funcs), funcs[0].p
-    lo = min(0, *(f.support_level for f in funcs))
-    hi = max(0, *(f.resolution_level for f in funcs))
-    t = min(width, -lo)  # shift digits inside the window, positions -t .. -1
-    check_table_size(n * p ** (hi - lo))
-    tables = [embed(f, lo, hi) for f in funcs]
-    rows = max(1, GRAM_CHUNK_CELLS // (n * p**-lo))  # values of the digits [0, hi) per chunk
-    prod = np.zeros((p**t, n, n), dtype=complex)
+    hi = max(f.resolution_level for f in funcs)
+    check_table_size(n * p ** (hi + 1))
+    tables = [embed(f, -1, hi) for f in funcs]
+    rows = max(1, GRAM_CHUNK_CELLS // (n * p))  # values of the digits [0, hi) per chunk
+    prod = np.zeros((p, n, n), dtype=complex)
     for top in range(0, p**hi, rows):
-        chunk = slice(top * p**-lo, (top + rows) * p**-lo)
-        # cells[i, a, s, b] is f_i on digits [0, hi) a, shift digits s and digits [lo, -t) b
-        cells = np.stack([table[chunk].reshape(-1, p**t, p ** (-lo - t)) for table in tables])
-        spec = char_kernel_apply(cells.transpose(2, 0, 1, 3).reshape(p**t, n, -1), p, t, -1)
+        # cells[i, a, s] is f_i on digits [0, hi) a and shift digit s
+        cells = np.stack([table[top * p:(top + rows) * p].reshape(-1, p) for table in tables])
+        spec = char_kernel_apply(cells.transpose(2, 0, 1), p, 1, -1)
         prod += spec @ spec.conj().transpose(0, 2, 1)
-    corr = char_kernel_apply(prod, p, t, +1) * float(p) ** -(hi + t)
-    out = np.zeros((n, n, p**width), dtype=complex)
-    out[:, :, : p**t] = reverse_digits(corr, p, t).transpose(1, 2, 0)
-    return out
+    return (char_kernel_apply(prod, p, 1, +1) * float(p) ** -(hi + 1)).transpose(1, 2, 0)

@@ -206,9 +206,13 @@ def _check_shift_keys(keys, p: int) -> np.ndarray:
     """The int64 column of a file's shift keys: distinct integers >= 0 of a width the cap admits."""
     if not isinstance(keys, list) or not set(map(type, keys)) <= {int}:
         raise FormatError("shift keys must be a list of integers")
-    check_key_range(keys, p)  # before any int64 conversion
-    column = np.fromiter(keys, dtype=np.int64, count=len(keys))
+    try:
+        column = np.fromiter(keys, dtype=np.int64, count=len(keys))
+    except OverflowError:  # a key past int64, refused with the message any key list gets
+        check_key_range(keys, p)
+        raise
     ordered = np.sort(column)
+    check_key_range(ordered[:1].tolist() + ordered[-1:].tolist(), p)  # the least and largest key
     repeated = ordered[1:][ordered[1:] == ordered[:-1]]
     if repeated.size:
         raise FormatError(f"two entries share the shift key {repeated[0]}")

@@ -7,6 +7,7 @@ the object recovered when a mask is inverted back to a tree.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -77,44 +78,29 @@ class RootedTree:
         return tuple(v for v in range(1, self.p) if self.parent[v] == 0)
 
 
-def _parent_from_edges(p: int, edges) -> tuple[int, ...]:
-    adj = {v: [] for v in range(p)}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    parent = [0] * p
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                parent[v] = u
-                seen.add(v)
-                stack.append(v)
-    if len(seen) != p:
-        raise TreeError("edge list does not span the vertex set")
-    return tuple(parent)
-
-
 def prufer_to_parent(seq, p: int) -> tuple[int, ...]:
-    """Decode a Prufer sequence over {0..p-1} into a parent array rooted at 0."""
-    seq = list(seq)
+    """Decode a Prufer sequence over {0..p-1} into a parent array rooted at 0.
+
+    Each entry v adopts the smallest leaf, and the last small leaf hangs from
+    p - 1, which the smallest-leaf rule leaves to the end.  That roots the
+    tree at p - 1, so the pointers on the path from 0 up to p - 1 are reversed.
+    """
     degree = [1] * p
     for v in seq:
         degree[v] += 1
-    edges = []
-    leaves = sorted(v for v in range(p) if degree[v] == 1)
+    leaves = [v for v in range(p) if degree[v] == 1]  # ascending, so already a heap
+    parent = [0] * p
     for v in seq:
-        leaf = leaves.pop(0)
-        edges.append((v, leaf))
+        parent[heapq.heappop(leaves)] = v
         degree[v] -= 1
         if degree[v] == 1:
-            # keep the pending-leaf list sorted for determinism
-            leaves.append(v)
-            leaves.sort()
-    edges.append((leaves[0], leaves[1]))
-    return _parent_from_edges(p, edges)
+            heapq.heappush(leaves, v)
+    parent[leaves[0]] = p - 1
+    u, child = 0, 0  # 0 becomes its own parent, the root sentinel
+    while u != p - 1:
+        parent[u], child, u = child, u, parent[u]
+    parent[u] = child
+    return tuple(parent)
 
 
 def enumerate_trees(p: int) -> Iterator[RootedTree]:
@@ -123,9 +109,6 @@ def enumerate_trees(p: int) -> Iterator[RootedTree]:
     Refused before the first tree when the count, clipped at p^64 (past any cap), exceeds the cap.
     """
     check_table_size(p ** min(p - 2, 64), "tree enumeration", "trees")
-    if p == 2:
-        yield RootedTree.validate((0, 0), 2)
-        return
     for code in range(p ** (p - 2)):
         seq = [(code // p**i) % p for i in range(p - 2)]
         yield RootedTree.validate(prufer_to_parent(seq, p), p)
@@ -133,7 +116,5 @@ def enumerate_trees(p: int) -> Iterator[RootedTree]:
 
 def sample_tree(p: int, rng) -> RootedTree:
     """One uniformly random labeled tree, rooted at 0."""
-    if p == 2:
-        return RootedTree.validate((0, 0), 2)
     seq = [int(rng.integers(p)) for _ in range(p - 2)]
     return RootedTree.validate(prufer_to_parent(seq, p), p)

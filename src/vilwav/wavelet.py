@@ -197,10 +197,6 @@ def shifted_mask_checks(mask: MaskTable, tol: float = DEFAULT_TOL) -> CheckResul
     return CheckResult.within("shifted-mask-structure", dev, tol)
 
 
-# The Gram check covers every lattice shift with digits at positions -1 and -2.
-GRAM_SHIFT_WIDTH = 2
-
-
 # Huge or non-finite cells overflow to inf and nan, which every check reads as a failure.
 @np.errstate(over="ignore", invalid="ignore")
 def verify_wavelet_system(
@@ -245,13 +241,14 @@ def verify_wavelet_system(
     dev, (cell,) = worst[l]
     checks.append(CheckResult.within("psi-two-route", dev, tol, f"wavelet {l + 1}, cell {cell}" if dev else ""))
 
-    # the translates of phi and every psi form one orthonormal family; the
-    # shift set is a group, so Gram entry ((i, h), (k, h')) is corr[i, k, h' - h]
-    corr = translation_correlation((system.phi,) + system.psi, GRAM_SHIFT_WIDTH)
+    # the translates of phi and every psi form one orthonormal family: a shift with a
+    # digit at -2 leaves G_-1, and the shifts of digit -1 form a group, so Gram entry
+    # ((i, h), (k, h')) is corr[i, k, h' - h]; where spells the shift's digits at -1 and -2
+    corr = translation_correlation((system.phi,) + system.psi)
     corr[:, :, 0] -= np.eye(p)
     dev, (i, k, d) = _worst(np.abs(corr))
-    where = f"functions ({i}, {k}), shift {tuple(d // p**j % p for j in range(GRAM_SHIFT_WIDTH))}"
-    checks.append(CheckResult.within("gram-orthonormal-family", dev, tol, where if dev else ""))
+    checks.append(CheckResult.within("gram-orthonormal-family", dev, tol,
+                                     f"functions ({i}, {k}), shift ({d}, 0)" if dev else ""))
     return checks
 
 

@@ -312,11 +312,13 @@ def test_huge_declared_width_is_refused_without_computing_p_to_the_width():
 
 
 def assert_correlation_is_dense_gram(funcs, width):
-    p = funcs[0].p
-    corr = translation_correlation(funcs, width)
+    # the correlation holds the shifts of digit -1; the others, which have a
+    # digit at -2 or below, are filled with zeros for the dense Gram to check
+    p, n, shifts = funcs[0].p, len(funcs), funcs[0].p ** width
+    corr = np.zeros((n, n, shifts), dtype=complex)
+    corr[:, :, :p] = translation_correlation(funcs)
     digits = digit_table(p, width)
     hprime_minus_h = ((digits[None, :, :] - digits[:, None, :]) % p) @ p ** np.arange(width)
-    n, shifts = len(funcs), p**width
     by_shift = corr[:, :, hprime_minus_h].transpose(0, 2, 1, 3).reshape(n * shifts, n * shifts)
     assert np.abs(gram_matrix(funcs, all_shifts(p, width)) - by_shift).max() < 1e-14
     return corr
@@ -327,22 +329,28 @@ def assert_correlation_is_dense_gram(funcs, width):
     [(t.parent, (2, 3)) for t in enumerate_trees(3)] + [((0, 0, 1, 2, 3), (2,))],
 )
 def test_translation_correlation_matches_dense_gram(parent, widths, rng, monkeypatch):
-    # phi and psi differ in resolution level; the noisy psi and the function
-    # supported in G_-3 make the family non-orthonormal and put shift digits
-    # below the common support.  Chunks of 18 cells sum one or two values of
+    # phi and psi differ in resolution level, and the noisy psi makes the
+    # family non-orthonormal.  Chunks of 18 cells sum one or two values of
     # the digits [0, hi) at a time (p=3: the last chunk is cut short).
     tree = RootedTree.validate(parent, len(parent))
     system = build_system(tree, dict(zip(tree.edges(), rng.uniform(size=tree.p - 1))))
     p, psi = system.p, system.psi[0]
     noisy = StepFunction(p, -1, psi.resolution_level, psi.values + 1e-3 * rng.normal(size=psi.values.shape))
-    wide = rng.normal(size=p**3) + 1j * rng.normal(size=p**3)
-    wide = StepFunction(p, -3, 0, wide / np.linalg.norm(wide))
     for width, chunk in itertools.product(widths, (refinable.GRAM_CHUNK_CELLS, 18)):
         monkeypatch.setattr(refinable, "GRAM_CHUNK_CELLS", chunk)
         corr = assert_correlation_is_dense_gram((system.phi,) + system.psi, width)
         ideal = np.zeros_like(corr)
         ideal[:, :, 0] = np.eye(p)
         assert np.abs(corr - ideal).max() < 1e-12
-        corr = assert_correlation_is_dense_gram((system.phi, noisy, wide), width)
+        corr = assert_correlation_is_dense_gram((system.phi, noisy), width)
         assert np.abs(corr[1, 1, 0] - noisy.norm2()) < 1e-14 and abs(corr[1, 1, 0] - 1) > 1e-7
-        assert np.abs(corr[2, 2, 1:]).max() > 1e-3  # translates of the wide function overlap
+
+
+def test_translation_correlation_refuses_functions_outside_g_minus_1(rng):
+    # a function supported in G_-3 has translates the one-digit shifts miss
+    p = 3
+    phi = inverse_transform(build_spectrum((0, 0, 1), p)[2])
+    wide = rng.normal(size=p**3) + 1j * rng.normal(size=p**3)
+    wide = StepFunction(p, -3, 0, wide / np.linalg.norm(wide))
+    with pytest.raises(ValueError, match="G_-1"):
+        translation_correlation((phi, wide))

@@ -237,11 +237,11 @@ def test_wide_shift_is_refused_before_its_key_could_wrap(monkeypatch):
     def grid(key):
         return {"level": 0, "keys": [key], "values": base64.b64encode(struct.pack("<dd", 1.0, 0.0)).decode()}
 
-    for key in (3**40, 2**70):  # each > 2^63
+    for key in (3**39, 3**40, 2**70):  # each table > 2^63; the first key itself fits an int64
         with pytest.raises(SizeCapError, match="exceeds cap"):
             serialize.grid_from_dict(grid(key), 3)
     monkeypatch.setenv("VILWAV_SIZE_CAP", str(10**30))
-    for key in (3**40, 2**70):
+    for key in (3**39, 3**40, 2**70):
         with pytest.raises(SizeCapError, match="int64"):
             serialize.grid_from_dict(grid(key), 3)
     assert serialize.grid_from_dict(grid(2 * 3**38), 3).entries == {2 * 3**38: 1.0}

@@ -100,6 +100,30 @@ def test_enumeration_deterministic():
     assert first == second
 
 
+def prufer_code(parent) -> list[int]:
+    """Encode a tree the textbook way: remove the smallest leaf and record its neighbour, p - 2 times."""
+    p = len(parent)
+    neighbours = {v: set() for v in range(p)}
+    for v in range(1, p):
+        neighbours[v].add(parent[v])
+        neighbours[parent[v]].add(v)
+    code = []
+    for _ in range(p - 2):
+        leaf = min(v for v in neighbours if len(neighbours[v]) == 1)
+        (up,) = neighbours.pop(leaf)
+        neighbours[up].remove(leaf)
+        code.append(up)
+    return code
+
+
+@pytest.mark.parametrize("p, step", [(5, 1), (7, 7)])
+def test_enumeration_is_in_prufer_order(p, step):
+    # tree number i encodes to the base-p digits of i, least significant first
+    for i, tree in enumerate(enumerate_trees(p)):
+        if i % step == 0:
+            assert prufer_code(tree.parent) == [i // p**j % p for j in range(p - 2)], i
+
+
 def test_prufer_star():
     # the all-zero sequence decodes to the star centred at 0
     assert prufer_to_parent([0, 0, 0], 5) == (0, 0, 0, 0, 0)

@@ -270,7 +270,7 @@ def test_p7_chain_gram_correlation_stays_below_its_input_size(chain7):
     funcs = (chain7.phi,) + chain7.psi
     tracemalloc.start()
     try:
-        translation_correlation(funcs, wavelet.GRAM_SHIFT_WIDTH)
+        translation_correlation(funcs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
