@@ -17,11 +17,8 @@ from vilwav.wavelet import build_system
 
 def battery(system, n_signals, levels, rng):
     p = system.p
-    grid = CoeffGrid(
-        p,
-        0,
-        {k: rng.normal(size=n_signals) + 1j * rng.normal(size=n_signals) for k in range(p * p)},
-    )
+    parts = rng.normal(size=(p * p, 2, n_signals))  # [key, re/im, signal], drawn key by key
+    grid = CoeffGrid(p, 0, keys=np.arange(p * p), values=parts[:, 0] + 1j * parts[:, 1])
     stack = []
     current = grid
     parseval = 0.0

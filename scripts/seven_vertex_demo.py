@@ -49,7 +49,8 @@ def show_tree(label, parent, seed):
         print(f"   {flag} {check.name:28s} max_dev={check.max_deviation:.3e}")
 
     rng = np.random.default_rng(seed)
-    grid = CoeffGrid(p, 0, {k: complex(rng.normal(), rng.normal()) for k in range(p * p)})
+    pairs = rng.normal(size=(p * p, 2))  # [re, im] of each key, drawn key by key
+    grid = CoeffGrid(p, 0, keys=np.arange(p * p), values=pairs[:, 0] + 1j * pairs[:, 1])
     back = synthesize(analyze(grid, system, 3), system)
     err = grid_error(grid, back)
     print(f"   3-level filter bank round trip error: {err:.3e}")

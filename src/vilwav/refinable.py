@@ -240,25 +240,24 @@ def _circulant(k: np.ndarray) -> np.ndarray:
 
 
 def lattice_sum(g: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """out[r, m, q, ...] = sum_c k[q, c] * g[r, (m - c) mod p, ...].
+    """out[r, m, q] = sum_c k[q, c] * g[r, (m - c) mod p].
 
-    The relation phi = sum_j beta_j phi(A x - h_j) on tables: g holds cells or
-    coefficients as [rest, lowest digit], k the coefficients as [pinned
-    digits, lowest shift digit], and trailing axes of g are a batch.  Summed
-    over s = m - c instead, it is a product with the circulant matrix: one
-    over all r for a single value per cell, one per r for a batch.
+    The relation phi = sum_j beta_j phi(A x - h_j) on tables: g holds one value per cell or
+    coefficient as [rest, lowest digit], k the coefficients as [pinned digits, lowest shift
+    digit].  Summed over s = m - c, it is one product with the circulant matrix over all r;
+    bank_matrix sets the p filters' circulants side by side, conjugated, as the bank's W.
     """
-    r, p = g.shape[:2]
-    out = g.reshape(r, p) @ _circulant(k).T if g.size == r * p else _circulant(k) @ g.reshape(r, p, -1)
-    return out.reshape(r, p, len(k), *g.shape[2:])
+    r, p = g.shape
+    return (g @ _circulant(k).T).reshape(r, p, len(k))
 
 
-def lattice_sum_adjoint_g(x: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Adjoint of lattice_sum in g: out[r, c, ...] = sum_{m,q} x[r, m, q, ...] * conj k[q, (m - c) mod p]."""
-    r, p = x.shape[:2]
-    c = _circulant(k).conj()
-    out = x.reshape(r, len(c)) @ c if x.size == r * len(c) else c.T @ x.reshape(r, len(c), -1)
-    return out.reshape(r, p, *x.shape[3:])
+def bank_matrix(filters) -> np.ndarray:
+    """The unitary p^2 x p^2 matrix W of one filter-bank level over a tree's filters (beta, each beta_l).
+
+    W[(m, q), (l, c)] = conj k_l[q, (m - c) mod p], k_l = reshape(f_l, (p, p)).T / sqrt(p).
+    """
+    p = len(filters)
+    return np.hstack([_circulant(np.reshape(f, (p, p)).T / math.sqrt(p)).conj() for f in filters])
 
 
 def lattice_sum_adjoint_k(x: np.ndarray, g: np.ndarray) -> np.ndarray:

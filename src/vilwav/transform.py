@@ -6,18 +6,19 @@ The bank scatters them into dense digit tables over those keys and gathers
 the nonzero rows back.  A table covers all p^w keys of up to w digits, so it
 suits dense grids (every key below some p^w, as analysis, projection and the
 scripts make them); a grid of a few wide keys pays p^w.
-Every map is the two-scale contraction refinable.lattice_sum or one of its
-two adjoints.  The group addition is carry-free, so supports stay compact
-and no periodization is needed; analysis and synthesis are exact adjoints.
+Analysis multiplies [rest, p^2] tables by the unitary p^2 x p^2 matrix W of
+refinable.bank_matrix and synthesis by W^H, one product for one value or a
+batch per cell; projection and materialization are lattice sums.  The group
+addition is carry-free, so supports stay compact and no periodization is
+needed; analysis and synthesis are exact adjoints.
 
-Grids list only the keys whose values are not exactly zero.  Analysis and
-synthesis first set to zero every cell whose magnitude lies within the
-worst-case rounding error of its own sum, gamma_{p^2+2} * sum |term| with
-gamma_n = n u / (1 - n u) and u = 2^-53: where the exact result is zero,
-cancellation (between the p filters, or of the exact terms zero phases
-give) would otherwise leave rounding residue and add a digit to the grid at
-every level.  Error carried in from coarser levels is not counted, so such
-residue can survive.
+Grids list only the keys whose values are not exactly zero.  Analysis,
+synthesis and projection first zero every cell within the worst-case
+rounding error of its own sum of n terms, gamma_{n+2} * sum |term| with
+gamma_n = n u / (1 - n u), u = 2^-53 (sum |term| is one real product with
+|W|, |W|^T or |phi|): where the exact result is zero, cancellation would
+otherwise leave residue that adds a digit to the grid at every level.
+Error carried in from coarser levels is not counted and can survive.
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ from .config import InputError, MathError, SizeCapError
 from .group import check_table_size
 from .refinable import (
     StepFunction,
+    bank_matrix,
     dilation_scale,
     embed,
     lattice_sum,
-    lattice_sum_adjoint_g,
     lattice_sum_adjoint_k,
     reverse_digits,
     translate_dilate,  # noqa: F401  unused; perfbench's tracer test expects it bound here
@@ -138,7 +139,7 @@ def _tables(grids, min_width: int) -> tuple[np.ndarray, int]:
 def _grid(table: np.ndarray, p: int, level: int) -> CoeffGrid:
     """The grid of a table's entries that are not exactly zero (all-zero rows for a vector value).
 
-    analyze_level and synthesize_level first cut rounding residue to zero (_cut_rounding).
+    Analysis, synthesis and projection first cut rounding residue to zero (_cut_rounding).
     """
     keys = np.flatnonzero(table.reshape(len(table), -1).any(axis=1))
     return CoeffGrid(p, level, keys=keys, values=table[keys])
@@ -151,12 +152,10 @@ def analyze_level(grid: CoeffGrid, system: WaveletSystem) -> tuple[CoeffGrid, tu
     """One filter-bank step: split level-n coordinates into level n-1 + details."""
     p = system.p
     (x,), w = _tables([grid], 2)
-    x = x.reshape(p ** (w - 2), p, p, *x.shape[1:])  # [rest, b_-1 + a_-2, a_-1]
-    ks = [np.reshape(f, (p, p)).T / math.sqrt(p) for f in (system.beta, *system.beta_l)]
-    # each beta_l is beta times roots of unity, so one sum of |term| serves every filter
-    bound = lattice_sum_adjoint_g(np.abs(x), np.abs(ks[0]))
-    outs = [_cut_rounding(lattice_sum_adjoint_g(x, k), bound, p) for k in ks]
-    approx, *details = (_grid(o.reshape(-1, *x.shape[3:]), p, grid.level - 1) for o in outs)
+    x = x.reshape(p ** (w - 2), p * p, *x.shape[1:])  # [rest, (b_-1 + a_-2, a_-1)]
+    W = bank_matrix((system.beta, *system.beta_l))
+    y = _cut_rounding(_times(x, W), _times(np.abs(x), np.abs(W)), p * p)  # [rest, (l, c)]
+    approx, *details = (_grid(o.reshape(-1, *x.shape[2:]), p, grid.level - 1) for o in np.split(y, p, axis=1))
     return approx, tuple(details)
 
 
@@ -166,29 +165,31 @@ def synthesize_level(approx: CoeffGrid, details, system: WaveletSystem) -> Coeff
     p = system.p
     if any(d.level != approx.level for d in details):
         raise LevelMismatchError("approximation and detail grids sit on different levels")
-    tables, w = _tables([approx, *details], 1)  # p grids of p^w keys: as many entries as the output
-    tables = tables.reshape(len(tables), p ** (w - 1), p, *tables.shape[2:])  # [grid, rest, b_-1]
-    total = np.zeros((p ** (w - 1), p, p, *tables.shape[3:]), dtype=complex)  # [rest, b_-1 + a_-2, a_-1]
-    bound = np.zeros(total.shape)  # sum of |term| per cell
-    for t, f in zip(tables, (system.beta, *system.beta_l)):
-        k = np.reshape(f, (p, p)).T / math.sqrt(p)
-        total += lattice_sum(t, k)
-        bound += lattice_sum(np.abs(t), np.abs(k))
-    return _grid(_cut_rounding(total, bound, p).reshape(-1, *tables.shape[3:]), p, approx.level + 1)
+    tables, _ = _tables([approx, *details], 1)  # p grids of p^w keys: as many entries as the output
+    # [grid l, rest, b_-1, ...] -> [rest, (l, b_-1), ...] -> [rest, (b_-1 + a_-2, a_-1), ...]
+    t = tables.reshape(p, -1, p, *tables.shape[2:]).swapaxes(0, 1).reshape(-1, p * p, *tables.shape[2:])
+    W = bank_matrix((system.beta, *system.beta_l))
+    total = _cut_rounding(_times(t, W.conj().T), _times(np.abs(t), np.abs(W).T), p * p)
+    return _grid(total.reshape(-1, *tables.shape[2:]), p, approx.level + 1)
 
 
-def _cut_rounding(total: np.ndarray, bound: np.ndarray, p: int) -> np.ndarray:
+def _times(x: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """y[r, j, ...] = sum_i x[r, i, ...] * matrix[i, j]: one product for one value or a batch per cell."""
+    return np.moveaxis(np.tensordot(x, matrix, axes=(1, 0)), -1, 1)
+
+
+def _cut_rounding(total: np.ndarray, bound: np.ndarray, n: int) -> np.ndarray:
     """Zero, in place, each cell of total within the rounding error of its own sum.
 
-    A cell sums p^2 complex products (all of one filter in analysis, p of
-    each filter in synthesis), whose magnitudes sum to its bound.  In any
-    order such a sum rounds by at most gamma_{p^2+2} * bound, gamma_n =
-    n u / (1 - n u) (p^2 - 1 additions; a complex product costs at most
-    gamma_3), so a cell within that is indistinguishable from zero, and _grid
-    drops it.  A non-finite bound (an inf or nan term, or an overflow) leaves
-    its cell alone: inf <= inf would zero it.
+    A cell sums n complex products (in the bank p^2, a column of W or W^H),
+    whose magnitudes sum to its bound.  In any order such a sum rounds by at
+    most gamma_{n+2} * bound, gamma_n = n u / (1 - n u) (n - 1 additions; a
+    complex product costs at most gamma_3), so a cell within that is
+    indistinguishable from zero, and _grid drops it.  A non-finite bound (an
+    inf or nan term, or an overflow) leaves its cell alone: inf <= inf would
+    zero it.
     """
-    nu = (p * p + 2) * np.finfo(float).eps / 2
+    nu = (n + 2) * np.finfo(float).eps / 2
     total[np.isfinite(bound) & (np.abs(total) <= bound * (nu / (1 - nu)))] = 0.0
     return total
 
@@ -230,9 +231,11 @@ def project(f: StepFunction, system: WaveletSystem, level: int) -> CoeffGrid:
     scale = dilation_scale(p, level) * float(p) ** -f.resolution_level
     # f on the basis window [level - width, f.resolution_level), which may start below
     # f's own, summed over the digits from M + level up, where the basis is constant
-    x = embed(f, level - width, f.resolution_level)
-    x = x.reshape(-1, p ** (M + width)).sum(axis=0).reshape(p**M, p, p ** (width - 1))
-    k = lattice_sum_adjoint_k(x, np.asarray(system.phi.values).reshape(-1, p))
+    cells = embed(f, level - width, f.resolution_level).reshape(-1, p ** (M + width))
+    x, mag = (a.sum(axis=0).reshape(p**M, p, p ** (width - 1)) for a in (cells, np.abs(cells)))
+    phi = np.asarray(system.phi.values).reshape(-1, p)
+    k = lattice_sum_adjoint_k(x, phi)  # each entry sums the summed rows times p^(M+1) products
+    k = _cut_rounding(k, lattice_sum_adjoint_k(mag, np.abs(phi)), len(cells) * p ** (M + 1))
     return _grid(reverse_digits(k, p, width - 1).reshape(-1) * scale, p, level)
 
 

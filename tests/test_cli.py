@@ -713,17 +713,22 @@ def test_negative_wide_shift_gives_one_short_line(p3_payloads, tmp_path, capsys)
     assert code == EXIT_INPUT and err.startswith("input error:") and len(err) < 120, err
 
 
-def sparse_round_trip(tmp_path, seed):
-    """The benchmark's signal shape through the CLI: 25 level-3 basis functions on the p=5
-    chain, one with a top digit.  Returns the system, the input coefficients, the signal,
-    the reconstructed signal and the grid the synthesis gave."""
+def sparse_signal(seed):
+    """The benchmark's signal shape: 25 level-3 basis functions on the p=5 chain, one with
+    a top digit.  Returns the system, the input coefficients and the signal."""
     rng = np.random.default_rng(seed)
     tree = RootedTree.validate([0, 0, 1, 2, 3], 5)
     system = build_system(tree, {edge: float(rng.uniform()) for edge in tree.edges()})
     n = 5**4
     keys = {int(rng.integers(n // 5, n))} | {int(k) for k in rng.choice(n, 24, replace=False)}
     coeffs = {k: complex(rng.normal(), rng.normal()) for k in sorted(keys)}
-    signal = transform.materialize(transform.CoeffGrid(5, 3, coeffs), system)
+    return system, coeffs, transform.materialize(transform.CoeffGrid(5, 3, coeffs), system)
+
+
+def sparse_round_trip(tmp_path, seed):
+    """sparse_signal through the CLI.  Returns the system, the input coefficients, the
+    signal, the reconstructed signal and the grid the synthesis gave."""
+    system, coeffs, signal = sparse_signal(seed)
     sys_file = write_json(tmp_path / "system.json", serialize.system_to_dict(system))
     sig_file = write_json(tmp_path / "signal.json", serialize.step_to_dict(signal))
     pyr_file, out_file = str(tmp_path / "pyr.json"), str(tmp_path / "out.json")
@@ -738,6 +743,15 @@ def sparse_round_trip(tmp_path, seed):
     return system, coeffs, signal, back, grid
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_projection_of_a_sparse_signal_gives_exactly_its_keys(seed):
+    # without the projection's rounding cut, 75-100 keys of residue below 1.1e-15 joined the 25
+    system, coeffs, signal = sparse_signal(seed)
+    grid = transform.project(signal, system, 3)
+    assert grid.keys.tolist() == sorted(coeffs)
+    assert np.abs(grid.values - list(coeffs.values())).max() < 1e-12
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_round_trip_of_a_sparse_signal_writes_exact_zeros(tmp_path, capsys, seed):
     _, coeffs, signal, back, grid = sparse_round_trip(tmp_path, seed)
@@ -750,8 +764,9 @@ def test_round_trip_of_a_sparse_signal_writes_exact_zeros(tmp_path, capsys, seed
 
 def test_error_carried_across_synthesis_levels_is_not_cut(tmp_path, capsys):
     # Each level cuts only its own rounding, so error that coarser levels leave in a
-    # coefficient that should be zero can survive; with this seed seven keys near 1e-16
-    # do (x86-64, OpenBLAS).  The output is still exact zero wherever none of them reaches.
+    # coefficient that should be zero can survive; with this seed some keys near 1e-16 do
+    # (7 on x86-64 with OpenBLAS; the count follows the summation order of the bank's
+    # products).  The output is still exact zero wherever none of them reaches.
     system, coeffs, signal, back, grid = sparse_round_trip(tmp_path, 8)
     extra = set(grid.entries) - set(coeffs)
     assert all(abs(grid.entries[k]) < 1e-15 for k in extra)

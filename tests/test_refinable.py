@@ -14,18 +14,19 @@ from vilwav.refinable import (
     SpectrumTable,
     StepFunction,
     all_shifts,
+    bank_matrix,
     check_elementary,
     check_orthonormality_spectral,
     embed,
     inner_product,
     inverse_transform,
     lattice_sum,
-    lattice_sum_adjoint_g,
     lattice_sum_adjoint_k,
     phi_hat_from_tree,
     translate_dilate,
     translation_correlation,
 )
+from vilwav.transform import CoeffGrid, analyze_level
 from vilwav.tree import RootedTree, enumerate_trees
 from vilwav.wavelet import build_system, psi_freq
 
@@ -161,21 +162,38 @@ def cnormal(rng, *shape):
 
 @pytest.mark.parametrize("batch", [(), (1,), (1024,)])
 def test_lattice_sums_match_einsum_and_are_adjoint(batch, rng):
-    p, r, q = 5, 25, 5
-    g, k, x = cnormal(rng, r, p, *batch), cnormal(rng, q, p), cnormal(rng, r, p, q, *batch)
+    # analysis is lattice_sum's adjoint in g for each filter k_l, checked through analyze_level
+    p, r = 5, 25
+    tree = RootedTree.validate([0, 0, 1, 2, 3], p)
+    system = build_system(tree, {edge: float(rng.uniform()) for edge in tree.edges()})
+    ks = [np.reshape(f, (p, p)).T / np.sqrt(p) for f in (system.beta, *system.beta_l)]
+    g, x = cnormal(rng, r, p), cnormal(rng, r, p, p, *batch)  # x: [rest, digit -2, digit -1, ...]
     diff = (np.arange(p)[:, None] - np.arange(p)[None, :]) % p  # [m, c] -> m - c
-    summed = lattice_sum(g, k)
-    assert summed.shape == x.shape
-    assert np.abs(summed - np.einsum("qc,rmc...->rmq...", k, g[:, diff])).max() < 1e-12
-    adj_g = lattice_sum_adjoint_g(x, k)
-    assert np.abs(adj_g - np.einsum("rmq...,qmc->rc...", x, k[:, diff].conj())).max() < 1e-12
-    # adjoint_k takes one signal, so a batch is summed signal by signal
-    gs, xs = g.reshape(r, p, -1), x.reshape(r, p, q, -1)
-    adj_k = sum(lattice_sum_adjoint_k(xs[..., b], gs[..., b]) for b in range(gs.shape[2]))
-    assert np.abs(adj_k - np.einsum("rmqb,rmcb->qc", xs, gs[:, diff].conj())).max() < 1e-10
-    inner = np.vdot(x, summed)  # <lattice_sum(g, k), x>
+    summed = lattice_sum(g, ks[0])
+    assert summed.shape == (r, p, p)
+    assert np.abs(summed - np.einsum("qc,rmc->rmq", ks[0], g[:, diff])).max() < 1e-12
+    outs = analyze_level(CoeffGrid(p, 0, keys=np.arange(r * p * p), values=x.reshape(-1, *batch)), system)
+    for k, out in zip(ks, (outs[0], *outs[1])):
+        assert np.array_equal(out.keys, np.arange(r * p)) and out.level == -1
+        want = np.einsum("rmq...,qmc->rc...", x, k[:, diff].conj()).reshape(-1, *batch)
+        assert np.abs(out.values - want).max() < 1e-12
+    x0 = x.reshape(r, p, p, -1)[..., 0]  # adjoint_k takes one signal
+    adj_g = outs[0].values.reshape(r, p, -1)[..., 0]
+    adj_k = lattice_sum_adjoint_k(x0, g)
+    assert np.abs(adj_k - np.einsum("rmq,rmc->qc", x0, g[:, diff].conj())).max() < 1e-10
+    inner = np.vdot(x0, summed)  # <lattice_sum(g, k), x>
     assert abs(inner - np.vdot(adj_g, g)) < 1e-9 * abs(inner)
-    assert abs(inner - np.vdot(adj_k, k)) < 1e-9 * abs(inner)
+    assert abs(inner - np.vdot(adj_k, ks[0])) < 1e-9 * abs(inner)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_bank_matrix_is_unitary_for_every_tree(p, rng):
+    eye = np.eye(p * p)
+    for tree in enumerate_trees(p):
+        for phases in (None, {edge: float(rng.uniform()) for edge in tree.edges()}):
+            system = build_system(tree, phases)
+            W = bank_matrix((system.beta, *system.beta_l))
+            assert np.abs(W @ W.conj().T - eye).max() < 1e-14, (tree.parent, phases)
 
 
 def test_forward_requires_support_in_g_minus1():
