@@ -163,6 +163,8 @@ def analyze_level(grid: CoeffGrid, system: WaveletSystem) -> tuple[CoeffGrid, tu
 def synthesize_level(approx: CoeffGrid, details, system: WaveletSystem) -> CoeffGrid:
     """Exact inverse of analyze_level."""
     p = system.p
+    if len(details) != p - 1:
+        raise LevelMismatchError(f"a level holds {len(details)} detail grids, not p - 1 = {p - 1}")
     if any(d.level != approx.level for d in details):
         raise LevelMismatchError("approximation and detail grids sit on different levels")
     tables, _ = _tables([approx, *details], 1)  # p grids of p^w keys: as many entries as the output
@@ -231,11 +233,11 @@ def project(f: StepFunction, system: WaveletSystem, level: int) -> CoeffGrid:
     scale = dilation_scale(p, level) * float(p) ** -f.resolution_level
     # f on the basis window [level - width, f.resolution_level), which may start below
     # f's own, summed over the digits from M + level up, where the basis is constant
-    cells = embed(f, level - width, f.resolution_level).reshape(-1, p ** (M + width))
-    x, mag = (a.sum(axis=0).reshape(p**M, p, p ** (width - 1)) for a in (cells, np.abs(cells)))
+    cells = embed(f, level - width, f.resolution_level).reshape(-1, p**M, p, p ** (width - 1))
+    x, mag = (cells[0], np.abs(cells[0])) if len(cells) == 1 else (cells.sum(axis=0), np.abs(cells).sum(axis=0))
     phi = np.asarray(system.phi.values).reshape(-1, p)
-    k = lattice_sum_adjoint_k(x, phi)  # each entry sums the summed rows times p^(M+1) products
-    k = _cut_rounding(k, lattice_sum_adjoint_k(mag, np.abs(phi)), len(cells) * p ** (M + 1))
+    k = lattice_sum_adjoint_k(x, phi)  # each entry sums the rows, then p^(M+1) products
+    k = _cut_rounding(k, lattice_sum_adjoint_k(mag, np.abs(phi)), len(cells) + p ** (M + 1))
     return _grid(reverse_digits(k, p, width - 1).reshape(-1) * scale, p, level)
 
 

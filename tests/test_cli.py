@@ -691,6 +691,20 @@ def test_malformed_input_exit_codes(p3_payloads, tmp_path, capsys, kind, change,
     assert message in {"out": out, "err": err}[stream]
 
 
+@pytest.mark.parametrize("count", [1, 3])
+def test_pyramid_with_other_than_p_minus_1_detail_grids_is_input_error(p3_payloads, tmp_path,
+                                                                       capsys, count):
+    # grids of 2-digit keys: 1 + 1 or 1 + 3 of them would still reshape into the bank's rows
+    grid = transform.CoeffGrid(3, 0, keys=np.arange(9), values=np.ones(9, dtype=complex))
+    pyramid = transform.CoeffPyramid(3, grid, ((grid,) * count,))
+    paths = write_inputs(tmp_path, {"system": p3_payloads["system"],
+                                    "pyramid": serialize.pyramid_to_dict(pyramid)})
+    code, _, err = run_one_line(["transform", "synthesize", "--system", paths["system"], "--pyramid",
+                                 paths["pyramid"], "-o", str(tmp_path / "out.json")], capsys)
+    assert code == EXIT_INPUT and f"{count} detail grids, not p - 1 = 2" in err
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_wide_shift_is_refused_by_the_size_cap(p3_payloads, tmp_path, capsys):
     # each key > 2^63 would wrap in int64 arithmetic; 10^4299 and 4 300 nines have the
     # most digits json reads, and at p=7 the table of 5 089-digit keys has 4 301 digits,

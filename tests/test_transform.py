@@ -90,6 +90,14 @@ def test_level_mismatch_rejected(chain3):
         synthesize_level(approx, bad, chain3)
 
 
+@pytest.mark.parametrize("count", [1, 3])
+def test_detail_count_other_than_p_minus_1_rejected(chain3, count):
+    # 1 + 1 or 1 + 3 grids of 3^2 keys still reshape into rows of 9, which would mix grids
+    grid = CoeffGrid(3, 0, {k: 1.0 for k in range(9)})
+    with pytest.raises(LevelMismatchError, match=f"{count} detail grids, not p - 1 = 2"):
+        synthesize_level(grid, (grid,) * count, chain3)
+
+
 def test_analyze_needs_at_least_one_level(chain3):
     with pytest.raises(ValueError, match="levels"):
         analyze(CoeffGrid(3, 0, {0: 1.0}), chain3, 0)
@@ -367,6 +375,21 @@ def test_analysis_keeps_tiny_coefficients(chain3):
     for lone, unit in zip(split({5: 1e-300}), split({5: 1.0})):
         assert set(lone.entries) == set(unit.entries)
         assert all(lone.entries[k] == pytest.approx(1e-300 * v, rel=1e-12) for k, v in unit.entries.items())
+
+
+def test_projection_keeps_tiny_coefficients(chain3):
+    # project cuts by each coefficient's own terms, whether f has one row of cells or p^2
+    def coefficients(entries, finer):
+        f = materialize(CoeffGrid(3, 0, entries), chain3)
+        f = StepFunction(3, f.support_level, f.resolution_level + finer, np.tile(f.values, 3**finer))
+        return project(f, chain3, 0).entries
+
+    for finer in (0, 2):
+        mixed = coefficients({0: 1.0, 1: 1e-9}, finer)
+        assert set(mixed) == {0, 1} and abs(mixed[0] - 1.0) < 1e-14
+        assert mixed[1] == pytest.approx(1e-9, rel=1e-6)
+        lone = coefficients({5: 1e-300}, finer)
+        assert set(lone) == {5} and lone[5] == pytest.approx(1e-300, rel=1e-12)
 
 
 def test_zero_phase_round_trips_return_exactly_the_input_keys(rng):
