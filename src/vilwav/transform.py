@@ -183,13 +183,14 @@ def _times(x: np.ndarray, matrix: np.ndarray) -> np.ndarray:
 def _cut_rounding(total: np.ndarray, bound: np.ndarray, n: int) -> np.ndarray:
     """Zero, in place, each cell of total within the rounding error of its own sum.
 
-    A cell sums n complex products (in the bank p^2, a column of W or W^H),
-    whose magnitudes sum to its bound.  In any order such a sum rounds by at
-    most gamma_{n+2} * bound, gamma_n = n u / (1 - n u) (n - 1 additions; a
-    complex product costs at most gamma_3), so a cell within that is
-    indistinguishable from zero, and _grid drops it.  A non-finite bound (an
-    inf or nan term, or an overflow) leaves its cell alone: inf <= inf would
-    zero it.
+    A cell sums n complex terms whose magnitudes sum to its bound: in the
+    bank p^2 products, a column of W or W^H; in project R pre-summed rows, then
+    p^(M+1) products, whose roundings add, so n = R + p^(M+1).  In any order
+    such a sum rounds by at most gamma_{n+2} * bound, gamma_n = n u / (1 - n u)
+    (n - 1 additions; a complex product costs at most gamma_3), so a cell
+    within that is indistinguishable from zero, and _grid drops it.  A
+    non-finite bound (an inf or nan term, or an overflow) leaves its cell
+    alone: inf <= inf would zero it.
     """
     nu = (n + 2) * np.finfo(float).eps / 2
     total[np.isfinite(bound) & (np.abs(total) <= bound * (nu / (1 - nu)))] = 0.0
