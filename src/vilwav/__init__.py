@@ -8,7 +8,6 @@ from .refinable import (
     check_orthonormality_spectral,
     inverse_transform,
     phi_hat_from_tree,
-    translation_correlation,
 )
 from .transform import CoeffGrid, CoeffPyramid, analyze, analyze_level, project, synthesize, synthesize_level
 from .tree import RootedTree, enumerate_trees
@@ -47,7 +46,6 @@ __all__ = [
     "solve_beta",
     "synthesize",
     "synthesize_level",
-    "translation_correlation",
     "verify_wavelet_system",
 ]
 

@@ -1,7 +1,8 @@
 """Dense reference routes that re-verify the production ones; only the tests call them.
 
-The orbit-product spectrum, the forward transform, the dense Gram matrix,
-the dense beta solve and the dense wavelet spectrum.  No module of the
+The orbit-product spectrum, the forward transform, the dense Gram matrix
+and the cell-table translation correlation, the dense beta solve and the
+dense wavelet spectrum.  No module of the
 package imports this one, so `import vilwav` neither loads nor compiles it.
 """
 
@@ -9,9 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .group import char_kernel_apply, digit_table
+from .group import char_kernel_apply, check_table_size, digit_table
 from .mask import MaskTable
-from .refinable import SpectrumTable, StepFunction, translated_cell_matrix
+from .refinable import SpectrumTable, StepFunction, embed, translated_cell_matrix
 from .wavelet import _beta_system, shifted_masks
 
 
@@ -44,12 +45,43 @@ def gram_matrix(funcs, shifts) -> np.ndarray:
 
     Rows and columns run function-major: block (i, k) pairs the translates
     of funcs[i] with those of funcs[k].  translation_correlation gives the
-    same entries without a row per translate.
+    same entries without a row per translate, and wavelet.family_correlation
+    without a cell table.
     """
     lo = min(min(f.support_level for f in funcs), -max((len(h) for h in shifts), default=0))
     hi = max(f.resolution_level for f in funcs)
     family = np.vstack([translated_cell_matrix(f, shifts, lo, hi) for f in funcs])
     return family @ family.conj().T * float(funcs[0].p) ** -hi
+
+
+# Cells of all functions in one chunk of translation_correlation: 512 kB, a cache-sized working set.
+GRAM_CHUNK_CELLS = 2**15
+
+
+def translation_correlation(funcs) -> np.ndarray:
+    """c[i, k, d] = <f_i, f_k(x - d)> for the p shifts d of one digit, at position -1.
+
+    The functions lie in G_-1, and a shift with a digit at -2 or below moves
+    G_-1 off itself, so those entries are zero and are not computed.
+    Translation is a carry-free digit shift, so the Gram entry of f_i(x - h)
+    against f_k(x - h') is c[i, k, h' - h].  Each function is transformed once
+    over the shift digit; a pair's spectrum product, summed over the other
+    digits in chunks of the digits [0, hi), inverts to its correlation.
+    """
+    if any(f.support_level != -1 for f in funcs):
+        raise ValueError("the Gram correlation takes functions supported in G_-1")
+    n, p = len(funcs), funcs[0].p
+    hi = max(f.resolution_level for f in funcs)
+    check_table_size(n * p ** (hi + 1))
+    tables = [embed(f, -1, hi) for f in funcs]
+    rows = max(1, GRAM_CHUNK_CELLS // (n * p))  # values of the digits [0, hi) per chunk
+    prod = np.zeros((p, n, n), dtype=complex)
+    for top in range(0, p**hi, rows):
+        # cells[i, a, s] is f_i on digits [0, hi) a and shift digit s
+        cells = np.stack([table[top * p:(top + rows) * p].reshape(-1, p) for table in tables])
+        spec = char_kernel_apply(cells.transpose(2, 0, 1), p, 1, -1)
+        prod += spec @ spec.conj().transpose(0, 2, 1)
+    return (char_kernel_apply(prod, p, 1, +1) * float(p) ** -(hi + 1)).transpose(1, 2, 0)
 
 
 def solve_beta_dense(mask: MaskTable) -> np.ndarray:

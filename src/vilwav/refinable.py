@@ -161,7 +161,7 @@ def check_orthonormality_spectral(spec: SpectrumTable, tol: float = DEFAULT_TOL)
     return residue_sums_check("spectrum-residue-sums", sums, tol)
 
 
-# -- cell-level machinery: embedding, translation, dilation, the Gram correlation --
+# -- cell-level machinery: embedding, translation, dilation, the lattice sum --
 
 
 def embed(f: StepFunction, lo: int, hi: int) -> np.ndarray:
@@ -286,33 +286,3 @@ def translated_cell_matrix(f: StepFunction, shifts, lo: int, hi: int) -> np.ndar
     hmat = np.array([[shift_digit(h, lo + slot) for slot in range(w)] for h in shifts])
     idx = ((digits[None, :, :] - hmat[:, None, :]) % p) @ powers
     return base[idx]
-
-
-# Cells of all functions in one chunk of translation_correlation: 512 kB, a cache-sized working set.
-GRAM_CHUNK_CELLS = 2**15
-
-
-def translation_correlation(funcs) -> np.ndarray:
-    """c[i, k, d] = <f_i, f_k(x - d)> for the p shifts d of one digit, at position -1.
-
-    The functions lie in G_-1, and a shift with a digit at -2 or below moves
-    G_-1 off itself, so those entries are zero and are not computed.
-    Translation is a carry-free digit shift, so the Gram entry of f_i(x - h)
-    against f_k(x - h') is c[i, k, h' - h].  Each function is transformed once
-    over the shift digit; a pair's spectrum product, summed over the other
-    digits in chunks of the digits [0, hi), inverts to its correlation.
-    """
-    if any(f.support_level != -1 for f in funcs):
-        raise ValueError("the Gram correlation takes functions supported in G_-1")
-    n, p = len(funcs), funcs[0].p
-    hi = max(f.resolution_level for f in funcs)
-    check_table_size(n * p ** (hi + 1))
-    tables = [embed(f, -1, hi) for f in funcs]
-    rows = max(1, GRAM_CHUNK_CELLS // (n * p))  # values of the digits [0, hi) per chunk
-    prod = np.zeros((p, n, n), dtype=complex)
-    for top in range(0, p**hi, rows):
-        # cells[i, a, s] is f_i on digits [0, hi) a and shift digit s
-        cells = np.stack([table[top * p:(top + rows) * p].reshape(-1, p) for table in tables])
-        spec = char_kernel_apply(cells.transpose(2, 0, 1), p, 1, -1)
-        prod += spec @ spec.conj().transpose(0, 2, 1)
-    return (char_kernel_apply(prod, p, 1, +1) * float(p) ** -(hi + 1)).transpose(1, 2, 0)

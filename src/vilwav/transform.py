@@ -246,6 +246,8 @@ def project(f: StepFunction, system: WaveletSystem, level: int) -> CoeffGrid:
 def materialize(grid: CoeffGrid, system: WaveletSystem) -> StepFunction:
     """The step function with the grid's coordinates in the level-n basis."""
     p, n, M = grid.p, grid.level, system.M
+    if np.ndim(grid.values) != 1:
+        raise InputError(f"materialize takes one signal's grid, not a batch of {np.shape(grid.values)[-1]}")
     (c,), width = _tables([grid], 1)
     check_table_size(p ** (M + width))
     # kernel [q, a]: a the key digit -1, q its digits -2 .. -width reversed into window order

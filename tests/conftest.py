@@ -5,6 +5,8 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from vilwav import wavelet
+from vilwav.oracle import gram_matrix
+from vilwav.refinable import SpectrumTable, all_shifts, inverse_transform
 from vilwav.tree import RootedTree
 from vilwav.wavelet import build_system
 
@@ -77,3 +79,37 @@ def tampered(system, **tables):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260824)
+
+
+def tamper_family(monkeypatch, change):
+    """Make wavelet.family_spectra hand on the family that change(keys, table) edits in place.
+
+    Both the Gram check and the frequency-route wavelets read the edited
+    family.  Returns a list that collects each (band, keys, table) handed on.
+    """
+    handed, real = [], wavelet.family_spectra
+
+    def family_spectra(phi_hat_table, mask):
+        keys, table = real(phi_hat_table, mask)
+        change(keys, table)
+        handed.append((phi_hat_table.band + 1, keys, table))
+        return keys, table
+
+    monkeypatch.setattr(wavelet, "family_spectra", family_spectra)
+    return handed
+
+
+def family_functions(p, band, keys, table):
+    """The inverse transforms of a family's spectra, one function per row of table."""
+    funcs = []
+    for row in table:
+        values = np.zeros(p ** (band + 1), dtype=complex)
+        values[keys] = row
+        funcs.append(inverse_transform(SpectrumTable(p, band, values)))
+    return funcs
+
+
+def dense_gram_deviation(p, band, keys, table):
+    """max |Gram - I| of the inverse-transformed family, by the dense oracle over the shifts of digits -1 and -2."""
+    gram = gram_matrix(family_functions(p, band, keys, table), all_shifts(p, 2))
+    return float(np.abs(gram - np.eye(len(gram))).max())

@@ -16,9 +16,11 @@ from vilwav import cli, serialize, transform
 from vilwav.cli import EXIT_INPUT, EXIT_MATH, EXIT_OK, main
 from vilwav.refinable import StepFunction, embed
 from vilwav.tree import RootedTree
-from vilwav.wavelet import CheckResult, build_system
+from vilwav.wavelet import CheckResult, build_system, verify_wavelet_system
 
-from conftest import P11_M5_PARENT, TREE7_A_PARENT, TREE7_B_PARENT, tampered
+from conftest import (
+    P11_M5_PARENT, TREE7_A_PARENT, TREE7_B_PARENT, dense_gram_deviation, tamper_family, tampered,
+)
 
 
 def write_json(path, payload):
@@ -169,13 +171,32 @@ def test_verify_nan_psi_cell_fails_two_route(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_huge_psi_cell_fails_without_warnings(tmp_path, capsys, monkeypatch):
+    # psi-two-route reads the tables; the Gram check reads the spectra (the test below)
     capsys.readouterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert verify_corrupted(tmp_path, monkeypatch, lambda s: with_psi_cell(s, 1e200)) == EXIT_MATH
     out, err = capsys.readouterr()
+    line = next(x for x in out.splitlines() if "psi-two-route" in x)
+    assert line.startswith("FAIL") and line.endswith("at wavelet 1, cell 5") and err == ""
+
+
+def test_verify_huge_wavelet_coefficient_fails_the_gram_without_warnings(tmp_path, capsys, monkeypatch):
+    def huge(keys, table):
+        table[1, np.flatnonzero(table[1])[0]] = 1e200
+
+    handed = tamper_family(monkeypatch, huge)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert verify_corrupted(tmp_path, monkeypatch, lambda s: s) == EXIT_MATH
+    out, err = capsys.readouterr()
     line = next(x for x in out.splitlines() if "gram-orthonormal-family" in x)
-    assert line.startswith("FAIL") and err == ""
+    # |1e200|^2 overflows; whether the product's real part comes out inf or nan is the BLAS's choice
+    assert re.fullmatch(r"FAIL +gram-orthonormal-family +max_dev=(inf|nan) at functions \(1, 1\), shift \(0, 0\)", line)
+    assert err == ""
+    with np.errstate(over="ignore", invalid="ignore"):  # the dense Gram overflows too
+        assert not np.isfinite(dense_gram_deviation(3, *handed[-1]))
 
 
 def test_verify_report_says_where_a_check_fails(tmp_path, capsys, monkeypatch):
@@ -228,11 +249,31 @@ def test_p11_m5_builds_and_verifies_spectrally_and_full_verify_is_refused_up_fro
     assert len(out) == 1 and out[0].startswith("failed: ") and out[0].endswith("exceeds cap 100000000")
 
 
+PHASED_CHAIN3 = {"p": 3, "parent": [0, 0, 1], "phases_turns": {"0->1": 0.1, "1->2": 0.2}}
+
+
 def test_verify_tight_tol_fails(tmp_path, capsys):
-    sys_file = build_system_file(tmp_path, {"p": 3, "parent": [0, 0, 1]})
+    # the zero-phase chain's Gram deviation is exactly 0; with these phases it is rounding, 7.8e-17
+    sys_file = build_system_file(tmp_path, PHASED_CHAIN3)
     assert main(["--tol", "1e-30", "verify", sys_file]) == EXIT_MATH
     assert "FAIL  gram-orthonormal-family" in capsys.readouterr().out
     assert main(["--tol", "1e-30", "verify", "--all-trees", "3"]) == EXIT_MATH
+
+
+def test_verify_tol_fails_a_spectral_family_just_past_it(tmp_path, capsys, monkeypatch):
+    # psi_1 scaled by 1 + 1e-12 is off by 2e-12 against itself, unshifted
+    def scale(keys, table):
+        table[1] *= 1 + 1e-12
+
+    handed = tamper_family(monkeypatch, scale)
+    sys_file = build_system_file(tmp_path, PHASED_CHAIN3)
+    assert main(["verify", sys_file]) == EXIT_MATH
+    line = next(x for x in capsys.readouterr().out.splitlines() if "gram-orthonormal-family" in x)
+    assert line.startswith("FAIL") and line.endswith("at functions (1, 1), shift (0, 0)")
+    assert main(["--tol", "1e-11", "verify", sys_file]) == EXIT_OK
+    system = serialize.system_from_dict(serialize.load_json(sys_file))
+    gram = {c.name: c for c in verify_wavelet_system(system)}["gram-orthonormal-family"]
+    assert abs(gram.max_deviation - dense_gram_deviation(3, *handed[-1])) < 1e-15
 
 
 def test_verify_loose_tol_keeps_the_support(tmp_path, capsys):

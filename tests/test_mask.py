@@ -152,6 +152,19 @@ def test_vanishing_chain_fails_one_level_short():
     assert "(2, 1)" in report.where  # lambda_5 * lambda_1 survives
 
 
+def test_vanishing_fails_a_product_of_1e_minus_14_exactly():
+    # an off-tree entry into the deepest vertex of the phased p=5 chain: the row sums stay
+    # within rounding, and the orbit product through it fails the exact check, tolerance or not
+    tree = RootedTree.validate([0, 0, 1, 2, 3], 5)
+    lam = mask_from_tree(tree, {e: 0.1 * (k + 1) for k, e in enumerate(tree.edges())}).lam.copy()
+    lam[1 + 5 * 4] = 1e-14
+    mask = MaskTable(5, lam)
+    assert check_row_condition(mask).max_deviation < 1e-15
+    report = check_vanishing(mask, tree.support_exponent)
+    assert not report.passed and report.where == "digits (1, 4, 3, 2, 1)"
+    assert report.max_deviation == pytest.approx(1e-14, rel=1e-12)
+
+
 def test_vanishing_star():
     mask = mask_from_tree(RootedTree.validate([0, 0, 0], 3))
     assert check_vanishing(mask, 0).passed

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vilwav import refinable
+from vilwav import oracle, refinable
 from vilwav.config import MathError, SizeCapError
 from vilwav.group import digit_table
 from vilwav.mask import MaskTable, mask_from_tree
-from vilwav.oracle import forward_transform, gram_matrix, orbit_product, psi_hat
+from vilwav.oracle import forward_transform, gram_matrix, orbit_product, psi_hat, translation_correlation
 from vilwav.refinable import (
     SpectrumTable,
     StepFunction,
@@ -24,7 +24,6 @@ from vilwav.refinable import (
     lattice_sum_adjoint_k,
     phi_hat_from_tree,
     translate_dilate,
-    translation_correlation,
 )
 from vilwav.transform import CoeffGrid, analyze_level
 from vilwav.tree import RootedTree, enumerate_trees
@@ -354,8 +353,8 @@ def test_translation_correlation_matches_dense_gram(parent, widths, rng, monkeyp
     system = build_system(tree, dict(zip(tree.edges(), rng.uniform(size=tree.p - 1))))
     p, psi = system.p, system.psi[0]
     noisy = StepFunction(p, -1, psi.resolution_level, psi.values + 1e-3 * rng.normal(size=psi.values.shape))
-    for width, chunk in itertools.product(widths, (refinable.GRAM_CHUNK_CELLS, 18)):
-        monkeypatch.setattr(refinable, "GRAM_CHUNK_CELLS", chunk)
+    for width, chunk in itertools.product(widths, (oracle.GRAM_CHUNK_CELLS, 18)):
+        monkeypatch.setattr(oracle, "GRAM_CHUNK_CELLS", chunk)
         corr = assert_correlation_is_dense_gram((system.phi,) + system.psi, width)
         ideal = np.zeros_like(corr)
         ideal[:, :, 0] = np.eye(p)

@@ -179,6 +179,13 @@ def test_project_rejects_coarse_resolution(chain3):
         project(f, chain3, 1)
 
 
+def test_materialize_refuses_a_batch_grid(chain3):
+    # one step function per grid: 3 keys x 2 signals used to fail inside numpy's reshape
+    grid = CoeffGrid(3, 0, keys=np.arange(3), values=np.ones((3, 2), dtype=complex))
+    with pytest.raises(InputError, match="not a batch of 2"):
+        materialize(grid, chain3)
+
+
 def test_materialize_empty_grid(chain3):
     f = materialize(CoeffGrid(3, 0, {}), chain3)
     assert np.all(f.values == 0)

@@ -1,9 +1,11 @@
 import ast
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,13 +16,12 @@ from hypothesis import strategies as st
 from vilwav import group, mask, refinable, serialize, wavelet
 from vilwav.config import SizeCapError
 from vilwav.mask import MaskTable, mask_from_tree
-from vilwav.oracle import gram_matrix, psi_hat, solve_beta_dense
+from vilwav.oracle import gram_matrix, psi_hat, solve_beta_dense, translation_correlation
 from vilwav.refinable import (
     StepFunction,
     all_shifts,
     inner_product,
     inverse_transform,
-    translation_correlation,
 )
 from vilwav.tree import RootedTree, enumerate_trees
 from vilwav.wavelet import (
@@ -37,7 +38,10 @@ from vilwav.wavelet import (
     verify_wavelet_system,
 )
 
-from conftest import P11_M5_PARENT, tampered
+from conftest import (
+    P11_M5_PARENT, TREE7_A_PARENT, TREE7_B_PARENT, dense_gram_deviation, family_functions, tamper_family,
+    tampered,
+)
 
 OMEGA3 = np.exp(2j * np.pi / 3)
 
@@ -225,10 +229,10 @@ def test_importing_the_package_leaves_the_oracles_unloaded():
 
 
 def test_full_verify_counts_its_tables_before_building_any(no_tables, monkeypatch):
-    # the p = 3 chain holds 9 + 5 * 27 = 144 cells at once in full verify
+    # the p = 3 chain holds 9 + 4 * 27 = 117 cells at once in full verify
     system = build_system(RootedTree.validate([0, 0, 1], 3))
-    monkeypatch.setenv("VILWAV_SIZE_CAP", "143")
-    with pytest.raises(SizeCapError, match="full verify's tables of 144 entries exceeds cap 143"):
+    monkeypatch.setenv("VILWAV_SIZE_CAP", "116")
+    with pytest.raises(SizeCapError, match="full verify's tables of 117 entries exceeds cap 116"):
         verify_wavelet_system(system)
     assert len(verify_wavelet_system(system, spectral_only=True)) == 7
 
@@ -409,6 +413,16 @@ def test_shifted_mask_structure(chain3):
     assert shifted_mask_checks(chain3.mask).max_deviation == 0.0
 
 
+def test_shifted_mask_structure_reads_the_products(phased_chain5):
+    # a second unimodular entry in row 1 keeps every modulus 0 or 1: only m_l * m_k = 0 fails
+    lam = phased_chain5.mask.lam.copy()
+    lam[1 + 5 * 2] = 1.0
+    mods = np.abs(lam)
+    assert np.minimum(mods, np.abs(mods - 1)).max() < 1e-15
+    check = shifted_mask_checks(MaskTable(5, lam))
+    assert not check.passed and check.max_deviation == pytest.approx(1.0, abs=1e-15)
+
+
 def test_shifted_masks_gather_every_shift(rng):
     lam = rng.normal(size=25) + 1j * rng.normal(size=25)
     tables = shifted_masks(MaskTable(5, lam))
@@ -423,6 +437,8 @@ def test_wavelet_gram_is_identity(chain3):
 
 
 def test_verify_says_which_wavelet_cell_and_gram_entry_are_off(chain3):
+    # a bent psi table is caught by psi-two-route, which reads the tables; the
+    # Gram check reads the spectra (its where: the test below)
     psi = chain3.psi[1]
     values = psi.values.copy()
     values[5] += 10.0
@@ -431,22 +447,120 @@ def test_verify_says_which_wavelet_cell_and_gram_entry_are_off(chain3):
     assert not checks["psi-two-route"].passed
     assert checks["psi-two-route"].max_deviation == pytest.approx(10.0)
     assert checks["psi-two-route"].where == "wavelet 2, cell 5"
-    # |psi_2 + 10|^2 puts the largest Gram deviation on psi_2 against itself, unshifted
-    gram = checks["gram-orthonormal-family"]
-    assert not gram.passed and gram.where == "functions (2, 2), shift (0, 0)"
+    assert checks["gram-orthonormal-family"].passed and checks["gram-orthonormal-family"].where == ""
     assert checks["refinement-identity"].where == ""
     assert all(c.where == "" for c in verify_wavelet_system(build_system(RootedTree.validate([0, 0], 2))))
 
 
+def test_verify_says_which_gram_entry_of_the_spectral_family_is_off(chain3, monkeypatch):
+    # |2 psi_2|^2 puts the largest Gram deviation, 3, on psi_2 against itself, unshifted
+    def double_psi_2(keys, table):
+        table[2] *= 2
+
+    handed = tamper_family(monkeypatch, double_psi_2)
+    gram = {c.name: c for c in verify_wavelet_system(chain3)}["gram-orthonormal-family"]
+    assert not gram.passed and gram.where == "functions (2, 2), shift (0, 0)"
+    assert gram.max_deviation == pytest.approx(3.0, abs=1e-14)
+    assert abs(gram.max_deviation - dense_gram_deviation(3, *handed[-1])) < 1e-15
+
+
 def test_gram_check_catches_a_perturbed_wavelet(rng):
+    # noise on a psi table is caught by psi-two-route, which reads the tables
     system = build_system(RootedTree.validate([0, 0, 1, 2, 3], 5))
     psi = system.psi[1]
-    bent = StepFunction(5, -1, psi.resolution_level, psi.values + 1e-6 * rng.normal(size=psi.values.shape))
+    noise = 1e-6 * rng.normal(size=psi.values.shape)
+    bent = StepFunction(5, -1, psi.resolution_level, psi.values + noise)
     bad = tampered(system, psi=system.psi[:1] + (bent,) + system.psi[2:])
-    gram = {c.name: c for c in verify_wavelet_system(bad)}["gram-orthonormal-family"]
-    dense = gram_matrix((bad.phi,) + bad.psi, all_shifts(5, 2))
-    assert not gram.passed
-    assert abs(gram.max_deviation - np.abs(dense - np.eye(len(dense))).max()) < 1e-15
+    two_route = {c.name: c for c in verify_wavelet_system(bad)}["psi-two-route"]
+    assert not two_route.passed and two_route.where.startswith("wavelet 2, cell ")
+    assert abs(two_route.max_deviation - np.abs(noise).max()) < 1e-15
+
+
+def test_gram_check_catches_a_perturbed_wavelet_spectrum(rng, monkeypatch):
+    system = build_system(RootedTree.validate([0, 0, 1, 2, 3], 5))
+
+    def bend(keys, table):
+        table[2, table[2] != 0] += 1e-6 * rng.normal(size=np.count_nonzero(table[2]))
+
+    handed = tamper_family(monkeypatch, bend)
+    gram = {c.name: c for c in verify_wavelet_system(system)}["gram-orthonormal-family"]
+    assert not gram.passed and re.fullmatch(r"functions \((2, \d|\d, 2)\), shift \(\d, 0\)", gram.where)
+    assert abs(gram.max_deviation - dense_gram_deviation(5, *handed[-1])) < 1e-15
+
+
+def p_trees(p):
+    """Every tree at p = 3 and 5; the two worked instances at p = 7."""
+    return list(enumerate_trees(p)) if p < 7 else [RootedTree.validate(t, 7) for t in (TREE7_A_PARENT, TREE7_B_PARENT)]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_family_correlation_is_the_cell_tables_correlation(p, monkeypatch):
+    # noise on every key makes the family far from orthonormal, so omega^(r d) and its
+    # conjugate, which agree on an orthonormal family, give different correlations
+    rng = np.random.default_rng(p)
+
+    def add_noise(keys, table):
+        table += 0.1 * (rng.normal(size=table.shape) + 1j * rng.normal(size=table.shape))
+
+    handed = tamper_family(monkeypatch, add_noise)
+    worst, conjugate = 0.0, np.inf
+    for tree in p_trees(p):
+        for phases in ({}, {e: float(rng.uniform()) for e in tree.edges()}):
+            system = build_system(tree, phases)
+            rule = wavelet.family_correlation(system.phi_hat, system.mask)
+            cells = translation_correlation(family_functions(p, *handed[-1]))
+            worst = max(worst, np.abs(rule - cells).max())
+            conjugate = min(conjugate, np.abs(rule[:, :, -np.arange(p) % p] - cells).max())
+    assert worst < 1e-14 and conjugate > 1e-2
+
+
+@pytest.fixture
+def phased_chain5():
+    tree = RootedTree.validate([0, 0, 1, 2, 3], 5)
+    return build_system(tree, {e: 0.1 * (k + 1) for k, e in enumerate(tree.edges())})
+
+
+def gram_and_cells_deviation(system, monkeypatch, change):
+    """The Gram check of verify on system with its family changed, and the cell tables' deviation from I."""
+    handed = tamper_family(monkeypatch, change)
+    gram = {c.name: c for c in verify_wavelet_system(system)}["gram-orthonormal-family"]
+    corr = translation_correlation(family_functions(system.p, *handed[-1]))
+    corr[:, :, 0] -= np.eye(system.p)
+    return gram, float(np.abs(corr).max())
+
+
+def test_gram_check_catches_a_mixed_wavelet(phased_chain5, monkeypatch):
+    # (psi_1 + psi_2) / sqrt 2 has unit norm and is orthogonal to its own translates
+    def mix(keys, table):
+        table[2] = (table[1] + table[2]) / np.sqrt(2)
+
+    gram, cells = gram_and_cells_deviation(phased_chain5, monkeypatch, mix)
+    assert not gram.passed and gram.where == "functions (1, 2), shift (0, 0)"
+    assert gram.max_deviation == pytest.approx(np.sqrt(0.5), abs=1e-14)
+    assert abs(gram.max_deviation - cells) < 1e-14
+
+
+@pytest.mark.parametrize("change", ["drop a coset", "modulus off by 1e-9"])
+def test_gram_check_catches_a_tampered_coset(phased_chain5, monkeypatch, change):
+    def tamper(keys, table):
+        key = np.flatnonzero(table[1])[-1]
+        table[1, key] *= 0.0 if change == "drop a coset" else 1 + 1e-9
+
+    gram, cells = gram_and_cells_deviation(phased_chain5, monkeypatch, tamper)
+    assert not gram.passed and cells > 1e-12
+    assert abs(gram.max_deviation - cells) < 1e-14
+
+
+@pytest.mark.parametrize("value", [1e200, np.nan])
+@pytest.mark.parametrize("cell", [1, 4])  # the chain's edge 0->1, and a cell off its tree
+def test_gram_check_fails_a_huge_or_nan_mask_entry_without_warnings(value, cell):
+    lam = mask_from_tree(RootedTree.validate([0, 0, 1], 3)).lam.copy()
+    lam[cell] = value
+    system = WaveletSystem(RootedTree.validate([0, 0, 1], 3), MaskTable(3, lam))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gram = {c.name: c for c in verify_wavelet_system(system)}["gram-orthonormal-family"]
+    assert not gram.passed and not np.isfinite(gram.max_deviation)
 
 
 def test_verify_haar_p2_exact():
