@@ -2,8 +2,8 @@
 
 The orbit-product spectrum, the forward transform, the dense Gram matrix
 and the cell-table translation correlation, the dense beta solve and the
-dense wavelet spectrum.  No module of the
-package imports this one, so `import vilwav` neither loads nor compiles it.
+dense wavelet spectrum.  No module of the package imports this one, so
+`import vilwav` neither loads nor compiles it.
 """
 
 from __future__ import annotations
