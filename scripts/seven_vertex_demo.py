@@ -42,8 +42,7 @@ def show_tree(label, parent, seed):
     print("   mask support:", ", ".join(f"{k} = {coset_name(k % p, k // p)}" for k in support))
 
     system = build_system(tree)
-    spec_support = np.flatnonzero(np.abs(system.phi_hat.values))
-    print("   spectrum support indices:", list(int(k) for k in spec_support))
+    print("   spectrum support indices:", sorted(system.phi_hat.keys.tolist()))
     for check in verify_wavelet_system(system):
         flag = "PASS" if check.passed else "FAIL"
         print(f"   {flag} {check.name:28s} max_dev={check.max_deviation:.3e}")

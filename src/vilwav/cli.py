@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import serialize, transform, wavelet
-from .config import DEFAULT_TOL, InputError, MathError
+from .config import DEFAULT_TOL, InputError, MathError, size_cap
 from .group import check_table_size, is_prime
 from .mask import mask_to_tree
 from .refinable import StepFunction
@@ -295,6 +295,7 @@ def main(argv=None) -> int:
     try:
         if not 0 < args.tol < math.inf:
             raise InputError(f"--tol {args.tol}: expected a finite number > 0")
+        size_cap()  # a malformed VILWAV_SIZE_CAP is an input error, whether or not the command reads it
         return args.func(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

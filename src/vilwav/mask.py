@@ -36,9 +36,6 @@ class MaskTable:
         if not is_prime(self.p):
             raise MaskError(f"p={self.p} is not prime")
 
-    def value(self, i: int, j: int) -> complex:
-        return complex(self.lam[i + self.p * j])
-
 
 def mask_from_tree(tree: RootedTree, phases: dict[tuple[int, int], float] | None = None) -> MaskTable:
     """Build the mask of a tree; phases map edge (parent, child) -> turns in [0, 1)."""

@@ -1,9 +1,10 @@
 """Dense reference routes that re-verify the production ones; only the tests call them.
 
-The orbit-product spectrum, the forward transform, the dense Gram matrix
-and the cell-table translation correlation, the dense beta solve and the
-dense wavelet spectrum.  No module of the package imports this one, so
-`import vilwav` neither loads nor compiles it.
+The orbit-product spectrum, the forward transform (a dense keyed table),
+the dense Gram matrix and the cell-table translation correlation, the dense
+beta solve and the wavelet spectrum on all p keys over each key of phi_hat.
+No module of the package imports this one, so `import vilwav` neither loads
+nor compiles it.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ def forward_transform(f: StepFunction) -> SpectrumTable:
         raise ValueError("forward_transform expects support level -1")
     p, w = f.p, f.width
     values = char_kernel_apply(np.asarray(f.values), p, w, -1) * float(p) ** -f.resolution_level
-    return SpectrumTable(p, f.resolution_level, values)
+    return SpectrumTable(p, f.resolution_level, np.arange(p**w), values)
 
 
 def gram_matrix(funcs, shifts) -> np.ndarray:
@@ -92,9 +93,10 @@ def solve_beta_dense(mask: MaskTable) -> np.ndarray:
 def psi_hat(phi_hat_table: SpectrumTable, mask: MaskTable, l: int) -> SpectrumTable:
     """Wavelet spectrum: shifted mask times the dilated refinable spectrum.
 
+    Each key s of phi_hat gives the p keys a + p*s, with value phi_hat[s] * m_l[s mod p, a].
     l = 0 reproduces the spectrum of the refinable function itself (the
     frequency-domain refinement identity), band grows by one either way.
     """
-    p = mask.p
-    values = np.asarray(phi_hat_table.values).reshape(-1, p)[:, :, None] * shifted_masks(mask)[l]
-    return SpectrumTable(p, phi_hat_table.band + 1, values.reshape(-1))
+    p, s = mask.p, phi_hat_table.keys
+    values = phi_hat_table.values[:, None] * shifted_masks(mask)[l][s % p]
+    return SpectrumTable(p, phi_hat_table.band + 1, (np.arange(p) + p * s[:, None]).ravel(), values.ravel())

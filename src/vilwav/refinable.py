@@ -1,9 +1,9 @@
 """Spectra, step functions, and the finite Fourier machinery between them.
 
-The refinable function is built in frequency as a table over cosets of the
-level -1 annihilator (one digit string per coset) and recovered in time as a
-step function on cells.  Both sides live on a common digit window, so every
-integral here is a finite measure-weighted sum.
+The refinable function is built in frequency as its support cosets of the
+level -1 annihilator, int64 keys of their digit strings with their values,
+and recovered in time as a step function on cells.  Both sides live on a
+common digit window, so every integral here is a finite measure-weighted sum.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_TOL, CheckResult, MathError
+from .config import DEFAULT_TOL, CheckResult, MathError, SizeCapError
 from .group import char_kernel_apply, check_table_size, digit_characters, digit_table
 from .mask import MaskTable, residue_sums_check
 from .tree import RootedTree
@@ -21,23 +21,27 @@ from .tree import RootedTree
 
 @dataclass(frozen=True)
 class SpectrumTable:
-    """Values of a transform on cosets of the level -1 annihilator.
+    """Values of a transform on cosets of the level -1 annihilator: distinct int64 keys and their values.
 
-    Entry k holds the value at the coset whose digits on the window
-    [-1, band) are row k of digit_table(p, band + 1); for the refinable
-    function band = M.
+    Key k names the coset whose digits on the window [-1, band) are row k of digit_table(p, band + 1);
+    a coset not keyed holds 0.  The refinable function has band M and its p support cosets as keys;
+    keys = arange(p^(band + 1)) is a dense table.  Keys past int64 are refused, whatever the size cap.
     """
 
     p: int
     band: int
+    keys: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=complex)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        if self.band >= 63 or values.shape != (self.p ** (self.band + 1),):  # no 2**64 tables
-            raise ValueError(f"expected {self.p}^{self.band + 1} entries")
+        if self.band >= 63 or self.p ** (self.band + 1) > np.iinfo(np.int64).max:  # no p**(2**70)
+            raise SizeCapError(f"spectrum keys of {self.band + 1} digits at p={self.p} do not fit an int64 key")
+        for name, dtype in (("keys", np.int64), ("values", complex)):
+            column = np.asarray(getattr(self, name), dtype=dtype)
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+        if self.keys.ndim != 1 or self.keys.shape != self.values.shape:
+            raise ValueError("expected one value per key")
 
     def norm2(self) -> float:
         """Squared L2 norm against the character-side measure (coset mass 1/p)."""
@@ -76,31 +80,30 @@ class StepFunction:
 
 
 def phi_hat_from_tree(tree: RootedTree, mask: MaskTable) -> SpectrumTable:
-    """Spectrum of the refinable function by path products over the tree.
+    """Spectrum of the refinable function by path products over the tree: one key per vertex.
 
-    For each vertex v with root path (0, u_j, ..., v) the digit string
-    (v, ..., u_j, 0, ...) receives the product of mask values along the
-    path edges times the first-level value; every other entry is zero.
+    Vertex v with root path (0, u_j, ..., v) keys its digit string (v, ..., u_j, 0, ...) as
+    key[v] = v + p*key[parent[v]] and holds value[v] = lambda[v + p*parent[v]] * value[parent[v]],
+    1 at the root; M + 1 passes over the parent array reach the deepest vertex.  Keys that wrap
+    past int64 are refused by SpectrumTable before anything reads them.
     """
     p, M = tree.p, tree.support_exponent
-    check_table_size(p ** (M + 1))
-    values = np.zeros(p ** (M + 1), dtype=complex)
-    for v in range(p):
-        rev = tree.path_to(v)[::-1]  # (v, parent, ..., 0)
-        prod = 1.0 + 0j
-        for a, b in zip(rev, rev[1:]):
-            prod *= mask.value(a, b)
-        idx = sum(d * p**t for t, d in enumerate(rev[:-1]))
-        values[idx] = prod
-    return SpectrumTable(p, M, values)
+    parent, vertices = np.array(tree.parent), np.arange(p)
+    factor = mask.lam[vertices + p * parent]
+    factor[0] = 1.0  # the root has no edge
+    keys, values = np.zeros(p, dtype=np.int64), np.ones(p, dtype=complex)
+    for _ in range(M + 1):
+        keys, values = vertices + p * keys[parent], factor * values[parent]
+    return SpectrumTable(p, M, keys, values)
 
 
 def inverse_transform(spec: SpectrumTable) -> StepFunction:
-    """Invert a level -1 coset table to a step function on [-1, band)."""
+    """Invert a level -1 coset table to a step function on [-1, band), through its dense table."""
     p, w = spec.p, spec.band + 1
     check_table_size(p**w)
-    values = char_kernel_apply(np.asarray(spec.values), p, w, +1) / p
-    return StepFunction(p, -1, spec.band, values)
+    values = np.zeros(p**w, dtype=complex)
+    values[spec.keys] = spec.values
+    return StepFunction(p, -1, spec.band, char_kernel_apply(values, p, w, +1) / p)
 
 
 def coset_characters(cosets: np.ndarray, p: int, w: int) -> tuple[np.ndarray, ...]:
@@ -135,7 +138,7 @@ def check_elementary(spec: SpectrumTable, tol: float = DEFAULT_TOL) -> CheckResu
     """
     p, M = spec.p, spec.band
     mods = np.abs(spec.values)
-    support = np.flatnonzero(mods > 0.5)
+    support = spec.keys[mods > 0.5]
     residues = len(set((support % p).tolist()))
     digits = support[:, None] // p ** np.arange(M + 1) % p  # row k: the digits of support coset k
     missing = [
@@ -156,8 +159,8 @@ def check_elementary(spec: SpectrumTable, tol: float = DEFAULT_TOL) -> CheckResu
 
 
 def check_orthonormality_spectral(spec: SpectrumTable, tol: float = DEFAULT_TOL) -> CheckResult:
-    """Partial sums of |values|^2 over each lowest-digit residue; all must be 1."""
-    sums = (np.abs(spec.values) ** 2).reshape(-1, spec.p).sum(axis=0)
+    """Partial sums of |values|^2 over each lowest-digit residue, key % p; all must be 1."""
+    sums = np.bincount(spec.keys % spec.p, np.abs(spec.values) ** 2, minlength=spec.p)
     return residue_sums_check("spectrum-residue-sums", sums, tol)
 
 

@@ -2,16 +2,17 @@
 
 The coefficients beta solve a p^2 x p^2 character system whose matrix is
 unitary, so they come out of a closed-form adjoint sum.  A system is its
-tree and mask.  beta and phi_hat, all that the spectral checks read, are
-computed with it; the cell tables phi (the full inverse transform of
-phi_hat, exact zeros included) and psi are built on first read.  Each
-wavelet is assembled twice, and the two routes must agree.  The psi tables
-take the time route: the refinement sum of dilated translates of phi.  Full
-verify adds the frequency route: the shifted mask times the dilated
-spectrum of phi, which has p nonzero cosets, inverted as a sum of p
-characters, so the check does not go through the transform that phi is
-built by; the Gram check of the translates reads those sparse spectra, by
-Parseval.  Full verify counts its tables against the size cap up front.
+tree and mask.  beta and phi_hat, its p support cosets keyed, all that the
+spectral checks read, are computed with it; the cell tables phi (the full
+inverse transform of phi_hat, exact zeros included) and psi are built on
+first read.  Each wavelet is assembled twice, and the two routes must agree.
+The psi tables take the time route: the refinement sum of dilated translates
+of phi.  Full verify builds the family's sparse spectra once (family_spectra:
+each wavelet's is the shifted mask times phi_hat dilated, p keys for a tree)
+and reads them twice: the frequency route inverts each wavelet as a sum of p
+characters, not through the transform that phi is built by, and the Gram
+check of the translates sums them by Parseval.  Full verify counts its
+tables against the size cap up front.
 """
 
 from __future__ import annotations
@@ -107,27 +108,25 @@ def family_spectra(phi_hat_table: SpectrumTable, mask: MaskTable) -> tuple[np.nd
     """Sorted coset keys and the spectra of phi and the p - 1 wavelets there, one row each, size-capped.
 
     psi_l-hat (oracle.psi_hat) is phi_hat[s] * m_l[s mod p, a] at the keys a + p*s over phi_hat's
-    support s (a nan is nonzero, so it is kept), and zero elsewhere; phi shares the keys it meets.
+    keys s, and zero elsewhere; phi shares the keys it meets.
     """
-    p = mask.p
-    support = np.flatnonzero(phi_hat_table.values)
+    p, support, values = mask.p, phi_hat_table.keys, phi_hat_table.values
     keys, column = np.unique(np.append(support, np.arange(p) + p * support[:, None]), return_inverse=True)
     check_table_size(p * len(keys), "the family's spectra")
     table = np.zeros((p, len(keys)), dtype=complex)
-    table[0, column[: len(support)]] = phi_hat_table.values[support]
-    psi = phi_hat_table.values[support, None] * shifted_masks(mask)[1:, support % p]  # [l, s, a]
+    table[0, column[: len(support)]] = values
+    psi = values[:, None] * shifted_masks(mask)[1:, support % p]  # [l, s, a]
     table[1:, column[len(support):]] = psi.reshape(p - 1, -1)
     return keys, table
 
 
-def psi_freq(phi_hat_table: SpectrumTable, mask: MaskTable) -> Iterator[StepFunction]:
-    """The p - 1 wavelets by the frequency route, one at a time; they must match psi_time cell for cell.
+def psi_freq(keys: np.ndarray, table: np.ndarray, band: int) -> Iterator[StepFunction]:
+    """The p - 1 wavelets of family_spectra, for phi_hat of this band, by the frequency route, one at a time.
 
-    Each is one character sum (coset_characters, formed once) over the family_spectra cosets its
-    shifted mask keeps, p for a tree: no dense spectrum, and not the full transform that phi is built by.
+    Each must match psi_time cell for cell.  It is one character sum (coset_characters, formed once)
+    over the cosets its shifted mask keeps, p for a tree: no dense spectrum, not phi's full transform.
     """
-    p, w = mask.p, phi_hat_table.band + 2
-    keys, table = family_spectra(phi_hat_table, mask)
+    p, w = len(table), band + 2
     keep = table[1:] != 0
     check_table_size(max(int(keep.sum(axis=1).max()), 1) * p**w)
     used = keep.any(axis=0)
@@ -136,16 +135,15 @@ def psi_freq(phi_hat_table: SpectrumTable, mask: MaskTable) -> Iterator[StepFunc
         yield StepFunction(p, -1, w - 1, ((deep[k] * c[k, None]).T @ shallow[k]).reshape(-1))
 
 
-def family_correlation(phi_hat_table: SpectrumTable, mask: MaskTable) -> np.ndarray:
-    """c[i, k, d] = <f_i, f_k(x - d)> over phi and the p - 1 wavelets, for the p shifts d of digit -1.
+def family_correlation(keys: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """c[i, k, d] = <f_i, f_k(x - d)> over the family_spectra functions, for the p shifts d of digit -1.
 
-    Parseval on family_spectra: with G_r[i, k] the sum of f_i-hat * conj f_k-hat over the keys of
+    Parseval on the spectra: with G_r[i, k] the sum of f_i-hat * conj f_k-hat over the keys of
     lowest digit r, c[i, k, d] = (1/p) sum_r G_r[i, k] omega^(r d), exact for any sparse family.  It is
     the cell tables' Gram to about 2 sqrt(p) tol: phi is inverse_transform(phi_hat) exactly, and
     psi-two-route holds each psi table, on G_-1 of measure p, within tol of its spectrum per cell.
     """
-    p = mask.p
-    keys, table = family_spectra(phi_hat_table, mask)
+    p = len(table)
     gram = np.stack([t @ t.conj().T for t in (table[:, keys % p == r] for r in range(p))])
     return (char_kernel_apply(gram, p, 1, +1) / p).transpose(1, 2, 0)
 
@@ -257,9 +255,10 @@ def verify_wavelet_system(
     checks.append(CheckResult.within("refinement-identity", dev, tol))
     del refined
 
-    # two-route wavelet agreement: the worst cell of each wavelet, then the
-    # worst wavelet; each frequency-route wavelet is dropped once compared
-    freq = psi_freq(system.phi_hat, system.mask)
+    # two-route wavelet agreement: the worst cell of each wavelet, then the worst wavelet; each
+    # frequency-route wavelet is dropped once compared.  It and the Gram check read one family.
+    keys, table = family_spectra(system.phi_hat, system.mask)
+    freq = psi_freq(keys, table, M)
     worst = [_worst(np.abs(next(freq).values - t.values)) for t in system.psi]
     l = int(np.argmax([dev for dev, _ in worst]))  # argmax picks the first nan
     dev, (cell,) = worst[l]
@@ -268,7 +267,7 @@ def verify_wavelet_system(
     # the translates of phi and every psi form one orthonormal family: a shift with a
     # digit at -2 leaves G_-1, and the shifts of digit -1 form a group, so Gram entry
     # ((i, h), (k, h')) is corr[i, k, h' - h]; where spells the shift's digits at -1 and -2
-    corr = family_correlation(system.phi_hat, system.mask)
+    corr = family_correlation(keys, table)
     corr[:, :, 0] -= np.eye(p)
     dev, (i, k, d) = _worst(np.abs(corr))
     checks.append(CheckResult.within("gram-orthonormal-family", dev, tol,

@@ -101,12 +101,19 @@ def tamper_family(monkeypatch, change):
 
 def family_functions(p, band, keys, table):
     """The inverse transforms of a family's spectra, one function per row of table."""
-    funcs = []
-    for row in table:
-        values = np.zeros(p ** (band + 1), dtype=complex)
-        values[keys] = row
-        funcs.append(inverse_transform(SpectrumTable(p, band, values)))
-    return funcs
+    return [inverse_transform(SpectrumTable(p, band, keys, row)) for row in table]
+
+
+def dense_table(p, band, values):
+    """The spectrum whose keys are every coset of the band, arange(p^(band + 1)), holding values."""
+    return SpectrumTable(p, band, np.arange(p ** (band + 1)), values)
+
+
+def dense_values(spec):
+    """A spectrum's values scattered to their keys in its dense table of p^(band + 1) entries."""
+    values = np.zeros(spec.p ** (spec.band + 1), dtype=complex)
+    values[spec.keys] = spec.values
+    return values
 
 
 def dense_gram_deviation(p, band, keys, table):

@@ -16,7 +16,7 @@ from vilwav.mask import MaskTable, mask_from_tree, mask_to_tree
 from vilwav.refinable import inner_product, translate_dilate
 from vilwav.transform import CoeffGrid, analyze_level, synthesize_level, shift_key_digits
 from vilwav.tree import RootedTree, TreeError, enumerate_trees
-from vilwav.wavelet import build_system, psi_freq, verify_wavelet_system
+from vilwav.wavelet import build_system, family_spectra, psi_freq, verify_wavelet_system
 
 from conftest import TREE7_A_PARENT, TREE7_B_PARENT
 
@@ -155,7 +155,7 @@ def test_criterion_5_beta_residual(sweep):
 def test_criterion_6_two_route_wavelets(sweep, seven_vertex_systems):
     worst = max(r["checks"]["psi-two-route"].max_deviation for r in sweep["runs"])
     for system in seven_vertex_systems:
-        for freq, time in zip(psi_freq(system.phi_hat, system.mask), system.psi, strict=True):
+        for freq, time in zip(psi_freq(*family_spectra(system.phi_hat, system.mask), system.M), system.psi, strict=True):
             worst = max(worst, float(np.abs(freq.values - time.values).max()))
     ok = worst < 1e-12
     report(6, "two-route wavelet agreement", ok,

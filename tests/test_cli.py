@@ -19,7 +19,7 @@ from vilwav.tree import RootedTree
 from vilwav.wavelet import CheckResult, build_system, verify_wavelet_system
 
 from conftest import (
-    P11_M5_PARENT, TREE7_A_PARENT, TREE7_B_PARENT, dense_gram_deviation, tamper_family, tampered,
+    P11_M5_PARENT, TREE7_A_PARENT, TREE7_B_PARENT, dense_gram_deviation, dense_table, tamper_family, tampered,
 )
 
 
@@ -156,11 +156,8 @@ def with_psi_cell(system, value):
 
 
 def with_phi_hat(system, change):
-    """system with phi_hat changed, and phi and psi still the tables the true phi_hat gives."""
-    values = system.phi_hat.values.copy()
-    change(values)
-    phi_hat = dataclasses.replace(system.phi_hat, values=values)
-    return tampered(system, phi_hat=phi_hat, phi=system.phi, psi=system.psi)
+    """system with phi_hat replaced by change(phi_hat), and phi and psi still the tables the true phi_hat gives."""
+    return tampered(system, phi_hat=change(system.phi_hat), phi=system.phi, psi=system.psi)
 
 
 def test_verify_nan_psi_cell_fails_two_route(tmp_path, capsys, monkeypatch):
@@ -200,8 +197,8 @@ def test_verify_huge_wavelet_coefficient_fails_the_gram_without_warnings(tmp_pat
 
 
 def test_verify_report_says_where_a_check_fails(tmp_path, capsys, monkeypatch):
-    def drop_trivial_coset(values):
-        values[0] = 0.0
+    def drop_trivial_coset(spec):
+        return dataclasses.replace(spec, values=np.where(spec.keys == 0, 0.0, spec.values))
 
     code = verify_corrupted(tmp_path, monkeypatch, lambda s: with_phi_hat(s, drop_trivial_coset),
                             "--level", "spectral")
@@ -216,8 +213,8 @@ def test_verify_report_says_where_a_check_fails(tmp_path, capsys, monkeypatch):
 
 def test_verify_dense_phi_hat_fails_without_traceback(tmp_path, capsys, monkeypatch):
     # every coset of the spectrum nonzero: the frequency route sums over all of them
-    def fill(values):
-        values[:] = 0.5 + 0.25j
+    def fill(spec):
+        return dense_table(spec.p, spec.band, np.full(spec.p ** (spec.band + 1), 0.5 + 0.25j))
 
     code = verify_corrupted(tmp_path, monkeypatch, lambda s: with_phi_hat(s, fill), "--level", "full")
     assert code == EXIT_MATH
@@ -237,16 +234,39 @@ def test_p7_chain_file_is_its_tree_and_mask_and_verifies(tmp_path, capsys):
     assert len(lines) == 10 and all(line.startswith("PASS ") for line in lines)
 
 
+def chain_parent(p):
+    """The chain 0 -> 1 -> ... -> p - 1, the deepest tree at p: M = p - 2."""
+    return [0, *range(p - 1)]
+
+
 def test_p11_m5_builds_and_verifies_spectrally_and_full_verify_is_refused_up_front(
     no_tables, tmp_path, capsys, monkeypatch
 ):
+    # and the p = 11 and p = 13 chains, M = 9 and 11: their spectra are 11 and 13 keys
     monkeypatch.delenv("VILWAV_SIZE_CAP", raising=False)
-    sys_file = build_system_file(tmp_path, {"p": 11, "parent": list(P11_M5_PARENT)})
-    assert main(["verify", "--level", "spectral", sys_file]) == EXIT_OK
-    capsys.readouterr()
-    assert main(["verify", "--level", "full", sys_file]) == EXIT_MATH
-    out = capsys.readouterr().out.splitlines()
-    assert len(out) == 1 and out[0].startswith("failed: ") and out[0].endswith("exceeds cap 100000000")
+    for p, parent in [(11, list(P11_M5_PARENT)), (11, chain_parent(11)), (13, chain_parent(13))]:
+        sys_file = build_system_file(tmp_path, {"p": p, "parent": parent})
+        capsys.readouterr()
+        assert main(["verify", "--level", "spectral", sys_file]) == EXIT_OK
+        lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith(("PASS", "FAIL"))]
+        assert len(lines) == 7 and all(line.startswith("PASS ") for line in lines)
+        assert main(["verify", "--level", "full", sys_file]) == EXIT_MATH
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 1 and out[0].startswith("failed: ") and out[0].endswith("exceeds cap 100000000")
+
+
+@pytest.mark.parametrize("cap", [None, str(10**30)], ids=["default cap", "cap 10^30"])
+def test_p17_chain_build_is_refused_where_its_spectrum_keys_pass_int64(cap, tmp_path, capsys, monkeypatch):
+    # 17^16 cosets at M = 15 pass int64, so no larger size cap admits the keys
+    if cap is None:
+        monkeypatch.delenv("VILWAV_SIZE_CAP", raising=False)
+    else:
+        monkeypatch.setenv("VILWAV_SIZE_CAP", cap)
+    tree_path = write_json(tmp_path / "tree.json", {"p": 17, "parent": chain_parent(17)})
+    out = tmp_path / "system.json"
+    code, line, _ = run_one_line(["build", tree_path, "-o", str(out)], capsys)
+    assert code == EXIT_MATH and line.startswith("failed: ") and "int64" in line
+    assert not out.exists()
 
 
 PHASED_CHAIN3 = {"p": 3, "parent": [0, 0, 1], "phases_turns": {"0->1": 0.1, "1->2": 0.2}}

@@ -205,7 +205,7 @@ def test_integrate_character_side():
     # p unit entries on cosets of nu-measure 1/p sum to 1
     vals = np.zeros(9)
     vals[[0, 1, 5]] = 1.0
-    assert SpectrumTable(3, 1, vals).norm2() == pytest.approx(1.0)
+    assert SpectrumTable(3, 1, np.arange(9), vals).norm2() == pytest.approx(1.0)
 
 
 def test_unit_roots_sum_to_zero():

@@ -27,7 +27,9 @@ from vilwav.refinable import (
 )
 from vilwav.transform import CoeffGrid, analyze_level
 from vilwav.tree import RootedTree, enumerate_trees
-from vilwav.wavelet import build_system, psi_freq
+from vilwav.wavelet import build_system, family_spectra, psi_freq
+
+from conftest import dense_table, dense_values
 
 OMEGA3 = np.exp(2j * np.pi / 3)
 
@@ -56,17 +58,17 @@ def test_star_spectrum_all_ones():
 
 def test_chain_spectrum_support():
     _, _, spec = build_spectrum([0, 0, 1], 3)
-    assert spec.band == 1
+    assert spec.band == 1 and spec.keys.tolist() == [0, 1, 5]  # one key per vertex
     expected = np.zeros(9, dtype=complex)
     expected[[0, 1, 5]] = 1.0  # digit strings (0,0), (1,0), (2,1)
-    assert np.array_equal(spec.values, expected)
+    assert np.array_equal(dense_values(spec), expected)
 
 
 def test_tree_b_leaf_entry():
     tree, mask, spec = build_spectrum([0, 3, 3, 0, 5, 0, 2], 7)
     idx = 6 + 7 * 2 + 49 * 3  # digit string (6, 2, 3)
-    assert spec.values[idx] == mask.lam[6 + 7 * 2] * mask.lam[2 + 7 * 3] * mask.lam[3]
-    assert abs(spec.values[idx]) == pytest.approx(1.0)
+    assert dense_values(spec)[idx] == mask.lam[6 + 7 * 2] * mask.lam[2 + 7 * 3] * mask.lam[3]
+    assert abs(dense_values(spec)[idx]) == pytest.approx(1.0)
 
 
 @given(st.sampled_from([2, 3, 5]).flatmap(tree_and_phases))
@@ -75,19 +77,19 @@ def test_path_products_match_orbit_product(tp):
     tree, phases = tp
     mask = mask_from_tree(tree, phases)
     by_path = phi_hat_from_tree(tree, mask)
-    by_orbit = SpectrumTable(tree.p, tree.support_exponent, orbit_product(mask, tree.support_exponent + 1))
-    assert np.abs(by_path.values - by_orbit.values).max() < 1e-13
+    by_orbit = orbit_product(mask, tree.support_exponent + 1)
+    assert len(by_path.keys) == tree.p and np.abs(dense_values(by_path) - by_orbit).max() < 1e-13
 
 
 @given(st.sampled_from([3, 5]).flatmap(tree_and_phases))
 def test_spectrum_shape_invariants(tp):
     tree, phases = tp
     spec = phi_hat_from_tree(tree, mask_from_tree(tree, phases))
-    mods = np.abs(spec.values)
+    mods = np.abs(dense_values(spec))
     support = np.flatnonzero(mods > 1e-12)
-    assert len(support) == tree.p
+    assert len(support) == len(spec.keys) == tree.p
     assert np.abs(mods[support] - 1.0).max() < 1e-12
-    assert spec.values[0] == 1.0
+    assert dense_values(spec)[0] == 1.0
     assert sorted(support % tree.p) == list(range(tree.p))
     assert spec.band == tree.support_exponent <= tree.p - 2
 
@@ -117,7 +119,7 @@ def test_transform_roundtrip_random_spectra(rng):
     p, M = 5, 2
     for _ in range(5):
         vals = rng.normal(size=p ** (M + 1)) + 1j * rng.normal(size=p ** (M + 1))
-        spec = SpectrumTable(p, M, vals)
+        spec = dense_table(p, M, vals)
         back = forward_transform(inverse_transform(spec))
         assert np.abs(back.values - spec.values).max() < 1e-12
 
@@ -125,12 +127,10 @@ def test_transform_roundtrip_random_spectra(rng):
 @pytest.mark.parametrize("p, band, nnz", [(2, 0, 1), (3, 1, 0), (3, 2, 5), (5, 2, 125), (7, 3, 7)])
 def test_sparse_inverse_matches_full_transform(p, band, nnz, rng):
     # psi_freq's coset sum over a random refinable spectrum and a random dense mask
-    values = np.zeros(p ** (band + 1), dtype=complex)
-    cosets = rng.choice(len(values), size=nnz, replace=False)
-    values[cosets] = rng.normal(size=nnz) + 1j * rng.normal(size=nnz)
-    spec = SpectrumTable(p, band, values)
+    cosets = rng.choice(p ** (band + 1), size=nnz, replace=False)
+    spec = SpectrumTable(p, band, cosets, rng.normal(size=nnz) + 1j * rng.normal(size=nnz))
     mask = MaskTable(p, rng.normal(size=p * p) + 1j * rng.normal(size=p * p))
-    sparse = tuple(psi_freq(spec, mask))
+    sparse = tuple(psi_freq(*family_spectra(spec, mask), band))
     assert len(sparse) == p - 1
     for l, psi in enumerate(sparse, 1):
         full = inverse_transform(psi_hat(spec, mask, l))
@@ -143,16 +143,17 @@ def test_sparse_inverse_counts_every_coset_against_the_size_cap(chain3, monkeypa
     monkeypatch.setenv("VILWAV_SIZE_CAP", "80")
     inverse_transform(psi_hat(chain3.phi_hat, chain3.mask, 1))
     with pytest.raises(SizeCapError, match="81 entries"):
-        next(psi_freq(chain3.phi_hat, chain3.mask))
+        next(psi_freq(*family_spectra(chain3.phi_hat, chain3.mask), chain3.M))
 
 
 def test_sparse_inverse_spreads_a_nan_to_every_cell(chain3):
     values = chain3.phi_hat.values.copy()
-    values[np.flatnonzero(values)[1]] = np.nan
+    values[1] = np.nan
     lam = chain3.mask.lam.copy()
     lam[np.flatnonzero(lam)[1]] = np.nan
-    for spec, mask in [(SpectrumTable(3, 1, values), chain3.mask), (chain3.phi_hat, MaskTable(3, lam))]:
-        assert all(np.isnan(psi.values).all() for psi in psi_freq(spec, mask))
+    spec = SpectrumTable(3, 1, chain3.phi_hat.keys, values)
+    for spec, mask in [(spec, chain3.mask), (chain3.phi_hat, MaskTable(3, lam))]:
+        assert all(np.isnan(psi.values).all() for psi in psi_freq(*family_spectra(spec, mask), 1))
 
 
 def cnormal(rng, *shape):
@@ -219,27 +220,27 @@ def test_elementary_chain_and_star():
 def test_elementary_failure_modes():
     vals = np.zeros(9, dtype=complex)
     vals[[0, 1, 4]] = 1.0  # residues 0, 1, 1: xi-parts collide
-    rep = check_elementary(SpectrumTable(3, 1, vals))
+    rep = check_elementary(dense_table(3, 1, vals))
     assert not rep.passed and "residues" in rep.where
 
     vals2 = np.zeros(9, dtype=complex)
     vals2[[0, 1, 2]] = 1.0  # all in the level-0 annihilator: shell l=1 empty
-    rep2 = check_elementary(SpectrumTable(3, 1, vals2))
+    rep2 = check_elementary(dense_table(3, 1, vals2))
     assert not rep2.passed and rep2.where == "empty shells at levels [1]"
 
     vals3 = np.zeros(9, dtype=complex)
     vals3[[3, 1, 5]] = 1.0  # trivial coset missing; residues and shells fine
-    rep3 = check_elementary(SpectrumTable(3, 1, vals3))
+    rep3 = check_elementary(dense_table(3, 1, vals3))
     assert not rep3.passed and rep3.where == "trivial coset not in support"
 
     vals4 = np.zeros(9, dtype=complex)
     vals4[[0, 1, 5]] = [1.0, 0.5, 1.0]
-    assert check_elementary(SpectrumTable(3, 1, vals4)).where == "values are neither 0 nor unimodular"
+    assert check_elementary(dense_table(3, 1, vals4)).where == "values are neither 0 nor unimodular"
 
     _, _, spec = build_spectrum([0, 0, 1], 3)
-    vals5 = spec.values.copy()
+    vals5 = dense_values(spec)
     vals5[np.flatnonzero(vals5 == 0)[0]] = 1e-9  # off the support, but off 0 by more than tol
-    spec5 = SpectrumTable(3, spec.band, vals5)
+    spec5 = dense_table(3, spec.band, vals5)
     assert not check_elementary(spec5).passed and check_elementary(spec5, tol=1e-6).passed
 
 
@@ -248,13 +249,13 @@ def test_spectral_ortho_report():
     rep = check_orthonormality_spectral(spec)
     assert rep.passed and rep.max_deviation == 0.0
     # zero one entry -> one residue sum drops to 0
-    vals = spec.values.copy()
+    vals = dense_values(spec)
     vals[1] = 0.0
-    assert check_orthonormality_spectral(SpectrumTable(3, 1, vals)).max_deviation == 1.0
+    assert check_orthonormality_spectral(dense_table(3, 1, vals)).max_deviation == 1.0
     # duplicate a unit entry at a used residue -> sum 2
-    vals2 = spec.values.copy()
+    vals2 = dense_values(spec)
     vals2[4] = 1.0
-    assert check_orthonormality_spectral(SpectrumTable(3, 1, vals2)).max_deviation == 1.0
+    assert check_orthonormality_spectral(dense_table(3, 1, vals2)).max_deviation == 1.0
 
 
 def test_embed_places_cells():
@@ -324,8 +325,8 @@ def test_huge_declared_width_is_refused_without_computing_p_to_the_width():
     # a file can declare any level; p**(2**70) would never finish
     with pytest.raises(ValueError, match=r"expected 3\^"):
         StepFunction(3, -1, 2**70, np.zeros(27))
-    with pytest.raises(ValueError, match=r"expected 3\^"):
-        SpectrumTable(3, 2**70, np.zeros(9))
+    with pytest.raises(SizeCapError, match="int64"):
+        SpectrumTable(3, 2**70, np.arange(9), np.zeros(9))
 
 
 def assert_correlation_is_dense_gram(funcs, width):

@@ -20,6 +20,8 @@ SCRIPT_ARGS = {
 def test_script_exits_zero(script):
     proc = run_script(script, SCRIPT_ARGS[script])
     assert proc.returncode == 0, proc.stdout + proc.stderr
+    if script == "seven_vertex_demo.py":  # tree A's spectrum keys, sorted
+        assert "spectrum support indices: [0, 3, 5, 22, 23, 39, 279]\n" in proc.stdout.split("== tree B")[0]
 
 
 def test_every_script_has_a_row():

@@ -30,6 +30,7 @@ from vilwav.wavelet import (
     beta_residual,
     beta_shifted,
     build_system,
+    family_spectra,
     psi_freq,
     psi_time,
     shifted_mask_checks,
@@ -39,8 +40,8 @@ from vilwav.wavelet import (
 )
 
 from conftest import (
-    P11_M5_PARENT, TREE7_A_PARENT, TREE7_B_PARENT, dense_gram_deviation, family_functions, tamper_family,
-    tampered,
+    P11_M5_PARENT, TREE7_A_PARENT, TREE7_B_PARENT, dense_gram_deviation, dense_values, family_functions,
+    tamper_family, tampered,
 )
 
 OMEGA3 = np.exp(2j * np.pi / 3)
@@ -228,6 +229,38 @@ def test_importing_the_package_leaves_the_oracles_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_full_verify_builds_the_family_spectra_once(chain3, monkeypatch):
+    # psi-two-route and the Gram check read the same family
+    handed = tamper_family(monkeypatch, lambda keys, table: None)
+    checks = verify_wavelet_system(chain3)
+    assert len(handed) == 1 and all(c.passed for c in checks)
+
+
+def test_refinement_identity_fails_on_its_last_cell_alone(monkeypatch):
+    # the psi tables are read with the true refinement sum, so only the identity sees the bent one
+    system = build_system(RootedTree.validate([0, 0, 1, 2, 3], 5))
+    system.psi
+    real = wavelet.assemble_refinement_sum
+
+    def off_in_the_last_cell(phi, coeffs):
+        total = real(phi, coeffs)
+        values = total.values.copy()
+        values[-1] += 1e-6
+        return dataclasses.replace(total, values=values)
+
+    monkeypatch.setattr(wavelet, "assemble_refinement_sum", off_in_the_last_cell)
+    checks = {c.name: c for c in verify_wavelet_system(system)}
+    assert [name for name, c in checks.items() if not c.passed] == ["refinement-identity"]
+    assert checks["refinement-identity"].max_deviation == pytest.approx(1e-6, rel=1e-6)
+
+
+def test_tampered_beta_fails_the_residual_and_the_energy(chain3):
+    # a mask that passes mask-row-sums fixes sum |beta|^2 = p (the beta system is unitary),
+    # so no tampered mask fails beta-energy alone: beta itself is tampered
+    checks = verify_wavelet_system(tampered(chain3, beta=chain3.beta * 1.01), spectral_only=True)
+    assert {c.name for c in checks if not c.passed} == {"beta-residual", "beta-energy"}
+
+
 def test_full_verify_counts_its_tables_before_building_any(no_tables, monkeypatch):
     # the p = 3 chain holds 9 + 4 * 27 = 117 cells at once in full verify
     system = build_system(RootedTree.validate([0, 0, 1], 3))
@@ -238,16 +271,18 @@ def test_full_verify_counts_its_tables_before_building_any(no_tables, monkeypatc
 
 
 def test_spectral_verify_reads_no_digit_table(monkeypatch):
-    # at p = 11, M = 5 a digit table over phi_hat's window would be 85 MB, kept by its cache
-    system = build_system(RootedTree.validate(P11_M5_PARENT, 11))
-
+    # at p = 11, M = 5 a digit table over phi_hat's window would be 85 MB, kept by its cache;
+    # at the p = 11 and p = 13 chains (M = 9, 11) it would pass the cap, and phi_hat is p keys
     def refuse(*args):
         raise AssertionError("digit_table called")
 
     for module in (group, mask, refinable):  # raising=False: a module need not bind it
         monkeypatch.setattr(module, "digit_table", refuse, raising=False)
-    checks = verify_wavelet_system(system, spectral_only=True)
-    assert len(checks) == 7 and all(c.passed for c in checks)
+    for p, parent in [(11, P11_M5_PARENT), (11, (0, *range(10))), (13, (0, *range(12)))]:
+        system = build_system(RootedTree.validate(parent, p))
+        checks = verify_wavelet_system(system, spectral_only=True)
+        assert len(system.phi_hat.keys) == p
+        assert len(checks) == 7 and all(c.passed for c in checks)
 
 
 @pytest.fixture(scope="module")
@@ -263,7 +298,7 @@ def test_p7_chain_refinement_and_two_route(chain7):
     assert system.M == 5
     refined = assemble_refinement_sum(system.phi, system.beta)
     assert np.abs(refined.values - embed(system.phi, -1, system.M + 1)).max() < 1e-12
-    freqs = tuple(psi_freq(system.phi_hat, system.mask))
+    freqs = tuple(psi_freq(*family_spectra(system.phi_hat, system.mask), system.M))
     assert len(freqs) == 6
     for l, freq in enumerate(freqs, 1):
         assert np.abs(freq.values - system.psi[l - 1].values).max() < 1e-12
@@ -302,7 +337,7 @@ def test_p7_chain_full_verify_under_default_cap(chain7, monkeypatch):
 
 
 def assert_psi_freq_is_the_full_inverse(system):
-    for l, freq in enumerate(psi_freq(system.phi_hat, system.mask), 1):
+    for l, freq in enumerate(psi_freq(*family_spectra(system.phi_hat, system.mask), system.M), 1):
         full = inverse_transform(psi_hat(system.phi_hat, system.mask, l))
         assert np.abs(freq.values - full.values).max() < 1e-13
 
@@ -331,7 +366,7 @@ def test_psi_freq_runs_no_full_transform(chain3, monkeypatch):
         monkeypatch.setattr(module, "char_kernel_apply", spy)
     inverse_transform(chain3.phi_hat)
     assert calls == [(3, 2)]  # the spy sees the full transform
-    assert len(tuple(psi_freq(chain3.phi_hat, chain3.mask))) == 2
+    assert len(tuple(psi_freq(*family_spectra(chain3.phi_hat, chain3.mask), chain3.M))) == 2
     assert calls == [(3, 2)]
 
 
@@ -381,26 +416,26 @@ def test_psi_norm_and_orthogonality_to_phi(chain3):
 
 def test_two_route_psi_star_and_chain(star3, chain3):
     for system in (star3, chain3):
-        for freq, time in zip(psi_freq(system.phi_hat, system.mask), system.psi, strict=True):
+        for freq, time in zip(psi_freq(*family_spectra(system.phi_hat, system.mask), system.M), system.psi, strict=True):
             assert freq.support_level == time.support_level
             assert freq.resolution_level == time.resolution_level
             assert np.abs(freq.values - time.values).max() < 1e-13
 
 
 def test_psi_freq_support_disjoint_from_phi_hat(chain3):
-    phi_support = np.flatnonzero(np.abs(chain3.phi_hat.values) > 1e-12)
+    phi_support = np.flatnonzero(np.abs(dense_values(chain3.phi_hat)) > 1e-12)
     for l in range(1, 3):
         spec = psi_hat(chain3.phi_hat, chain3.mask, l)
         # the shifted mask vanishes on the refinable support, so the two
         # spectra occupy disjoint cosets of the common window
-        assert np.abs(spec.values[phi_support]).max() < 1e-13
+        assert np.abs(dense_values(spec)[phi_support]).max() < 1e-13
 
 
 def test_psi_hat_l0_reproduces_phi_hat(chain3):
     spec = psi_hat(chain3.phi_hat, chain3.mask, 0)
     width = 3**(chain3.M + 1)
     # refinement in frequency: entries above the old band must vanish
-    assert np.abs(spec.values[width:].reshape(-1, width)).max() == pytest.approx(0.0, abs=1e-13)
+    assert np.abs(dense_values(spec)[width:].reshape(-1, width)).max() == pytest.approx(0.0, abs=1e-13)
     from vilwav.refinable import inverse_transform
 
     phi_again = inverse_transform(spec)
@@ -507,7 +542,7 @@ def test_family_correlation_is_the_cell_tables_correlation(p, monkeypatch):
     for tree in p_trees(p):
         for phases in ({}, {e: float(rng.uniform()) for e in tree.edges()}):
             system = build_system(tree, phases)
-            rule = wavelet.family_correlation(system.phi_hat, system.mask)
+            rule = wavelet.family_correlation(*wavelet.family_spectra(system.phi_hat, system.mask))
             cells = translation_correlation(family_functions(p, *handed[-1]))
             worst = max(worst, np.abs(rule - cells).max())
             conjugate = min(conjugate, np.abs(rule[:, :, -np.arange(p) % p] - cells).max())
