@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit codes are a stable contract: 0 success, 1 mathematical validation
-failure (a MathError), 2 input/format failure (an InputError); main maps
-the two error bases once.  All output files are deterministic given the
-inputs and --seed.
+failure (a MathError, or a table that memory cannot hold), 2 input/format
+failure (an InputError); main maps them once.  All output files are
+deterministic given the inputs and --seed.
 """
 
 from __future__ import annotations
@@ -302,6 +302,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except MathError as exc:
         print(f"failed: {exc}")
+        return EXIT_MATH
+    except MemoryError as exc:  # a table the size cap admits but memory does not hold
+        print(f"failed: out of memory: {exc}")
         return EXIT_MATH
 
 

@@ -2,6 +2,7 @@
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 # Largest table we are willing to materialize (number of complex entries).
 DEFAULT_SIZE_CAP = 10**8
@@ -37,7 +38,12 @@ class MathError(ValueError):
 
 def size_cap() -> int:
     """Current table-size cap, overridable via VILWAV_SIZE_CAP."""
-    raw = os.environ.get("VILWAV_SIZE_CAP", DEFAULT_SIZE_CAP)
+    return _parse_cap(os.environ.get("VILWAV_SIZE_CAP", DEFAULT_SIZE_CAP))
+
+
+@lru_cache(maxsize=8)
+def _parse_cap(raw) -> int:
+    """The cap a raw setting spells, parsed once per distinct string; a malformed one raises every time."""
     try:
         return int(raw)
     except ValueError:

@@ -3,16 +3,20 @@
 Everything is plain JSON with all tables in canonical little-endian index
 order.  Complex numbers are [re, im] pairs in every file but a pyramid.  A
 wavelet system is stored as the tree and mask that fix it; its tables are
-rebuilt on reading.  A coefficient grid is two columns, {"level": L, "keys":
-[k, ...], "values": "<base64>"}: the keys ascend, and each is the shift's
-canonical index, whose base-p digits (least significant first) are the
-shift's digits from position -1 downward.  The values are one base64 string
-of the little-endian complex128 bytes (re then im) of each key's value, in
-key order: a pyramid is an intermediate file between `analyze` and
-`synthesize`, and its tens of thousands of values would otherwise cost two
-float reprs each to write and two float parses each to read.  Files are
-compact (no indentation, which would force the json module's pure-Python
-encoder) and keys are sorted, so the bytes are stable across runs.
+rebuilt on reading.  A coefficient grid is {"level": L, "keys": {"first":
+[k, ...], "count": [n, ...]}, "values": "<base64>"}.  The keys ascend, and
+each is the shift's canonical index, whose base-p digits (least significant
+first) are the shift's digits from position -1 downward.  They are stored as
+their maximal runs of consecutive keys: run j holds count[j] keys from
+first[j] on, so the key at index i is first[j] + i - (the counts of the
+runs before j summed).  The values are one base64 string of the little-endian
+complex128 bytes (re then im) of each key's value, in key order.  A pyramid
+is an intermediate file between `analyze` and `synthesize`, and its grids
+are dense: tens of thousands of keys would otherwise cost one int each, and
+their values two float reprs each, to write and as many parses to read.
+Files are compact (no indentation, which would force the json module's
+pure-Python encoder) and keys are sorted, so the bytes are stable across
+runs.
 
 The codecs convert whole numpy arrays at once, and every reader and writer
 runs with the cyclic garbage collector paused: a JSON tree holds no cycles,
@@ -202,33 +206,63 @@ def system_from_dict(data: dict) -> WaveletSystem:
 # -- coefficient grids and pyramids --
 
 
-def _check_shift_keys(keys, p: int) -> np.ndarray:
-    """The int64 column of a file's shift keys: distinct integers >= 0 of a width the cap admits."""
-    if not isinstance(keys, list) or not set(map(type, keys)) <= {int}:
-        raise FormatError("shift keys must be a list of integers")
-    try:
-        column = np.fromiter(keys, dtype=np.int64, count=len(keys))
-    except OverflowError:  # a key past int64, refused with the message any key list gets
-        check_key_range(keys, p)
-        raise
-    ordered = np.sort(column)
-    check_key_range(ordered[:1].tolist() + ordered[-1:].tolist(), p)  # the least and largest key
-    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
-    if repeated.size:
-        raise FormatError(f"two entries share the shift key {repeated[0]}")
-    return column
-
-
 # a grid's values column: each value's re and im as little-endian doubles
 _GRID_VALUE = np.dtype("<c16")
 
 
 @_gc_paused
 def grid_to_dict(grid: CoeffGrid) -> dict:
-    order = np.argsort(grid.keys)
-    values = grid.values[order].astype(_GRID_VALUE).tobytes()
-    return {"level": grid.level, "keys": grid.keys[order].tolist(),
-            "values": base64.b64encode(values).decode("ascii")}
+    keys, values = grid.keys, grid.values
+    if np.any(keys[1:] < keys[:-1]):  # the bank's grids ascend; a dict's keep its order
+        order = np.argsort(keys)
+        keys, values = keys[order], values[order]
+    # a run starts at the first key and at each key that is not the one before it + 1
+    starts = np.flatnonzero(np.diff(keys, prepend=keys[:1] - 2) != 1)
+    runs = {"first": keys[starts].tolist(), "count": np.diff(starts, append=len(keys)).tolist()}
+    column = np.ascontiguousarray(values, dtype=_GRID_VALUE)  # no copy of the bank's columns
+    return {"level": grid.level, "keys": runs, "values": base64.b64encode(column).decode("ascii")}
+
+
+def _key_runs(runs) -> tuple[list, list, int]:
+    """A file's runs of shift keys, checked as JSON, and the keys they hold in all."""
+    if isinstance(runs, list):
+        raise FormatError("shift keys are a list, a layout no longer read: a pyramid file holds "
+                          'them as runs {"first": [k, ...], "count": [n, ...]} of consecutive keys')
+    first, count = _require(runs, "first"), _require(runs, "count")
+    if not all(isinstance(c, list) and set(map(type, c)) <= {int} for c in (first, count)):
+        raise FormatError("shift key runs must be two lists of integers")
+    if len(first) != len(count):
+        raise FormatError(f"shift key runs: {len(first)} first keys for {len(count)} counts")
+    if count and min(count) < 1:
+        raise FormatError("a shift key run holds no key")
+    return first, count, sum(count)
+
+
+def _shift_keys(first: list, count: list, p: int) -> np.ndarray:
+    """The int64 key column of runs that hold as many keys as the values: distinct, ascending,
+    >= 0 and of a width the cap admits, all checked before the column is built."""
+    try:
+        starts = np.fromiter(first, dtype=np.int64, count=len(first))
+    except OverflowError:  # a key past int64, refused with the message any key list gets
+        check_key_range(first, p)
+        raise
+    lengths = np.fromiter(count, dtype=np.int64, count=len(count))  # each >= 1, so none passes their sum
+    if not len(starts):
+        return starts
+    top = int(np.argmax(starts))
+    # the least key, and the largest once the runs ascend, as checked next
+    check_key_range((int(starts.min()), int(starts[top]) + count[top] - 1), p)
+    behind = np.flatnonzero(np.diff(starts) < lengths[:-1])  # starts >= 0, so no difference wraps
+    if behind.size:
+        # sorted by start, runs overlap only where one starts inside the run before it
+        order = np.argsort(starts, kind="stable")
+        shared = np.flatnonzero(np.diff(starts[order]) < lengths[order][:-1])
+        if shared.size:
+            raise FormatError(f"two runs share the shift key {starts[order][shared[0] + 1]}")
+        j = behind[0]
+        raise FormatError(f"shift key runs must ascend: a run from {starts[j + 1]} follows one from {starts[j]}")
+    ends = np.cumsum(lengths)  # key index i of run j is first[j] + i - (ends[j] - count[j])
+    return np.repeat(starts - (ends - lengths), lengths) + np.arange(ends[-1])
 
 
 def _grid_values(text, n_keys: int) -> np.ndarray:
@@ -251,8 +285,9 @@ def _grid_values(text, n_keys: int) -> np.ndarray:
 @_gc_paused
 def grid_from_dict(data: dict, p: int) -> CoeffGrid:
     with _malformed("coefficient grid"):
-        keys = _check_shift_keys(_require(data, "keys"), p)
-        values = _grid_values(_require(data, "values"), len(keys))
+        first, count, n_keys = _key_runs(_require(data, "keys"))
+        values = _grid_values(_require(data, "values"), n_keys)  # before a count of 10^18 builds anything
+        keys = _shift_keys(first, count, p)
         return CoeffGrid(p, int(_require(data, "level")), keys=keys, values=values)
 
 

@@ -69,12 +69,20 @@ class CoeffGrid:
 
     @functools.cached_property
     def keys(self) -> np.ndarray:
-        check_key_range(self.entries, self.p)  # before any int64 conversion
-        return np.fromiter(self.entries, dtype=np.int64, count=len(self.entries))
+        try:
+            keys = np.fromiter(self.entries, dtype=np.int64, count=len(self.entries))
+        except (OverflowError, TypeError, ValueError):  # a key past int64, or no number
+            check_key_range(self.entries, self.p)  # refuses a negative or too wide key by its range
+            raise
+        check_key_range((int(keys.min()), int(keys.max())) if len(keys) else (), self.p)
+        return keys
 
     @functools.cached_property
     def values(self) -> np.ndarray:
-        return np.array(list(self.entries.values()), dtype=complex)
+        try:
+            return np.fromiter(self.entries.values(), dtype=complex, count=len(self.entries))
+        except (TypeError, ValueError):  # vector values, a row each; np.array refuses the rest alike
+            return np.array(list(self.entries.values()), dtype=complex)
 
     def energy(self):
         return np.sum(np.abs(self.values) ** 2, axis=0)

@@ -23,7 +23,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .config import DEFAULT_TOL, CheckResult
+from .config import DEFAULT_TOL, CheckResult, SizeCapError
 from .group import char_kernel_apply, check_table_size, unit_roots
 from .mask import MaskTable, check_row_condition, check_vanishing, mask_from_tree
 from .refinable import (
@@ -111,6 +111,9 @@ def family_spectra(phi_hat_table: SpectrumTable, mask: MaskTable) -> tuple[np.nd
     keys s, and zero elsewhere; phi shares the keys it meets.
     """
     p, support, values = mask.p, phi_hat_table.keys, phi_hat_table.values
+    if p ** (phi_hat_table.band + 2) > np.iinfo(np.int64).max:  # a + p*s would wrap
+        raise SizeCapError(f"wavelet spectrum keys of {phi_hat_table.band + 2} digits at p={p} "
+                           "do not fit an int64 key")
     keys, column = np.unique(np.append(support, np.arange(p) + p * support[:, None]), return_inverse=True)
     check_table_size(p * len(keys), "the family's spectra")
     table = np.zeros((p, len(keys)), dtype=complex)
@@ -144,7 +147,14 @@ def family_correlation(keys: np.ndarray, table: np.ndarray) -> np.ndarray:
     psi-two-route holds each psi table, on G_-1 of measure p, within tol of its spectrum per cell.
     """
     p = len(table)
-    gram = np.stack([t @ t.conj().T for t in (table[:, keys % p == r] for r in range(p))])
+    # each residue's columns, in key order, padded with zero columns to the largest: blocks[r, i, slot]
+    residue = keys % p
+    order = np.argsort(residue, kind="stable")
+    counts = np.bincount(residue, minlength=p)
+    slot = np.arange(len(keys)) - np.repeat(np.cumsum(counts) - counts, counts)
+    blocks = np.zeros((p, p, counts.max(initial=0)), dtype=complex)
+    blocks[residue[order], :, slot] = table[:, order].T
+    gram = blocks @ blocks.conj().transpose(0, 2, 1)
     return (char_kernel_apply(gram, p, 1, +1) / p).transpose(1, 2, 0)
 
 

@@ -120,3 +120,8 @@ def dense_gram_deviation(p, band, keys, table):
     """max |Gram - I| of the inverse-transformed family, by the dense oracle over the shifts of digits -1 and -2."""
     gram = gram_matrix(family_functions(p, band, keys, table), all_shifts(p, 2))
     return float(np.abs(gram - np.eye(len(gram))).max())
+
+
+def run_keys(runs):
+    """The shift keys a pyramid grid's runs {"first": [...], "count": [...]} hold, in file order."""
+    return [k for first, count in zip(runs["first"], runs["count"]) for k in range(first, first + count)]

@@ -12,14 +12,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from vilwav import cli, serialize, transform
+from vilwav import cli, serialize, transform, wavelet
 from vilwav.cli import EXIT_INPUT, EXIT_MATH, EXIT_OK, main
 from vilwav.refinable import StepFunction, embed
 from vilwav.tree import RootedTree
 from vilwav.wavelet import CheckResult, build_system, verify_wavelet_system
 
 from conftest import (
-    P11_M5_PARENT, TREE7_A_PARENT, TREE7_B_PARENT, dense_gram_deviation, dense_table, tamper_family, tampered,
+    P11_M5_PARENT, TREE7_A_PARENT, TREE7_B_PARENT, dense_gram_deviation, dense_table, run_keys, tamper_family,
+    tampered,
 )
 
 
@@ -644,7 +645,7 @@ def first_value(re, im):
 def entries_layout(pyramid):
     """The layout of older pyramid files: one {"shift": digits, "value": [re, im]} per key."""
     for grid in pyramid_grids(pyramid):
-        keys, values = grid.pop("keys"), value_pairs(grid)
+        keys, values = run_keys(grid.pop("keys")), value_pairs(grid)
         del grid["values"]
         grid["entries"] = [{"shift": list(transform.shift_key_digits(k, 3)), "value": v}
                            for k, v in zip(keys, values)]
@@ -657,8 +658,14 @@ def pairs_layout(pyramid):
 
 
 def huge_first_key(pyramid):
-    """The file with a key of 5000 digits put first: more than json reads as an int."""
-    return serialize.dumps(pyramid).replace('"keys": [', '"keys": [' + "9" * 5000 + ", ", 1).encode()
+    """The file with a run of 5000-digit keys put first: more than json reads as an int."""
+    return serialize.dumps(pyramid).replace('"first": [', '"first": [' + "9" * 5000 + ", ", 1).encode()
+
+
+def key_list_layout(pyramid):
+    """The layout of older pyramid files: every shift key its own int, not runs of them."""
+    for grid in pyramid_grids(pyramid):
+        grid["keys"] = run_keys(grid["keys"])
 
 
 def every_level_shifted_by_5000(pyramid):
@@ -693,17 +700,31 @@ def every_level_shifted_by_5000(pyramid):
                      "base64 string of little-endian complex128", id="7-pairs-layout"),
         pytest.param("pyramid", set_in("details", {"level": 0}), 4, EXIT_INPUT, "err",
                      "missing key 'keys'", id="7-details"),
-        pytest.param("pyramid", set_in("approx", "keys", 0, -1), 4, EXIT_INPUT, "err",
+        # the approximation's keys are one run, 0, 1, 2
+        pytest.param("pyramid", set_in("approx", "keys", "first", 0, -1), 4, EXIT_INPUT, "err",
                      "outside", id="7-shift"),
-        pytest.param("pyramid", set_in("approx", "keys", 1, 1.5), 4, EXIT_INPUT, "err",
+        pytest.param("pyramid", set_in("approx", "keys", "first", 0, 1.5), 4, EXIT_INPUT, "err",
                      "integers", id="7-shift-fraction"),
-        pytest.param("pyramid", set_in("approx", "keys", 1, "2"), 4, EXIT_INPUT, "err",
+        pytest.param("pyramid", set_in("approx", "keys", "first", 0, "2"), 4, EXIT_INPUT, "err",
                      "integers", id="7-shift-string"),
-        pytest.param("pyramid", set_in("approx", "keys", 1, True), 4, EXIT_INPUT, "err",
+        pytest.param("pyramid", set_in("approx", "keys", "first", 0, True), 4, EXIT_INPUT, "err",
                      "integers", id="7-shift-bool"),
-        # key 0 comes first
-        pytest.param("pyramid", set_in("approx", "keys", 1, 0), 4, EXIT_INPUT,
-                     "err", "share the shift key 0", id="7-shift-repeated"),
+        pytest.param("pyramid", set_in("approx", "keys", "count", 0, True), 4, EXIT_INPUT, "err",
+                     "integers", id="7-runs-count-bool"),
+        pytest.param("pyramid", set_in("approx", "keys", {"first": [0, 0], "count": [1, 2]}), 4,
+                     EXIT_INPUT, "err", "share the shift key 0", id="7-shift-repeated"),
+        pytest.param("pyramid", set_in("approx", "keys", {"first": [0, 1], "count": [2, 1]}), 4,
+                     EXIT_INPUT, "err", "share the shift key 1", id="7-runs-overlap"),
+        pytest.param("pyramid", set_in("approx", "keys", {"first": [2, 0], "count": [1, 2]}), 4,
+                     EXIT_INPUT, "err", "runs must ascend", id="7-runs-descending"),
+        pytest.param("pyramid", set_in("approx", "keys", {"first": [0, 3], "count": [3, 0]}), 4,
+                     EXIT_INPUT, "err", "run holds no key", id="7-runs-zero-count"),
+        pytest.param("pyramid", set_in("approx", "keys", "count", 0, 4), 4, EXIT_INPUT, "err",
+                     "4 shift keys for 48 value bytes", id="7-runs-count"),
+        pytest.param("pyramid", set_in("approx", "keys", "count", [3, 1]), 4, EXIT_INPUT, "err",
+                     "1 first keys for 2 counts", id="7-runs-lengths"),
+        pytest.param("pyramid", key_list_layout, 4, EXIT_INPUT, "err",
+                     'runs {"first": [k, ...], "count": [n, ...]}', id="7-key-list-layout"),
         pytest.param("pyramid", value_bytes("approx", lambda raw: raw[:-16]), 4, EXIT_INPUT,
                      "err", "shift keys for", id="7-keys-length"),
         pytest.param("pyramid", entries_layout, 4, EXIT_INPUT, "err", "missing key 'keys'",
@@ -771,7 +792,7 @@ def test_wide_shift_is_refused_by_the_size_cap(p3_payloads, tmp_path, capsys):
     # most digits json reads, and at p=7 the table of 5 089-digit keys has 4 301 digits,
     # more than str() converts
     for p, key in ((3, 3**40), (3, 10**4299), (7, int("9" * 4300))):
-        wide = mutate(p3_payloads, "pyramid", set_in("approx", "keys", 1, key))
+        wide = mutate(p3_payloads, "pyramid", set_in("approx", "keys", "first", 0, key))
         wide["pyramid"]["p"] = p
         paths = write_inputs(tmp_path, wide)
         _, argv = commands(paths, str(tmp_path / "out.json"))[4]
@@ -781,7 +802,7 @@ def test_wide_shift_is_refused_by_the_size_cap(p3_payloads, tmp_path, capsys):
 
 def test_negative_wide_shift_gives_one_short_line(p3_payloads, tmp_path, capsys):
     # 4 300 nines is the most digits json reads; the line must not spell them out
-    wide = mutate(p3_payloads, "pyramid", set_in("approx", "keys", 1, -int("9" * 4300)))
+    wide = mutate(p3_payloads, "pyramid", set_in("approx", "keys", "first", 0, -int("9" * 4300)))
     paths = write_inputs(tmp_path, wide)
     _, argv = commands(paths, str(tmp_path / "out.json"))[4]
     code, _, err = run_one_line(argv, capsys)
@@ -878,6 +899,19 @@ def test_malformed_size_cap_is_input_error(p3_payloads, tmp_path, capsys, monkey
     monkeypatch.setenv("VILWAV_SIZE_CAP", "abc")
     code, _, err = run_one_line(["build", paths["tree"], "-o", str(tmp_path / "s.json")], capsys)
     assert code == EXIT_INPUT and "VILWAV_SIZE_CAP" in err
+
+
+def test_allocation_that_memory_refuses_is_one_failed_line(p3_payloads, tmp_path, capsys, monkeypatch):
+    # what numpy raises when a size cap above memory admits a table (full verify of the p = 11
+    # chain under a cap of 10^30); phi's table is refused here before anything is allocated
+    def refuse(spectrum):
+        raise MemoryError("Unable to allocate 386. GiB for an array with shape (214358881, 242) "
+                          "and data type complex128")
+
+    monkeypatch.setattr(wavelet, "inverse_transform", refuse)
+    paths = write_inputs(tmp_path, p3_payloads)
+    code, out, err = run_one_line(["verify", paths["system"], "--level", "full"], capsys)
+    assert code == EXIT_MATH and out.startswith("failed: out of memory: Unable to allocate 386. GiB") and not err
 
 
 def test_analyze_zero_levels_is_input_error(p3_payloads, tmp_path, capsys):

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vilwav.config import SizeCapError
+from vilwav import config
+from vilwav.config import InputError, SizeCapError
 from vilwav.group import char_kernel_apply, digit_table, is_prime, unit_roots
 from vilwav.refinable import SpectrumTable, StepFunction, embed, translate_dilate
 
@@ -217,4 +218,19 @@ def test_size_cap_env_override(monkeypatch):
     monkeypatch.setenv("VILWAV_SIZE_CAP", "100")
     with pytest.raises(SizeCapError):
         digit_table(5, 11)
+
+
+def test_size_cap_is_parsed_once_per_setting_and_follows_every_change(monkeypatch):
+    config._parse_cap.cache_clear()
+    monkeypatch.setenv("VILWAV_SIZE_CAP", "100")
+    assert [config.size_cap() for _ in range(3)] == [100] * 3
+    assert config._parse_cap.cache_info().misses == 1
+    monkeypatch.setenv("VILWAV_SIZE_CAP", "200")
+    assert config.size_cap() == 200
+    monkeypatch.setenv("VILWAV_SIZE_CAP", "abc")
+    for _ in range(2):  # a malformed setting is refused every time it is read
+        with pytest.raises(InputError, match="VILWAV_SIZE_CAP='abc'"):
+            config.size_cap()
+    monkeypatch.delenv("VILWAV_SIZE_CAP")
+    assert config.size_cap() == config.DEFAULT_SIZE_CAP
 

@@ -13,6 +13,8 @@ from vilwav.transform import CoeffGrid, CoeffPyramid, analyze, shift_key_digits
 from vilwav.tree import RootedTree
 from vilwav.wavelet import build_system
 
+from conftest import run_keys
+
 
 def test_tree_roundtrip():
     tree = RootedTree.validate([0, 3, 3, 0, 5, 0, 2], 7)
@@ -158,15 +160,18 @@ def test_pyramid_listing_spells_each_key_in_digits(p):
     keys = [0, p - 1, p, p * p - 1, p**3]
     grids = [CoeffGrid(p, 1, {k: complex(k, j - k) for k in reversed(keys)}) for j in range(p)]
     pyramid = CoeffPyramid(p, grids[0], (tuple(grids[1:]),))
+    # maximal runs of consecutive keys: 0 .. 3 and 8 at p = 2, else 0, p - 1 .. p, p^2 - 1, p^3
+    runs = {"first": [0, 8], "count": [4, 1]} if p == 2 else {"first": [0, p - 1, p * p - 1, p**3],
+                                                             "count": [1, 2, 1, 1]}
 
     def listed(j):
         values = b"".join(struct.pack("<dd", k, j - k) for k in keys)
-        return {"level": 1, "keys": keys, "values": base64.b64encode(values).decode()}
+        return {"level": 1, "keys": runs, "values": base64.b64encode(values).decode()}
 
     want = {"p": p, "approx": listed(0), "details": [[listed(j) for j in range(1, p)]]}
     assert serialize.pyramid_to_dict(pyramid) == want
     # the file's p spells each key back in digits, from position -1 downward
-    assert [list(shift_key_digits(k, p)) for k in want["approx"]["keys"]] == [
+    assert [list(shift_key_digits(k, p)) for k in run_keys(want["approx"]["keys"])] == [
         [], [p - 1], [0, 1], [p - 1, p - 1], [0, 0, 0, 1]]
     back = serialize.pyramid_from_dict(json.loads(serialize.dumps(want)))
     assert back.approx.entries == grids[0].entries
@@ -177,10 +182,12 @@ def test_grid_dict_is_a_level_and_two_columns_in_ascending_key_order(chain3, rng
     grid = CoeffGrid(3, 0, {k: complex(rng.normal(), rng.normal()) for k in rng.permutation(81).tolist()})
     pyramid = serialize.pyramid_to_dict(analyze(grid, chain3, 2))
     for g in [pyramid["approx"], *(g for level in pyramid["details"] for g in level)]:
-        assert set(g) == {"level", "keys", "values"}
-        assert all(type(k) is int for k in g["keys"])
-        assert g["keys"] == sorted(set(g["keys"]))
-        assert type(g["values"]) is str and len(base64.b64decode(g["values"], validate=True)) == 16 * len(g["keys"])
+        assert set(g) == {"level", "keys", "values"} and set(g["keys"]) == {"first", "count"}
+        first, count = g["keys"]["first"], g["keys"]["count"]
+        assert all(type(k) is int for k in first + count) and len(first) == len(count)
+        # maximal runs: each holds a key, and a gap of at least one key parts it from the next
+        assert min(count) >= 1 and all(b > a + n for a, n, b in zip(first, count, first[1:]))
+        assert type(g["values"]) is str and len(base64.b64decode(g["values"], validate=True)) == 16 * sum(count)
 
 
 def test_benchmark_shaped_pyramid_survives_a_file_round_trip(tmp_path, rng):
@@ -190,7 +197,8 @@ def test_benchmark_shaped_pyramid_survives_a_file_round_trip(tmp_path, rng):
     pyramid = analyze(grid, system, 3)
     path = tmp_path / "pyramid.json"
     path.write_text(serialize.dumps(serialize.pyramid_to_dict(pyramid)))
-    # 16 value bytes a key in base64, about 21 bytes; as exact decimal text it was 3.86 MB
+    # 16 value bytes a key in base64, about 21 bytes, and a few runs of keys a grid; with a key
+    # list it was 2.15 MB, and as exact decimal text 3.86 MB
     assert path.stat().st_size < 2_200_000
     back = serialize.pyramid_from_dict(serialize.load_json(str(path)))
     for a, b in zip([back.approx, *sum(back.details, ())], [pyramid.approx, *sum(pyramid.details, ())]):
@@ -228,14 +236,44 @@ def test_pyramid_values_are_bit_exact():
     ([[0, 1]], "integers"),
 ])
 def test_grid_from_dict_refuses_bad_shifts(shifts, message):
-    data = {"level": 0, "keys": shifts, "values": base64.b64encode(bytes(16 * len(shifts))).decode()}
+    # each shift a run of one key
+    data = {"level": 0, "keys": {"first": shifts, "count": [1] * len(shifts)},
+            "values": base64.b64encode(bytes(16 * len(shifts))).decode()}
     with pytest.raises(serialize.FormatError, match=message):
         serialize.grid_from_dict(data, 3)
 
 
+@pytest.mark.parametrize("first, count, message", [
+    ([0, 1], [2, 1], "share the shift key 1"),
+    ([3, 2], [1, 2], "share the shift key 3"),
+    ([2, 0], [1, 2], "must ascend: a run from 0 follows one from 2"),
+    ([0, 5], [1, 0], "holds no key"),
+    ([0], [-1], "holds no key"),
+    ([0], [2], "2 shift keys for 48 value bytes"),
+    ([0], [10**18], "1000000000000000000 shift keys for 48 value bytes"),
+    ([0, 1, 2], [1, 2], "3 first keys for 2 counts"),
+    ([0], [True], "integers"),
+    ([0], [3.0], "integers"),
+    ([0], "3", "integers"),
+])
+def test_grid_from_dict_refuses_bad_runs(first, count, message):
+    data = {"level": 0, "keys": {"first": first, "count": count}, "values": base64.b64encode(bytes(48)).decode()}
+    with pytest.raises(serialize.FormatError, match=message):
+        serialize.grid_from_dict(data, 3)
+
+
+def test_grid_from_dict_reads_adjacent_runs_and_refuses_a_key_list():
+    values = base64.b64encode(bytes(48)).decode()
+    grid = serialize.grid_from_dict({"level": 0, "keys": {"first": [0, 2], "count": [2, 1]}, "values": values}, 3)
+    assert grid.keys.tolist() == [0, 1, 2]
+    with pytest.raises(serialize.FormatError, match="a layout no longer read"):
+        serialize.grid_from_dict({"level": 0, "keys": [0, 1, 2], "values": values}, 3)
+
+
 def test_wide_shift_is_refused_before_its_key_could_wrap(monkeypatch):
-    def grid(key):
-        return {"level": 0, "keys": [key], "values": base64.b64encode(struct.pack("<dd", 1.0, 0.0)).decode()}
+    def grid(key, count=1):
+        return {"level": 0, "keys": {"first": [key], "count": [count]},
+                "values": base64.b64encode(struct.pack("<dd", 1.0, 0.0) * count).decode()}
 
     for key in (3**39, 3**40, 2**70):  # each table > 2^63; the first key itself fits an int64
         with pytest.raises(SizeCapError, match="exceeds cap"):
@@ -245,6 +283,10 @@ def test_wide_shift_is_refused_before_its_key_could_wrap(monkeypatch):
         with pytest.raises(SizeCapError, match="int64"):
             serialize.grid_from_dict(grid(key), 3)
     assert serialize.grid_from_dict(grid(2 * 3**38), 3).entries == {2 * 3**38: 1.0}
+    # a run's last key counts: 3^39 has 40 digits, and 3^40 passes int64
+    assert serialize.grid_from_dict(grid(3**39 - 2, 2), 3).keys.tolist() == [3**39 - 2, 3**39 - 1]
+    with pytest.raises(SizeCapError, match="int64"):
+        serialize.grid_from_dict(grid(3**39 - 1, 2), 3)
 
 
 def test_codecs_never_build_the_dict(chain3, rng):
@@ -256,7 +298,7 @@ def test_codecs_never_build_the_dict(chain3, rng):
     serialize.grid_to_dict(grid)
     assert all("entries" not in vars(g) for g in grids)
     # the file's keys column is the grid's, as int64 with no copy through a dict
-    assert back.approx.keys.dtype == np.int64 and back.approx.keys.tolist() == data["approx"]["keys"]
+    assert back.approx.keys.dtype == np.int64 and back.approx.keys.tolist() == run_keys(data["approx"]["keys"])
 
 
 @pytest.mark.parametrize("enabled", [True, False])

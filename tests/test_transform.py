@@ -454,6 +454,16 @@ def test_dict_and_column_grids_give_bit_identical_results(width, n, rng):
     assert same_grid(synthesize(a, system), synthesize(b, system))
 
 
+def test_dict_grid_columns_keep_the_dict_order_and_types():
+    scalar = CoeffGrid(3, 0, {4: 1 + 2j, 0: 3.0, 7: -1j})
+    assert scalar.keys.dtype == np.int64 and scalar.keys.tolist() == [4, 0, 7]
+    assert scalar.values.dtype == complex and scalar.values.tolist() == [1 + 2j, 3.0, -1j]
+    vector = CoeffGrid(3, 0, {2: np.array([1.0, 2j]), 5: np.array([0, 1])})  # one row a key
+    assert vector.values.dtype == complex and vector.values.tolist() == [[1.0, 2j], [0, 1]]
+    empty = CoeffGrid(3, 0, {})
+    assert empty.keys.shape == empty.values.shape == (0,)
+
+
 def test_dict_key_past_int64_is_refused_by_the_size_cap(chain3):
     grid = CoeffGrid(3, 0, {3**45: 1.0})
     for read in (lambda: grid.keys, lambda: analyze_level(grid, chain3), lambda: materialize(grid, chain3)):

@@ -549,6 +549,28 @@ def test_family_correlation_is_the_cell_tables_correlation(p, monkeypatch):
     assert worst < 1e-14 and conjugate > 1e-2
 
 
+def test_family_correlation_pads_residues_of_unequal_size():
+    # a tampered family: residues 0, 1, 2 hold 3, 1 and 2 keys, so the batched Grams read zero columns
+    rng = np.random.default_rng(7)
+    keys = np.array([0, 1, 2, 3, 5, 6])
+    table = rng.normal(size=(3, 6)) + 1j * rng.normal(size=(3, 6))
+    grams = [table[:, keys % 3 == r] @ table[:, keys % 3 == r].conj().T for r in range(3)]
+    want = np.einsum("rik,rd->ikd", grams, OMEGA3 ** np.outer(np.arange(3), np.arange(3))) / 3
+    assert np.abs(wavelet.family_correlation(keys, table) - want).max() < 1e-14  # entries of size 1 to 10
+
+
+def test_family_spectra_refuses_wavelet_keys_past_int64():
+    # the p = 17 chain 0 -> 16 -> ... -> 2 with 1 a leaf of the root has M = 14: phi_hat's keys
+    # of 15 digits fit an int64, and the wavelets' a + p*s of 16 digits would wrap
+    wide = build_system(RootedTree.validate([0, 0, *range(3, 17), 0], 17))
+    with pytest.raises(SizeCapError, match="16 digits at p=17 do not fit an int64"):
+        family_spectra(wide.phi_hat, wide.mask)
+    # one vertex off the chain: M = 13, and the 16-digit keys fit
+    fits = build_system(RootedTree.validate([0, 0, 0, *range(4, 17), 0], 17))
+    keys, _ = family_spectra(fits.phi_hat, fits.mask)
+    assert fits.M == 13 and 0 <= keys.min() and keys.max() < 17**15
+
+
 @pytest.fixture
 def phased_chain5():
     tree = RootedTree.validate([0, 0, 1, 2, 3], 5)
