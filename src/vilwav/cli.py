@@ -13,7 +13,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -30,10 +29,10 @@ EXIT_MATH = 1
 EXIT_INPUT = 2
 
 
-def _write(path: str, payload: dict) -> None:
+def _write(path: str, text: str) -> None:
     try:
         with open(path, "w") as fh:
-            fh.write(serialize.dumps(payload))
+            fh.write(text)
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
@@ -61,7 +60,7 @@ def cmd_build(args) -> int:
     else:
         phases = file_phases
     system = build_system(tree, phases)
-    _write(args.out, serialize.system_to_dict(system))
+    _write(args.out, serialize.dumps(serialize.system_to_dict(system)))
     print(f"wrote system p={system.p} M={system.M} to {args.out}")
     return EXIT_OK
 
@@ -107,6 +106,8 @@ def _sweep(jobs: list, workers: int):
     if workers == 1:
         yield from map(_verify_one_tree, jobs)
         return
+    from concurrent.futures import ProcessPoolExecutor  # imports multiprocessing: not on every start
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(_verify_one_tree, jobs, chunksize=SWEEP_CHUNK)
 
@@ -171,7 +172,7 @@ def cmd_transform(args) -> int:
         err = transform.grid_error(grid, back)
         # rounding grows with the coefficients, so the bound is relative to the largest one
         bound = args.tol * max(1.0, float(np.max(np.abs(grid.values), initial=0.0)))
-        _write(args.out, serialize.pyramid_to_dict(pyramid))
+        _write(args.out, serialize.dumps(serialize.pyramid_to_dict(pyramid)))
         print(f"wrote pyramid ({args.levels} levels) to {args.out}; round-trip error {err:.3e}")
         return EXIT_OK if err < bound else EXIT_MATH
     pyramid = serialize.pyramid_from_dict(serialize.load_json(args.pyramid))
@@ -181,7 +182,7 @@ def cmd_transform(args) -> int:
     _require_finite("pyramid", *(g.values for g in grids))
     grid = transform.synthesize(pyramid, system)
     signal = transform.materialize(grid, system)
-    _write(args.out, serialize.step_to_dict(signal))
+    _write(args.out, serialize.step_dumps(signal))
     print(f"wrote reconstructed signal to {args.out}")
     return EXIT_OK
 
@@ -189,7 +190,7 @@ def cmd_transform(args) -> int:
 def cmd_mask_to_tree(args) -> int:
     mask = serialize.mask_from_dict(serialize.load_json(args.path))
     tree, phases = mask_to_tree(mask, tol=args.tol)
-    _write(args.out, serialize.tree_to_dict(tree, phases))
+    _write(args.out, serialize.dumps(serialize.tree_to_dict(tree, phases)))
     print(f"wrote tree parent={list(tree.parent)} to {args.out}")
     return EXIT_OK
 

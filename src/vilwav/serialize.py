@@ -2,6 +2,10 @@
 
 Everything is plain JSON with all tables in canonical little-endian index
 order.  Complex numbers are [re, im] pairs in every file but a pyramid.  A
+step file (a signal) is written by `step_dumps`, whose text is that of
+`dumps(step_to_dict(f))` byte for byte: when at least half its cells are +0.0
+in both parts, as in a reconstructed sparse signal, those cells skip the
+float encoder and are written as one shared token `[0.0, 0.0]`.  A
 wavelet system is stored as the tree and mask that fix it; its tables are
 rebuilt on reading.  A coefficient grid is {"level": L, "keys": {"first":
 [k, ...], "count": [n, ...]}, "values": "<base64>"}.  The keys ascend, and
@@ -78,6 +82,25 @@ def _cpx_out(values) -> list:
     return np.stack([v.real, v.imag], axis=-1).tolist()
 
 
+def _cpx_json(values) -> str:
+    """The text json.dumps(_cpx_out(values)) gives for a 1-D table, byte for byte.
+
+    When at least half the cells are +0.0 in both parts, none of those is listed
+    or encoded as a pair: each is written as one shared token.  Below half,
+    placing the tokens among the other cells costs as much as it saves, or more.
+    """
+    v = np.asarray(values, dtype=complex)
+    parts = np.stack([v.real, v.imag], axis=-1)
+    kept = parts.view(np.uint64).any(axis=1)  # a -0.0 part has its sign bit set, so it is kept
+    if 2 * np.count_nonzero(kept) > len(kept):
+        return json.dumps(parts.tolist(), check_circular=False)
+    cells = [None] * len(kept)
+    for i, pair in zip(np.flatnonzero(kept).tolist(), parts[kept].tolist()):
+        cells[i] = pair
+    # no float is written as null (nan and inf are NaN and Infinity), so each null is a +0 cell
+    return json.dumps(cells, check_circular=False).replace("null", "[0.0, 0.0]")
+
+
 def _cpx_in(pairs) -> np.ndarray:
     """The complex array of a list of [re, im] number pairs, bit for bit."""
     with _malformed("bad complex array"):
@@ -150,14 +173,20 @@ def tree_from_dict(data: dict) -> tuple[RootedTree, dict]:
 # -- step functions / signals --
 
 
+def _step_head(f: StepFunction) -> dict:
+    return {"p": f.p, "support_level": f.support_level, "resolution_level": f.resolution_level}
+
+
 @_gc_paused
 def step_to_dict(f: StepFunction) -> dict:
-    return {
-        "p": f.p,
-        "support_level": f.support_level,
-        "resolution_level": f.resolution_level,
-        "values": _cpx_out(f.values),
-    }
+    return {**_step_head(f), "values": _cpx_out(f.values)}
+
+
+@_gc_paused
+def step_dumps(f: StepFunction) -> str:
+    """The text dumps(step_to_dict(f)) gives, byte for byte, with the values written by _cpx_json."""
+    head = dumps(_step_head(f))
+    return f'{head[:-2]}, "values": {_cpx_json(f.values)}}}\n'  # "values" is the last key sorted
 
 
 @_gc_paused

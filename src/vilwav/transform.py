@@ -48,6 +48,10 @@ class LevelMismatchError(InputError):
     pass
 
 
+def _is_integer_type(t: type) -> bool:
+    return issubclass(t, (int, np.integer)) and t is not bool
+
+
 class CoeffGrid:
     """Coordinates on one scale as two columns: `keys`, distinct int64 shift keys,
     and `values`, their complex coefficients of shape (n,), or (n, batch) when a
@@ -69,9 +73,13 @@ class CoeffGrid:
 
     @functools.cached_property
     def keys(self) -> np.ndarray:
+        # np.fromiter would read 1.5, True and "2" as keys 1, 1 and 2
+        if not all(map(_is_integer_type, set(map(type, self.entries)))):
+            bad = next(k for k in self.entries if not _is_integer_type(type(k)))
+            raise InputError(f"shift key {bad!r} is a {type(bad).__name__}, not an integer")
         try:
             keys = np.fromiter(self.entries, dtype=np.int64, count=len(self.entries))
-        except (OverflowError, TypeError, ValueError):  # a key past int64, or no number
+        except OverflowError:  # a key past int64
             check_key_range(self.entries, self.p)  # refuses a negative or too wide key by its range
             raise
         check_key_range((int(keys.min()), int(keys.max())) if len(keys) else (), self.p)

@@ -5,6 +5,8 @@ import json
 import os
 import re
 import struct
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import vilwav
 from vilwav import cli, serialize, transform, wavelet
 from vilwav.cli import EXIT_INPUT, EXIT_MATH, EXIT_OK, main
 from vilwav.refinable import StepFunction, embed
@@ -848,6 +851,14 @@ def test_projection_of_a_sparse_signal_gives_exactly_its_keys(seed):
     assert np.abs(grid.values - list(coeffs.values())).max() < 1e-12
 
 
+def test_synthesize_writes_the_dumps_of_its_signal(tmp_path, capsys):
+    sparse_round_trip(tmp_path, 0)
+    out = tmp_path / "out.json"
+    back = serialize.step_from_dict(serialize.load_json(str(out)))
+    assert out.read_text() == serialize.dumps(serialize.step_to_dict(back))
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_round_trip_of_a_sparse_signal_writes_exact_zeros(tmp_path, capsys, seed):
     _, coeffs, signal, back, grid = sparse_round_trip(tmp_path, seed)
@@ -929,10 +940,21 @@ def never(*args, **kwargs):
 @pytest.fixture
 def no_sweep(monkeypatch):
     """Fail the test if a tree is decoded or a worker pool is made."""
+    import concurrent.futures
+
     from vilwav import tree as tree_module
 
     monkeypatch.setattr(tree_module, "prufer_to_parent", never)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", never)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", never)  # _sweep imports it when called
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.dirname(os.path.dirname(vilwav.__file__)), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", "import sys, vilwav.cli; print(sorted(m for m in sys.modules "
+                           "if m.startswith(('multiprocessing', 'concurrent'))))"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 def test_oversized_sweep_is_refused_up_front(no_sweep, capsys):

@@ -9,6 +9,7 @@ import pytest
 
 from vilwav import serialize
 from vilwav.config import SizeCapError
+from vilwav.refinable import StepFunction
 from vilwav.transform import CoeffGrid, CoeffPyramid, analyze, shift_key_digits
 from vilwav.tree import RootedTree
 from vilwav.wavelet import build_system
@@ -40,6 +41,49 @@ def test_step_roundtrip(chain3):
 def test_step_missing_key():
     with pytest.raises(serialize.FormatError, match="missing key"):
         serialize.step_from_dict({"p": 3, "values": []})
+
+
+SPECIAL_PARTS = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 0.1, 1e-5, 1e16, 1e300]
+
+
+def zeroed(share, n=2**10, seed=0):
+    """n dense values with a share of them set to +0 at random cells."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=n) + 1j * rng.normal(size=n)
+    values[rng.choice(n, round(share * n), replace=False)] = 0
+    return values
+
+
+def with_parts(values):
+    """Complex values assigned part by part, so (0, inf) stays (0, inf)."""
+    pairs = np.array(values, dtype=float).reshape(-1, 2)
+    out = np.empty(len(pairs), dtype=complex)
+    out.real, out.imag = pairs[:, 0], pairs[:, 1]
+    return out
+
+
+# every (re, im) pair of the special parts: among +0 cells (token path) and among 1.0 cells
+SPECIAL = [[re, im] for re in SPECIAL_PARTS for im in SPECIAL_PARTS]
+STEP_TABLES = {
+    "special among zeros": with_parts(SPECIAL + [[0.0, 0.0]] * 156),
+    "special among ones": with_parts(SPECIAL + [[1.0, 0.0]] * 28),
+    "all zero": np.zeros(2**8, dtype=complex),
+    "dense": zeroed(0.0),
+    "one -0.0 + 0j": with_parts([[-0.0, 0.0]] + [[0.0, 0.0]] * 255),
+    "one 0 - 0.0j": with_parts([[0.0, 0.0]] * 255 + [[0.0, -0.0]]),
+    "10% zero": zeroed(0.1),
+    "50% zero": zeroed(0.5),
+    "81% zero": zeroed(0.81),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STEP_TABLES))
+def test_step_dumps_is_the_dumps_of_step_to_dict(name):
+    values = STEP_TABLES[name]
+    f = StepFunction(2, -1, int(np.log2(len(values))) - 1, values)
+    text = serialize.step_dumps(f)
+    assert text == serialize.dumps(serialize.step_to_dict(f))
+    assert np.array_equal(serialize.step_from_dict(json.loads(text)).values, values, equal_nan=True)
 
 
 def test_system_roundtrip(chain3):

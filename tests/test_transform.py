@@ -1,5 +1,6 @@
 import ast
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -469,6 +470,21 @@ def test_dict_key_past_int64_is_refused_by_the_size_cap(chain3):
     for read in (lambda: grid.keys, lambda: analyze_level(grid, chain3), lambda: materialize(grid, chain3)):
         with pytest.raises(SizeCapError):
             read()
+
+
+@pytest.mark.parametrize("key", [1.5, True, "2"])
+def test_dict_key_that_is_no_integer_is_refused(chain3, key):
+    # np.fromiter alone reads each of them as key 1 or 2
+    grid = CoeffGrid(3, 0, {0: 1.0, key: 1.0, 4.5: 1.0})
+    message = re.escape(f"shift key {key!r} is a {type(key).__name__}, not an integer")
+    for read in (lambda: grid.keys, lambda: analyze_level(grid, chain3)):
+        with pytest.raises(InputError, match=message):
+            read()
+
+
+def test_numpy_integer_dict_keys_are_read():
+    grid = CoeffGrid(3, 0, {np.int64(4): 1.0, np.uint8(2): 2.0, 7: 3.0})
+    assert grid.keys.dtype == np.int64 and grid.keys.tolist() == [4, 2, 7]
 
 
 @pytest.mark.parametrize("entries", [{-1: 1.0}, {-1: 1.0, 4: 1.0}])
