@@ -2,7 +2,8 @@
 
 The orbit-product spectrum, the forward transform (a dense keyed table),
 the dense Gram matrix and the cell-table translation correlation, the dense
-beta solve and the wavelet spectrum on all p keys over each key of phi_hat.
+beta solve, the wavelet spectrum on all p keys over each key of phi_hat, and
+the refinement identity and the two routes to each wavelet on cell tables.
 No module of the package imports this one, so `import vilwav` neither loads
 nor compiles it.
 """
@@ -14,7 +15,7 @@ import numpy as np
 from .group import char_kernel_apply, check_table_size, digit_table
 from .mask import MaskTable
 from .refinable import SpectrumTable, StepFunction, embed, translated_cell_matrix
-from .wavelet import _beta_system, shifted_masks
+from .wavelet import _beta_system, assemble_refinement_sum, family_spectra, psi_freq, shifted_masks
 
 
 def orbit_product(mask: MaskTable, w: int) -> np.ndarray:
@@ -100,3 +101,18 @@ def psi_hat(phi_hat_table: SpectrumTable, mask: MaskTable, l: int) -> SpectrumTa
     p, s = mask.p, phi_hat_table.keys
     values = phi_hat_table.values[:, None] * shifted_masks(mask)[l][s % p]
     return SpectrumTable(p, phi_hat_table.band + 1, (np.arange(p) + p * s[:, None]).ravel(), values.ravel())
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def cell_identities(system) -> tuple[float, float]:
+    """The worst cell of the refinement identity and of the two routes to the wavelets, on cell tables.
+
+    The refinement sum of phi with beta against phi one level finer, and each time-route psi
+    table against psi_freq's inversion of the family's spectra: verify's refinement-cosets and
+    psi-two-route read the same faults on cosets, about p times larger.  A nan is the worst.
+    """
+    refined = assemble_refinement_sum(system.phi, system.beta)
+    refinement = np.abs(refined.values - embed(system.phi, -1, system.M + 1)).max()
+    freq = psi_freq(*family_spectra(system.phi_hat, system.mask), system.M)
+    two_route = [np.abs(f.values - t.values).max() for f, t in zip(freq, system.psi, strict=True)]
+    return float(refinement), float(np.max(two_route))

@@ -2,17 +2,16 @@
 
 The coefficients beta solve a p^2 x p^2 character system whose matrix is
 unitary, so they come out of a closed-form adjoint sum.  A system is its
-tree and mask.  beta and phi_hat, its p support cosets keyed, all that the
-spectral checks read, are computed with it; the cell tables phi (the full
-inverse transform of phi_hat, exact zeros included) and psi are built on
-first read.  Each wavelet is assembled twice, and the two routes must agree.
-The psi tables take the time route: the refinement sum of dilated translates
-of phi.  Full verify builds the family's sparse spectra once (family_spectra:
-each wavelet's is the shifted mask times phi_hat dilated, p keys for a tree)
-and reads them twice: the frequency route inverts each wavelet as a sum of p
-characters, not through the transform that phi is built by, and the Gram
-check of the translates sums them by Parseval.  Full verify counts its
-tables against the size cap up front.
+tree and mask.  beta and phi_hat, its p support cosets keyed, are computed
+with it; the cell tables phi (the full inverse transform of phi_hat, exact
+zeros included) and psi (the time route: the refinement sum of dilated
+translates of phi) are built on first read, and verify reads neither.  It
+checks the refinement identity on the at most p^2 + p cosets of phi_hat
+and its preimages, each wavelet's two routes as masks on the p^2 cells (the
+spectrum of the time route's sum against the shifted mask of the frequency
+route), and the Gram of the translates by Parseval on the family's sparse
+spectra (family_spectra: each wavelet's is the shifted mask times phi_hat
+dilated).  psi_freq inverts those spectra to cells, as a sum of p characters.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from .refinable import (
     check_elementary,
     check_orthonormality_spectral,
     coset_characters,
-    embed,
     inverse_transform,
     lattice_sum,
     phi_hat_from_tree,
@@ -104,23 +102,59 @@ def shifted_masks(mask: MaskTable) -> np.ndarray:
     return mask.lam.reshape(p, p)[(np.arange(p) - np.arange(p)[:, None]) % p]
 
 
-def family_spectra(phi_hat_table: SpectrumTable, mask: MaskTable) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted coset keys and the spectra of phi and the p - 1 wavelets there, one row each, size-capped.
-
-    psi_l-hat (oracle.psi_hat) is phi_hat[s] * m_l[s mod p, a] at the keys a + p*s over phi_hat's
-    keys s, and zero elsewhere; phi shares the keys it meets.
-    """
-    p, support, values = mask.p, phi_hat_table.keys, phi_hat_table.values
+def wavelet_keys(phi_hat_table: SpectrumTable) -> np.ndarray:
+    """The keys a + p*s of the p cosets over each key s of phi_hat, as [s, a]; refused past int64."""
+    p = phi_hat_table.p
     if p ** (phi_hat_table.band + 2) > np.iinfo(np.int64).max:  # a + p*s would wrap
         raise SizeCapError(f"wavelet spectrum keys of {phi_hat_table.band + 2} digits at p={p} "
                            "do not fit an int64 key")
-    keys, column = np.unique(np.append(support, np.arange(p) + p * support[:, None]), return_inverse=True)
+    return np.arange(p) + p * phi_hat_table.keys[:, None]
+
+
+def family_spectra(phi_hat_table: SpectrumTable, mask: MaskTable) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted coset keys and the spectra of phi and the p - 1 wavelets there, one row each, size-capped.
+
+    psi_l-hat (oracle.psi_hat) is phi_hat[s] * m_l[s mod p, a] at the wavelet_keys a + p*s over
+    phi_hat's keys s, and zero elsewhere; phi shares the keys it meets.
+    """
+    p, support, values = mask.p, phi_hat_table.keys, phi_hat_table.values
+    keys, column = np.unique(np.append(support, wavelet_keys(phi_hat_table)), return_inverse=True)
     check_table_size(p * len(keys), "the family's spectra")
     table = np.zeros((p, len(keys)), dtype=complex)
     table[0, column[: len(support)]] = values
     psi = values[:, None] * shifted_masks(mask)[1:, support % p]  # [l, s, a]
     table[1:, column[len(support):]] = psi.reshape(p - 1, -1)
     return keys, table
+
+
+def refinement_cosets(phi_hat_table: SpectrumTable, m0: np.ndarray, tol: float = DEFAULT_TOL) -> CheckResult:
+    """The refinement identity phi_hat(x) = m0(x mod p^2) * phi_hat(x // p) on phi_hat's keys and their
+    p^2 preimages, the wavelet_keys; off them both sides are 0.
+
+    With m0 the mask beta implies, beta, the mask and phi_hat meet as in the refinement sum on
+    cells; the root's key 0 maps to itself through lambda_0.  A coset off by d moves each cell
+    of that sum by d / p, so the deviation runs about p times a cell one.
+    """
+    p = phi_hat_table.p
+    cosets = np.append(phi_hat_table.keys, wavelet_keys(phi_hat_table))
+    order = np.argsort(phi_hat_table.keys)
+    keys, values = phi_hat_table.keys[order], phi_hat_table.values[order]
+
+    def phi_hat(x):  # 0 off the keys
+        at = np.minimum(np.searchsorted(keys, x), len(keys) - 1)
+        return np.where(keys[at] == x, values[at], 0)
+
+    dev, (i,) = _worst(np.abs(phi_hat(cosets) - m0[cosets % p**2] * phi_hat(cosets // p)))
+    return CheckResult.within("refinement-cosets", dev, tol, f"coset {cosets[i]}" if dev else "")
+
+
+def psi_two_route(beta_l, mask: MaskTable, tol: float = DEFAULT_TOL) -> CheckResult:
+    """Each wavelet's mask by both routes on the p^2 cells: the spectrum of the time route's sum,
+    _beta_system @ beta_l, against the frequency route's shifted mask m_l.  where names the worst."""
+    p = mask.p
+    time = np.asarray(beta_l) @ _beta_system(p).T  # [l - 1, cell a + p*b]
+    dev, (l, cell) = _worst(np.abs(time - shifted_masks(mask)[1:].reshape(p - 1, -1)))
+    return CheckResult.within("psi-two-route", dev, tol, f"wavelet {l + 1}, cell {cell}" if dev else "")
 
 
 def psi_freq(keys: np.ndarray, table: np.ndarray, band: int) -> Iterator[StepFunction]:
@@ -143,8 +177,9 @@ def family_correlation(keys: np.ndarray, table: np.ndarray) -> np.ndarray:
 
     Parseval on the spectra: with G_r[i, k] the sum of f_i-hat * conj f_k-hat over the keys of
     lowest digit r, c[i, k, d] = (1/p) sum_r G_r[i, k] omega^(r d), exact for any sparse family.  It is
-    the cell tables' Gram to about 2 sqrt(p) tol: phi is inverse_transform(phi_hat) exactly, and
-    psi-two-route holds each psi table, on G_-1 of measure p, within tol of its spectrum per cell.
+    the cell tables' Gram to about 2 sqrt(p) tol: phi is inverse_transform(phi_hat) exactly, and each
+    psi table's spectrum is its time-route mask times phi_hat dilated, which psi-two-route holds
+    within tol of the shifted mask on each of the p^2 cosets it meets.
     """
     p = len(table)
     # each residue's columns, in key order, padded with zero columns to the largest: blocks[r, i, slot]
@@ -229,24 +264,23 @@ def shifted_mask_checks(mask: MaskTable, tol: float = DEFAULT_TOL) -> CheckResul
     return CheckResult.within("shifted-mask-structure", dev, tol)
 
 
-# Huge or non-finite cells overflow to inf and nan, which every check reads as a failure.
+# Huge or non-finite values overflow to inf and nan, which every check reads as a failure.
 @np.errstate(over="ignore", invalid="ignore")
 def verify_wavelet_system(
     system: WaveletSystem, spectral_only: bool = False, tol: float = DEFAULT_TOL
 ) -> list[CheckResult]:
-    """Run every finite verification the construction promises.
+    """Run every finite verification the construction promises, on spectra alone.
 
-    Spectral checks are table lookups and sums; the full level adds the
-    refinement identity and the two-route wavelet comparison on the cell
-    tables, and the Gram check of the lattice translates, read off the sparse
-    spectra that psi-two-route ties to the psi tables (family_correlation).
-    Every check but the exact vanishing one passes below tol.
+    The spectral level is seven table lookups and sums and the refinement
+    identity on phi_hat's keys and their preimages (refinement_cosets).  The
+    full level adds the two routes to each wavelet as masks (psi_two_route)
+    and the Gram check of the lattice translates, read off the family's
+    sparse spectra (family_correlation).  No cell table is built, so every
+    M whose keys fit int64 is reached.  A coset deviation runs about p
+    times the deviation of the same fault in the cell tables, and tol bounds
+    both: every check but the exact vanishing one passes below it.
     """
     p, M = system.p, system.M
-    if not spectral_only:
-        # at most phi, the p - 1 psi (kept once read), the refinement sum and
-        # phi embedded one level finer are held at once
-        check_table_size(p ** (M + 1) + (p + 1) * p ** (M + 2), "full verify's tables")
     checks = [
         check_row_condition(system.mask, tol),
         check_vanishing(system.mask, M),
@@ -255,29 +289,16 @@ def verify_wavelet_system(
         beta_residual(system.mask, system.beta, tol),
         CheckResult.within("beta-energy", abs(float((np.abs(system.beta) ** 2).sum()) - p), tol),
         shifted_mask_checks(system.mask, tol),
+        refinement_cosets(system.phi_hat, _beta_system(p) @ system.beta, tol),
     ]
     if spectral_only:
         return checks
-
-    # refinement identity, cell-exact one level finer
-    refined = assemble_refinement_sum(system.phi, system.beta)
-    dev = np.abs(refined.values - embed(system.phi, -1, M + 1)).max()
-    checks.append(CheckResult.within("refinement-identity", dev, tol))
-    del refined
-
-    # two-route wavelet agreement: the worst cell of each wavelet, then the worst wavelet; each
-    # frequency-route wavelet is dropped once compared.  It and the Gram check read one family.
-    keys, table = family_spectra(system.phi_hat, system.mask)
-    freq = psi_freq(keys, table, M)
-    worst = [_worst(np.abs(next(freq).values - t.values)) for t in system.psi]
-    l = int(np.argmax([dev for dev, _ in worst]))  # argmax picks the first nan
-    dev, (cell,) = worst[l]
-    checks.append(CheckResult.within("psi-two-route", dev, tol, f"wavelet {l + 1}, cell {cell}" if dev else ""))
+    checks.append(psi_two_route(system.beta_l, system.mask, tol))
 
     # the translates of phi and every psi form one orthonormal family: a shift with a
     # digit at -2 leaves G_-1, and the shifts of digit -1 form a group, so Gram entry
     # ((i, h), (k, h')) is corr[i, k, h' - h]; where spells the shift's digits at -1 and -2
-    corr = family_correlation(keys, table)
+    corr = family_correlation(*family_spectra(system.phi_hat, system.mask))
     corr[:, :, 0] -= np.eye(p)
     dev, (i, k, d) = _worst(np.abs(corr))
     checks.append(CheckResult.within("gram-orthonormal-family", dev, tol,

@@ -66,7 +66,7 @@ def no_tables(monkeypatch):
 
 
 def tampered(system, **tables):
-    """A copy of system with the named tables (beta, phi_hat, M, phi, psi) set as given.
+    """A copy of system with the named tables (mask, beta, beta_l, phi_hat, M, phi, psi) set as given.
 
     The copy takes the system's fields only; a table not named is derived
     from the copy when read, so a tampered phi_hat reaches phi and psi.
@@ -84,7 +84,7 @@ def rng():
 def tamper_family(monkeypatch, change):
     """Make wavelet.family_spectra hand on the family that change(keys, table) edits in place.
 
-    Both the Gram check and the frequency-route wavelets read the edited
+    Verify's Gram check, and psi_freq where a test calls it, read the edited
     family.  Returns a list that collects each (band, keys, table) handed on.
     """
     handed, real = [], wavelet.family_spectra

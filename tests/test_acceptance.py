@@ -13,10 +13,11 @@ import pytest
 
 import conftest
 from vilwav.mask import MaskTable, mask_from_tree, mask_to_tree
+from vilwav.oracle import cell_identities
 from vilwav.refinable import inner_product, translate_dilate
 from vilwav.transform import CoeffGrid, analyze_level, synthesize_level, shift_key_digits
 from vilwav.tree import RootedTree, TreeError, enumerate_trees
-from vilwav.wavelet import build_system, family_spectra, psi_freq, verify_wavelet_system
+from vilwav.wavelet import build_system, verify_wavelet_system
 
 from conftest import TREE7_A_PARENT, TREE7_B_PARENT
 
@@ -32,7 +33,7 @@ def report(criterion, title, ok, detail):
 
 @pytest.fixture(scope="module")
 def sweep():
-    """Fully verify every tree at p in SWEEP_PRIMES under six phase draws."""
+    """Fully verify every tree at p in SWEEP_PRIMES under six phase draws, and check the cell identities."""
     rng = np.random.default_rng(515377520732011331)
     runs = []
     default_systems = []
@@ -46,6 +47,7 @@ def sweep():
                     phases = {e: float(rng.uniform()) for e in tree.edges()}
                 system = build_system(tree, phases)
                 checks = {c.name: c for c in verify_wavelet_system(system)}
+                cells = cell_identities(system)
                 back_tree, back_phases = mask_to_tree(system.mask)
                 rebuilt = mask_from_tree(back_tree, back_phases)
                 runs.append(
@@ -54,6 +56,7 @@ def sweep():
                         "parent": tree.parent,
                         "draw": draw,
                         "checks": checks,
+                        "cells": cells,
                         "roundtrip_parent": back_tree.parent == tree.parent,
                         "roundtrip_mask": float(np.abs(rebuilt.lam - system.mask.lam).max()),
                     }
@@ -153,10 +156,9 @@ def test_criterion_5_beta_residual(sweep):
 
 
 def test_criterion_6_two_route_wavelets(sweep, seven_vertex_systems):
-    worst = max(r["checks"]["psi-two-route"].max_deviation for r in sweep["runs"])
-    for system in seven_vertex_systems:
-        for freq, time in zip(psi_freq(*family_spectra(system.phi_hat, system.mask), system.M), system.psi, strict=True):
-            worst = max(worst, float(np.abs(freq.values - time.values).max()))
+    # the psi tables by the time route against the frequency route's, cell for cell
+    two_route = [r["cells"][1] for r in sweep["runs"]] + [cell_identities(s)[1] for s in seven_vertex_systems]
+    worst = float(np.max(two_route))
     ok = worst < 1e-12
     report(6, "two-route wavelet agreement", ok,
            f"max cell discrepancy {worst:.1e} (sweep + both p=7 instances)")

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import vilwav
 from vilwav import cli, serialize, transform, wavelet
 from vilwav.cli import EXIT_INPUT, EXIT_MATH, EXIT_OK, main
+from vilwav.mask import MaskTable, mask_from_tree
 from vilwav.refinable import StepFunction, embed
 from vilwav.tree import RootedTree
 from vilwav.wavelet import CheckResult, build_system, verify_wavelet_system
@@ -152,11 +153,12 @@ def verify_corrupted(tmp_path, monkeypatch, corrupt, *flags):
     return main(["verify", *flags, sys_file])
 
 
-def with_psi_cell(system, value):
-    psi = system.psi[0]
-    values = psi.values.copy()
-    values[5] = value
-    return tampered(system, psi=(dataclasses.replace(psi, values=values),) + system.psi[1:])
+def with_mask_cell(system, value):
+    """system with lambda_2 set to value and beta still the true mask's: psi_1's frequency route
+    is off at its cell 5 (a = 2, b = 1), and psi_2's at cell 8, which comes after it."""
+    lam = system.mask.lam.copy()
+    lam[2] = value
+    return tampered(system, mask=MaskTable(system.p, lam))
 
 
 def with_phi_hat(system, change):
@@ -166,17 +168,17 @@ def with_phi_hat(system, change):
 
 def test_verify_nan_psi_cell_fails_two_route(tmp_path, capsys, monkeypatch):
     # Python's max(0.0, nan) is 0.0, so the check must not use it
-    assert verify_corrupted(tmp_path, monkeypatch, lambda s: with_psi_cell(s, np.nan)) == EXIT_MATH
+    assert verify_corrupted(tmp_path, monkeypatch, lambda s: with_mask_cell(s, np.nan)) == EXIT_MATH
     line = next(x for x in capsys.readouterr().out.splitlines() if "psi-two-route" in x)
     assert line.startswith("FAIL") and "nan" in line and line.endswith("at wavelet 1, cell 5")
 
 
 def test_verify_huge_psi_cell_fails_without_warnings(tmp_path, capsys, monkeypatch):
-    # psi-two-route reads the tables; the Gram check reads the spectra (the test below)
+    # psi-two-route reads beta_l and the mask; the Gram check reads the spectra (the test below)
     capsys.readouterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert verify_corrupted(tmp_path, monkeypatch, lambda s: with_psi_cell(s, 1e200)) == EXIT_MATH
+        assert verify_corrupted(tmp_path, monkeypatch, lambda s: with_mask_cell(s, 1e200)) == EXIT_MATH
     out, err = capsys.readouterr()
     line = next(x for x in out.splitlines() if "psi-two-route" in x)
     assert line.startswith("FAIL") and line.endswith("at wavelet 1, cell 5") and err == ""
@@ -216,7 +218,7 @@ def test_verify_report_says_where_a_check_fails(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_dense_phi_hat_fails_without_traceback(tmp_path, capsys, monkeypatch):
-    # every coset of the spectrum nonzero: the frequency route sums over all of them
+    # every coset of the spectrum nonzero: the refinement identity and the family read all of them
     def fill(spec):
         return dense_table(spec.p, spec.band, np.full(spec.p ** (spec.band + 1), 0.5 + 0.25j))
 
@@ -224,8 +226,13 @@ def test_verify_dense_phi_hat_fails_without_traceback(tmp_path, capsys, monkeypa
     assert code == EXIT_MATH
     out, err = capsys.readouterr()
     assert "Traceback" not in out + err
-    failed = {line.split()[1] for line in out.splitlines() if line.startswith("FAIL ")}
-    assert {"spectrum-elementary", "psi-two-route"} <= failed
+    failed = {line.split()[1]: line for line in out.splitlines() if line.startswith("FAIL ")}
+    assert {"spectrum-elementary", "refinement-cosets"} <= set(failed)
+    # at coset x < 9 with lambda at x mod 9 zero, or x >= 9 with it one, one side of the identity
+    # is 0 and the other 0.5 + 0.25i; rounding picks among them
+    at = re.fullmatch(r"FAIL +refinement-cosets +max_dev=5\.590e-01 at coset (\d+)", failed["refinement-cosets"])
+    lam = mask_from_tree(RootedTree.validate([0, 0, 1], 3)).lam
+    assert at and (lam[int(at[1]) % 9] == 0) == (int(at[1]) < 9)
 
 
 def test_p7_chain_file_is_its_tree_and_mask_and_verifies(tmp_path, capsys):
@@ -243,20 +250,41 @@ def chain_parent(p):
     return [0, *range(p - 1)]
 
 
-def test_p11_m5_builds_and_verifies_spectrally_and_full_verify_is_refused_up_front(
-    no_tables, tmp_path, capsys, monkeypatch
-):
-    # and the p = 11 and p = 13 chains, M = 9 and 11: their spectra are 11 and 13 keys
+def test_p11_and_p13_chains_fully_verify_and_the_p17_chain_is_refused(no_tables, tmp_path, capsys, monkeypatch):
+    # and a p = 11 tree of M = 5; the chains have M = 9 and 11, and their spectra are 11 and 13 keys
     monkeypatch.delenv("VILWAV_SIZE_CAP", raising=False)
     for p, parent in [(11, list(P11_M5_PARENT)), (11, chain_parent(11)), (13, chain_parent(13))]:
         sys_file = build_system_file(tmp_path, {"p": p, "parent": parent})
-        capsys.readouterr()
-        assert main(["verify", "--level", "spectral", sys_file]) == EXIT_OK
-        lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith(("PASS", "FAIL"))]
-        assert len(lines) == 7 and all(line.startswith("PASS ") for line in lines)
-        assert main(["verify", "--level", "full", sys_file]) == EXIT_MATH
-        out = capsys.readouterr().out.splitlines()
-        assert len(out) == 1 and out[0].startswith("failed: ") and out[0].endswith("exceeds cap 100000000")
+        for level, count in (("spectral", 8), ("full", 10)):
+            capsys.readouterr()
+            assert main(["verify", "--level", level, sys_file]) == EXIT_OK
+            lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith(("PASS", "FAIL"))]
+            assert len(lines) == count and all(line.startswith("PASS ") for line in lines)
+    # the p = 17 chain's spectrum keys pass int64: its file, written out by hand, is refused
+    tree = RootedTree.validate(chain_parent(17), 17)
+    payload = {"p": 17, "M": 15, "parent": chain_parent(17), "lambda": serialize._cpx_out(mask_from_tree(tree).lam)}
+    code, line, _ = run_one_line(["verify", write_json(tmp_path / "p17.json", payload)], capsys)
+    assert code == EXIT_MATH and line.startswith("failed: ") and "16 digits at p=17 do not fit an int64" in line
+    # with 1 a leaf of the root, M = 14: the spectrum fits, and the wavelets' keys do not, at either level
+    sys_file = build_system_file(tmp_path, {"p": 17, "parent": [0, 0, *range(3, 17), 0]})
+    for level in ("spectral", "full"):
+        code, line, _ = run_one_line(["verify", "--level", level, sys_file], capsys)
+        assert code == EXIT_MATH and line.startswith("failed: ") and "16 digits at p=17 do not fit an int64" in line
+
+
+@pytest.mark.parametrize("level", ["spectral", "full"])
+def test_lambda_0_off_1_fails_refinement_cosets_at_both_levels(tmp_path, capsys, level):
+    # phi_hat and every other check read lambda_0 only through its modulus; the root's
+    # coset 0 maps to itself through it, off by |e^(0.6 pi i) - 1| = 2 sin(0.3 pi)
+    data = serialize.load_json(build_system_file(tmp_path, {"p": 5, "parent": [0, 4, 1, 2, 0]}))
+    data["lambda"][0] = [float(np.cos(0.6 * np.pi)), float(np.sin(0.6 * np.pi))]
+    bad = write_json(tmp_path / "lambda0.json", data)
+    capsys.readouterr()
+    assert main(["verify", "--level", level, bad]) == EXIT_MATH
+    out, err = capsys.readouterr()
+    failed = [line for line in out.splitlines() if line.startswith("FAIL ")]
+    assert len(failed) == 1 and re.fullmatch(r"FAIL +refinement-cosets +max_dev=1\.618e\+00 at coset 0", failed[0])
+    assert "Traceback" not in out + err
 
 
 @pytest.mark.parametrize("cap", [None, str(10**30)], ids=["default cap", "cap 10^30"])
@@ -913,7 +941,7 @@ def test_malformed_size_cap_is_input_error(p3_payloads, tmp_path, capsys, monkey
 
 
 def test_allocation_that_memory_refuses_is_one_failed_line(p3_payloads, tmp_path, capsys, monkeypatch):
-    # what numpy raises when a size cap above memory admits a table (full verify of the p = 11
+    # what numpy raises when a size cap above memory admits a table (`show psi` of the p = 11
     # chain under a cap of 10^30); phi's table is refused here before anything is allocated
     def refuse(spectrum):
         raise MemoryError("Unable to allocate 386. GiB for an array with shape (214358881, 242) "
@@ -921,7 +949,7 @@ def test_allocation_that_memory_refuses_is_one_failed_line(p3_payloads, tmp_path
 
     monkeypatch.setattr(wavelet, "inverse_transform", refuse)
     paths = write_inputs(tmp_path, p3_payloads)
-    code, out, err = run_one_line(["verify", paths["system"], "--level", "full"], capsys)
+    code, out, err = run_one_line(["show", "phi", "--system", paths["system"]], capsys)
     assert code == EXIT_MATH and out.startswith("failed: out of memory: Unable to allocate 386. GiB") and not err
 
 

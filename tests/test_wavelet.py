@@ -14,11 +14,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from vilwav import group, mask, refinable, serialize, wavelet
-from vilwav.config import SizeCapError
+from vilwav.config import DEFAULT_TOL, SizeCapError
 from vilwav.mask import MaskTable, mask_from_tree
-from vilwav.oracle import gram_matrix, psi_hat, solve_beta_dense, translation_correlation
+from vilwav.oracle import cell_identities, gram_matrix, psi_hat, solve_beta_dense, translation_correlation
 from vilwav.refinable import (
-    StepFunction,
     all_shifts,
     inner_product,
     inverse_transform,
@@ -236,38 +235,53 @@ def test_full_verify_builds_the_family_spectra_once(chain3, monkeypatch):
     assert len(handed) == 1 and all(c.passed for c in checks)
 
 
-def test_refinement_identity_fails_on_its_last_cell_alone(monkeypatch):
-    # the psi tables are read with the true refinement sum, so only the identity sees the bent one
+def test_refinement_cosets_fail_on_the_last_coset_alone():
+    # a phase turns the deepest leaf's coset by 1e-6 and keeps every modulus and the Gram,
+    # so only the identity sees it
     system = build_system(RootedTree.validate([0, 0, 1, 2, 3], 5))
-    system.psi
-    real = wavelet.assemble_refinement_sum
-
-    def off_in_the_last_cell(phi, coeffs):
-        total = real(phi, coeffs)
-        values = total.values.copy()
-        values[-1] += 1e-6
-        return dataclasses.replace(total, values=values)
-
-    monkeypatch.setattr(wavelet, "assemble_refinement_sum", off_in_the_last_cell)
-    checks = {c.name: c for c in verify_wavelet_system(system)}
-    assert [name for name, c in checks.items() if not c.passed] == ["refinement-identity"]
-    assert checks["refinement-identity"].max_deviation == pytest.approx(1e-6, rel=1e-6)
+    spec = system.phi_hat
+    last = int(np.argmax(spec.keys))
+    values = spec.values.copy()
+    values[last] *= np.exp(2j * np.arcsin(5e-7))  # |e^(it) - 1| = 2 sin(t / 2)
+    bent = tampered(system, phi_hat=dataclasses.replace(spec, values=values))
+    checks = {c.name: c for c in verify_wavelet_system(bent)}
+    assert [name for name, c in checks.items() if not c.passed] == ["refinement-cosets"]
+    assert checks["refinement-cosets"].max_deviation == pytest.approx(1e-6, rel=1e-6)
+    assert checks["refinement-cosets"].where == f"coset {spec.keys[last]}"
 
 
 def test_tampered_beta_fails_the_residual_and_the_energy(chain3):
     # a mask that passes mask-row-sums fixes sum |beta|^2 = p (the beta system is unitary),
-    # so no tampered mask fails beta-energy alone: beta itself is tampered
+    # so no tampered mask fails beta-energy alone: beta itself is tampered, and the mask it
+    # implies is the refinement identity's m0
     checks = verify_wavelet_system(tampered(chain3, beta=chain3.beta * 1.01), spectral_only=True)
-    assert {c.name for c in checks if not c.passed} == {"beta-residual", "beta-energy"}
+    assert {c.name for c in checks if not c.passed} == {"beta-residual", "beta-energy", "refinement-cosets"}
 
 
-def test_full_verify_counts_its_tables_before_building_any(no_tables, monkeypatch):
-    # the p = 3 chain holds 9 + 4 * 27 = 117 cells at once in full verify
+def test_full_verify_counts_the_family_spectra_before_building_them(no_tables, monkeypatch):
+    # the p = 3 chain's family is 3 functions on 9 cosets, the largest table full verify holds
     system = build_system(RootedTree.validate([0, 0, 1], 3))
-    monkeypatch.setenv("VILWAV_SIZE_CAP", "116")
-    with pytest.raises(SizeCapError, match="full verify's tables of 117 entries exceeds cap 116"):
+    monkeypatch.setenv("VILWAV_SIZE_CAP", "26")
+    with pytest.raises(SizeCapError, match="the family's spectra of 27 entries exceeds cap 26"):
         verify_wavelet_system(system)
-    assert len(verify_wavelet_system(system, spectral_only=True)) == 7
+    assert len(verify_wavelet_system(system, spectral_only=True)) == 8
+    monkeypatch.setenv("VILWAV_SIZE_CAP", "27")
+    assert all(c.passed for c in verify_wavelet_system(system))
+
+
+def test_full_verify_runs_no_cell_route(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cell route was called")
+
+    for module, names in ((refinable, ("inverse_transform", "embed")),
+                          (wavelet, ("inverse_transform", "assemble_refinement_sum", "psi_freq"))):
+        for name in names:
+            monkeypatch.setattr(module, name, refuse)
+    rng = np.random.default_rng(3)
+    for parent in ([0, 0, 1], [0, 0, 1, 2, 3], TREE7_A_PARENT, (0, 0, 1, 2, 3, 4, 5)):
+        tree = RootedTree.validate(parent, len(parent))
+        checks = verify_wavelet_system(build_system(tree, {e: float(rng.uniform()) for e in tree.edges()}))
+        assert [c.name for c in checks] == VERIFY_CHECKS and all(c.passed for c in checks)
 
 
 def test_spectral_verify_reads_no_digit_table(monkeypatch):
@@ -282,7 +296,7 @@ def test_spectral_verify_reads_no_digit_table(monkeypatch):
         system = build_system(RootedTree.validate(parent, p))
         checks = verify_wavelet_system(system, spectral_only=True)
         assert len(system.phi_hat.keys) == p
-        assert len(checks) == 7 and all(c.passed for c in checks)
+        assert len(checks) == 8 and all(c.passed for c in checks)
 
 
 @pytest.fixture(scope="module")
@@ -472,18 +486,17 @@ def test_wavelet_gram_is_identity(chain3):
 
 
 def test_verify_says_which_wavelet_cell_and_gram_entry_are_off(chain3):
-    # a bent psi table is caught by psi-two-route, which reads the tables; the
-    # Gram check reads the spectra (its where: the test below)
-    psi = chain3.psi[1]
-    values = psi.values.copy()
-    values[5] += 10.0
-    bent = tampered(chain3, psi=(chain3.psi[0], dataclasses.replace(psi, values=values)))
+    # beta_2 bent to move its time route by 10 at cell 5 alone (the beta system is unitary)
+    # is caught by psi-two-route, which reads beta_l; the Gram check reads the frequency
+    # route's spectra (its where: the test below)
+    bend = 10.0 * wavelet._beta_system(3).conj()[5]
+    bent = tampered(chain3, beta_l=(chain3.beta_l[0], chain3.beta_l[1] + bend))
     checks = {c.name: c for c in verify_wavelet_system(bent)}
     assert not checks["psi-two-route"].passed
     assert checks["psi-two-route"].max_deviation == pytest.approx(10.0)
     assert checks["psi-two-route"].where == "wavelet 2, cell 5"
     assert checks["gram-orthonormal-family"].passed and checks["gram-orthonormal-family"].where == ""
-    assert checks["refinement-identity"].where == ""
+    assert checks["refinement-cosets"].passed
     assert all(c.where == "" for c in verify_wavelet_system(build_system(RootedTree.validate([0, 0], 2))))
 
 
@@ -500,15 +513,13 @@ def test_verify_says_which_gram_entry_of_the_spectral_family_is_off(chain3, monk
 
 
 def test_gram_check_catches_a_perturbed_wavelet(rng):
-    # noise on a psi table is caught by psi-two-route, which reads the tables
+    # noise on beta_2 is caught by psi-two-route, which reads beta_l, as noise on its time route
     system = build_system(RootedTree.validate([0, 0, 1, 2, 3], 5))
-    psi = system.psi[1]
-    noise = 1e-6 * rng.normal(size=psi.values.shape)
-    bent = StepFunction(5, -1, psi.resolution_level, psi.values + noise)
-    bad = tampered(system, psi=system.psi[:1] + (bent,) + system.psi[2:])
+    noise = 1e-6 * rng.normal(size=25)
+    bad = tampered(system, beta_l=system.beta_l[:1] + (system.beta_l[1] + noise,) + system.beta_l[2:])
     two_route = {c.name: c for c in verify_wavelet_system(bad)}["psi-two-route"]
     assert not two_route.passed and two_route.where.startswith("wavelet 2, cell ")
-    assert abs(two_route.max_deviation - np.abs(noise).max()) < 1e-15
+    assert abs(two_route.max_deviation - np.abs(wavelet._beta_system(5) @ noise).max()) < 1e-15
 
 
 def test_gram_check_catches_a_perturbed_wavelet_spectrum(rng, monkeypatch):
@@ -643,7 +654,7 @@ def test_verify_spectral_subset(chain3):
 VERIFY_CHECKS = [
     "mask-row-sums", "mask-vanishing-shell", "spectrum-elementary", "spectrum-residue-sums",
     "beta-residual", "beta-energy", "shifted-mask-structure",
-    "refinement-identity", "psi-two-route", "gram-orthonormal-family",
+    "refinement-cosets", "psi-two-route", "gram-orthonormal-family",
 ]
 SPECTRAL_CHECK_FUNCTIONS = [
     "check_row_condition", "check_vanishing", "check_elementary",
@@ -692,3 +703,59 @@ def test_psi_defining_sum_matches(chain3):
     for l, bl in enumerate(chain3.beta_l):
         direct = psi_time(chain3.phi, bl)
         assert np.array_equal(direct.values, chain3.psi[l].values)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_cell_identities_hold_where_the_coset_checks_pass(p):
+    # the refinement sum and both routes to psi on cells, which verify no longer builds
+    rng = np.random.default_rng(p)
+    for tree in p_trees(p):
+        for phases in ({}, {e: float(rng.uniform()) for e in tree.edges()}):
+            system = build_system(tree, phases)
+            checks = {c.name: c for c in verify_wavelet_system(system)}
+            assert all(d < 1e-14 for d in cell_identities(system))
+            assert checks["refinement-cosets"].passed and checks["psi-two-route"].passed
+
+
+def perturbed_masks(tree, rng):
+    """The tree's mask under seeded phases, perturbed five ways; the noise is near the tolerance."""
+    p = tree.p
+    lam = mask_from_tree(tree, {e: float(rng.uniform()) for e in tree.edges()}).lam
+    scale = 10 ** rng.uniform(-15, -9)
+    replaced, moved, mapped = lam.copy(), lam.copy(), np.zeros(p * p, dtype=complex)
+    replaced[rng.integers(p * p)] = complex(rng.normal(), rng.normal())
+    i = int(rng.integers(1, p))
+    j = tree.parent[i]
+    moved[i + p * j], moved[i + p * ((j + int(rng.integers(1, p))) % p)] = 0.0, lam[i + p * j]
+    mapped[0] = 1.0
+    mapped[np.arange(1, p) + p * rng.integers(p, size=p - 1)] = np.exp(2j * np.pi * rng.uniform(size=p - 1))
+    return {
+        "replace one entry": replaced,
+        "phase noise": lam * np.exp(2j * np.pi * scale * rng.normal(size=p * p)),
+        "modulus noise": lam * (1 + scale * rng.normal(size=p * p)),
+        "move an edge in its row": moved,
+        "random map": mapped,
+    }
+
+
+def test_coset_checks_give_the_cell_routes_verdict_on_perturbed_masks():
+    # the cell route: the seven spectral checks, the two cell identities and the Gram check;
+    # a coset deviation is at most p times the cell one, and a cell deviation at most p + 1
+    # times the coset one, so the verdicts may differ only where some deviation is within
+    # a factor p of tol
+    rng = np.random.default_rng(20261020)
+    verdicts, border, cases = set(), [], 0
+    for p in (3, 5):
+        for tree in enumerate_trees(p):
+            for how, lam in perturbed_masks(tree, rng).items():
+                system = WaveletSystem(tree, MaskTable(p, lam))
+                checks = verify_wavelet_system(system)
+                cells = cell_identities(system)
+                cell_route = all(c.passed for c in checks[:7] + checks[9:]) and all(d < DEFAULT_TOL for d in cells)
+                verdicts.add(all(c.passed for c in checks))
+                cases += 1
+                if all(c.passed for c in checks) != cell_route:
+                    devs = [checks[7].max_deviation, checks[8].max_deviation, *cells]
+                    assert any(DEFAULT_TOL / p <= d <= p * DEFAULT_TOL for d in devs), (how, tree.parent)
+                    border.append((how, tree.parent))
+    assert verdicts == {True, False} and cases == 640 and len(border) < cases / 20, border
