@@ -9,6 +9,7 @@ deterministic given the inputs and --seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -161,7 +162,7 @@ def _require_finite(what: str, *arrays) -> None:
 def cmd_transform(args) -> int:
     system = serialize.system_from_dict(serialize.load_json(args.system))
     if args.action == "analyze":
-        signal = serialize.step_from_dict(serialize.load_json(args.signal))
+        signal = serialize.load_step(args.signal)
         if signal.p != system.p:
             raise serialize.FormatError(f"signal p={signal.p} incompatible with system p={system.p}")
         _require_finite("signal", signal.values)
@@ -225,7 +226,13 @@ def cmd_show(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process and shared by every main call.
+
+    Each subcommand holds its cmd_* function, so a test that patches one must
+    patch it before the parser is first built.
+    """
     parser = argparse.ArgumentParser(
         prog="vilwav", description="Tree-generated wavelet systems on p-adic Vilenkin groups"
     )
@@ -291,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.func is cmd_verify and args.system is None and args.all_trees is None:
+    if args.command == "verify" and args.system is None and args.all_trees is None:
         parser.error("verify needs a system file or --all-trees P")
     try:
         if not 0 < args.tol < math.inf:

@@ -5,10 +5,12 @@ order.  Complex numbers are [re, im] pairs in every file but a pyramid.  A
 step file (a signal) is written by `step_dumps`, whose text is that of
 `dumps(step_to_dict(f))` byte for byte: when at least half its cells are +0.0
 in both parts, as in a reconstructed sparse signal, those cells skip the
-float encoder and are written as one shared token `[0.0, 0.0]`.  A
-wavelet system is stored as the tree and mask that fix it; its tables are
-rebuilt on reading.  A coefficient grid is {"level": L, "keys": {"first":
-[k, ...], "count": [n, ...]}, "values": "<base64>"}.  The keys ascend, and
+float encoder and are written as one shared token `[0.0, 0.0]`.  It is read
+by `load_step`, which parses each token as null in a text that holds no null,
+so only the other cells cost a float parse each.  A wavelet system is stored
+as the tree and mask that fix it; its tables are rebuilt on reading.  A
+coefficient grid is {"level": L, "keys": {"first": [k, ...], "count": [n,
+...]}, "values": "<base64>"}.  The keys ascend, and
 each is the shift's canonical index, whose base-p digits (least significant
 first) are the shift's digits from position -1 downward.  They are stored as
 their maximal runs of consecutive keys: run j holds count[j] keys from
@@ -32,6 +34,7 @@ from __future__ import annotations
 import base64
 import functools
 import gc
+import itertools
 import json
 import math
 from contextlib import contextmanager
@@ -77,6 +80,10 @@ def _gc_paused(fn):
     return paused
 
 
+# json's text of a +0 cell [0.0, 0.0]; the step file writer and reader treat it as one token
+_ZERO_TOKEN = "[0.0, 0.0]"
+
+
 def _cpx_out(values) -> list:
     v = np.asarray(values, dtype=complex)
     return np.stack([v.real, v.imag], axis=-1).tolist()
@@ -86,19 +93,23 @@ def _cpx_json(values) -> str:
     """The text json.dumps(_cpx_out(values)) gives for a 1-D table, byte for byte.
 
     When at least half the cells are +0.0 in both parts, none of those is listed
-    or encoded as a pair: each is written as one shared token.  Below half,
-    placing the tokens among the other cells costs as much as it saves, or more.
+    or encoded as a pair: each is written as one shared token, and each other
+    cell as the reprs of its parts, which are json's text of a finite float.
+    Below half, placing the tokens among the other cells costs as much as it
+    saves, or more.
     """
     v = np.asarray(values, dtype=complex)
     parts = np.stack([v.real, v.imag], axis=-1)
     kept = parts.view(np.uint64).any(axis=1)  # a -0.0 part has its sign bit set, so it is kept
     if 2 * np.count_nonzero(kept) > len(kept):
         return json.dumps(parts.tolist(), check_circular=False)
-    cells = [None] * len(kept)
-    for i, pair in zip(np.flatnonzero(kept).tolist(), parts[kept].tolist()):
-        cells[i] = pair
-    # no float is written as null (nan and inf are NaN and Infinity), so each null is a +0 cell
-    return json.dumps(cells, check_circular=False).replace("null", "[0.0, 0.0]")
+    cells = [_ZERO_TOKEN] * len(kept)
+    where, rows = np.flatnonzero(kept), parts[kept]
+    for i, (re, im) in zip(where.tolist(), rows.tolist()):
+        cells[i] = f"[{re!r}, {im!r}]"
+    for i in where[~np.isfinite(rows).all(axis=1)].tolist():  # nan and inf are NaN and Infinity
+        cells[i] = json.dumps(parts[i].tolist())
+    return f"[{', '.join(cells)}]"
 
 
 def _cpx_in(pairs) -> np.ndarray:
@@ -123,18 +134,29 @@ def dumps(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, check_circular=False) + "\n"
 
 
-@_gc_paused
-def load_json(path: str) -> dict:
+def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            return fh.read()
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, a huge int, deep nesting
+    except ValueError as exc:  # no UTF-8
+        raise FormatError(f"malformed JSON in {path}: {exc}") from exc
+
+
+def _loads(path: str, text: str) -> dict:
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # bad JSON, a huge int, deep nesting
         raise FormatError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise FormatError(f"{path}: top-level JSON object expected")
     return data
+
+
+@_gc_paused
+def load_json(path: str) -> dict:
+    return _loads(path, _read(path))
 
 
 def _require(data: dict, key: str):
@@ -191,13 +213,43 @@ def step_dumps(f: StepFunction) -> str:
 
 @_gc_paused
 def step_from_dict(data: dict) -> StepFunction:
+    return _step(data, _cpx_in)
+
+
+def _step(data: dict, values_in) -> StepFunction:
     with _malformed("step function"):
         return StepFunction(
             int(_require(data, "p")),
             int(_require(data, "support_level")),
             int(_require(data, "resolution_level")),
-            _cpx_in(_require(data, "values")),
+            values_in(_require(data, "values")),
         )
+
+
+def _cpx_in_nulls(cells) -> np.ndarray:
+    """_cpx_in of a list of cells in which each None stands for a +0 cell."""
+    kept = [c is not None for c in cells]
+    out = np.zeros(len(cells), dtype=complex)
+    out[np.frombuffer(bytes(kept), dtype=bool)] = _cpx_in(list(itertools.compress(cells, kept)))
+    return out
+
+
+@_gc_paused
+def load_step(path: str) -> StepFunction:
+    """step_from_dict(load_json(path)), bit for bit and refusal for refusal.
+
+    In a text that holds no null, each +0 cell token is parsed as null and
+    read as a +0 cell, so only the other cells cost a float parse each.  A
+    text the swap leaves refused, as a token outside a cell would, is then
+    read as it is, for the refusal and message of the plain text.
+    """
+    text = _read(path)
+    if "null" not in text:
+        try:
+            return _step(_loads(path, text.replace(_ZERO_TOKEN, "null")), _cpx_in_nulls)
+        except FormatError:
+            pass
+    return step_from_dict(_loads(path, text))
 
 
 # -- masks and wavelet systems --

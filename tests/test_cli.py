@@ -916,6 +916,65 @@ def test_error_carried_across_synthesis_levels_is_not_cut(tmp_path, capsys):
     capsys.readouterr()
 
 
+def sparse_step_text():
+    """The step file text of a p=3 signal of 27 cells, all +0 but three."""
+    values = np.zeros(27, dtype=complex)
+    values[[4, 5, 20]] = [1.5 + 2.5j, -0.25, 3j]
+    return serialize.step_dumps(StepFunction(3, -1, 2, values))
+
+
+# each file the signal reader refuses; a +0 cell is written as the token [0.0, 0.0]
+SIGNAL_REFUSALS = {
+    "null cell": lambda text: text.replace("[1.5, 2.5]", "null"),
+    "token nested in a pair": lambda text: text.replace("[1.5, 2.5]", "[[0.0, 0.0], 2.5]"),
+    "token as p": lambda text: text.replace('"p": 3', '"p": [0.0, 0.0]'),
+    "token as the values": lambda text: text[:text.index('"values"')] + '"values": [0.0, 0.0]}\n',
+    "bare-number cell": lambda text: text.replace("[1.5, 2.5]", "1.5"),
+    "bare zero cell": lambda text: text.replace("[1.5, 2.5]", "0"),
+    "truncated": lambda text: text[:-20],
+    "top level no object": lambda text: json.dumps(json.loads(text)["values"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIGNAL_REFUSALS) + ["utf-16"])
+def test_signal_reader_refuses_what_the_plain_reader_refuses(tmp_path, capsys, case):
+    sys_file = build_system_file(tmp_path, {"p": 3, "parent": [0, 0, 0]})
+    sig_file = tmp_path / "sig.json"
+    if case == "utf-16":
+        sig_file.write_bytes(sparse_step_text().encode("utf-16"))
+    else:
+        sig_file.write_text(SIGNAL_REFUSALS[case](sparse_step_text()))
+    capsys.readouterr()
+    with pytest.raises(serialize.FormatError) as plain:
+        serialize.step_from_dict(serialize.load_json(str(sig_file)))
+    argv = ["transform", "analyze", "--system", sys_file, "--signal", str(sig_file), "-o", str(tmp_path / "pyr.json")]
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err == f"input error: {plain.value}\n"
+
+
+@pytest.mark.parametrize("spelling", ["compact", "token in an extra key"])
+def test_signal_reader_reads_other_spellings_as_the_plain_reader(tmp_path, capsys, spelling):
+    sys_file = build_system_file(tmp_path, {"p": 3, "parent": [0, 0, 0]})
+    data = json.loads(sparse_step_text())
+    if spelling == "compact":  # no token, so the plain path reads it
+        text = json.dumps(data, separators=(",", ":"))
+        assert "[0.0,0.0]" in text and "[0.0, 0.0]" not in text
+    else:
+        text = json.dumps({**data, "note": "a +0 cell is [0.0, 0.0]"})
+    pyramids = []
+    for name, signal_text in (("file", sparse_step_text()), (spelling, text)):
+        sig_file = tmp_path / f"{name}.json"
+        sig_file.write_text(signal_text)
+        want = serialize.step_from_dict(serialize.load_json(str(sig_file)))
+        assert serialize.load_step(str(sig_file)).values.tobytes() == want.values.tobytes()
+        pyr_file = tmp_path / f"{name}-pyr.json"
+        assert main(["transform", "analyze", "--system", sys_file, "--signal", str(sig_file),
+                     "-o", str(pyr_file)]) == EXIT_OK
+        pyramids.append(pyr_file.read_bytes())
+    assert pyramids[0] == pyramids[1]
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("parent, message", [([0, 0], "length 2"), ([0, 2, 1], "cycle: 1->2->1")])
 def test_build_of_invalid_tree_prints_the_validate_line(tmp_path, capsys, parent, message):
     path = write_json(tmp_path / "bad.json", {"p": 3, "parent": parent})

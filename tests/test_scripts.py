@@ -11,6 +11,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # one minimal run per script in scripts/; test_every_script_has_a_row keeps the two in step
 SCRIPT_ARGS = {
+    "bench_pairs.py": ["--parent", str(ROOT), "--change", str(ROOT), "--workload", "deep7",
+                       "--seconds", "0.1", "--pairs", "1"],
     "reconstruction_experiment.py": ["-p", "3", "--trees", "2", "--signals", "4", "--levels", "1"],
     "seven_vertex_demo.py": [],
 }

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from vilwav import serialize
 from vilwav.config import SizeCapError
@@ -74,16 +76,60 @@ STEP_TABLES = {
     "10% zero": zeroed(0.1),
     "50% zero": zeroed(0.5),
     "81% zero": zeroed(0.81),
+    "finite among zeros": zeroed(0.9),
+    "NaN and Infinity among zeros": with_parts([[np.nan, 0.0], [0.0, np.inf], [-np.inf, 1.5], [0.1, np.nan],
+                                                [np.inf, -np.inf]] + [[0.0, 0.0]] * 59),
+    "lone -0.0 part among finite cells and zeros": with_parts([[2.5, -0.0], [0.0, 0.0], [1e-5, 3.0]]
+                                                              + [[0.0, 0.0]] * 61),
 }
 
 
 @pytest.mark.parametrize("name", sorted(STEP_TABLES))
-def test_step_dumps_is_the_dumps_of_step_to_dict(name):
+def test_step_dumps_is_the_dumps_of_step_to_dict(name, tmp_path):
     values = STEP_TABLES[name]
     f = StepFunction(2, -1, int(np.log2(len(values))) - 1, values)
     text = serialize.step_dumps(f)
     assert text == serialize.dumps(serialize.step_to_dict(f))
     assert np.array_equal(serialize.step_from_dict(json.loads(text)).values, values, equal_nan=True)
+    path = tmp_path / "step.json"
+    path.write_text(text)
+    assert serialize.load_step(str(path)).values.tobytes() == values.tobytes()
+
+
+READ_PARTS = [-0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e300, 0.1]
+
+
+@given(st.sampled_from([0.0, 0.1, 0.5, 0.81, 1.0]), st.integers(0, 2**32 - 1))
+def test_load_step_reads_the_bits_load_json_gives(tmp_path_factory, share, seed):
+    # +0 cells among cells whose parts mix -0.0, nan, infinities, subnormals, 1e300 and 0.0
+    rng = np.random.default_rng(seed)
+    n = 3**4
+    parts = rng.choice(READ_PARTS + [0.0], size=(n, 2))
+    parts[rng.choice(n, round(share * n), replace=False)] = 0.0
+    f = StepFunction(3, -1, 3, with_parts(parts))
+    path = tmp_path_factory.mktemp("step") / "step.json"
+    for text in (serialize.step_dumps(f), json.dumps(serialize.step_to_dict(f))):
+        path.write_text(text)
+        want = serialize.step_from_dict(serialize.load_json(str(path)))
+        got = serialize.load_step(str(path))
+        assert (got.p, got.support_level, got.resolution_level) == (3, -1, 3)
+        assert got.values.tobytes() == want.values.tobytes()
+
+
+def test_load_step_converts_only_the_cells_that_are_not_the_zero_token(tmp_path, monkeypatch):
+    values = zeroed(0.9)
+    path = tmp_path / "step.json"
+    path.write_text(serialize.step_dumps(StepFunction(2, -1, 9, values)))
+    sizes = []
+    real_cpx_in = serialize._cpx_in
+
+    def cpx_in(pairs):
+        sizes.append(len(pairs))
+        return real_cpx_in(pairs)
+
+    monkeypatch.setattr(serialize, "_cpx_in", cpx_in)
+    assert serialize.load_step(str(path)).values.tobytes() == values.tobytes()
+    assert sizes == [np.count_nonzero(values)]
 
 
 def test_system_roundtrip(chain3):
@@ -351,13 +397,13 @@ def test_readers_and_writers_restore_the_collector_state(tmp_path, monkeypatch, 
     good.write_text(serialize.dumps({"p": 3, "parent": [0, 0, 1]}))
     bad.write_text("{not json")
     seen = []
-    real_load = json.load
+    real_loads = json.loads
 
-    def load(fh):
+    def loads(text):
         seen.append(gc.isenabled())
-        return real_load(fh)
+        return real_loads(text)
 
-    monkeypatch.setattr(serialize.json, "load", load)
+    monkeypatch.setattr(serialize.json, "loads", loads)
     was_enabled = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
