@@ -230,8 +230,8 @@ def cmd_show(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The command line's parser, built once per process and shared by every main call.
 
-    Each subcommand holds its cmd_* function, so a test that patches one must
-    patch it before the parser is first built.
+    Each subcommand names its cmd_* function rather than holding it; main looks the
+    name up when it runs, so a patched handler takes effect whenever it is patched.
     """
     parser = argparse.ArgumentParser(
         prog="vilwav", description="Tree-generated wavelet systems on p-adic Vilenkin groups"
@@ -248,14 +248,14 @@ def build_parser() -> argparse.ArgumentParser:
     tree_sub = tree_p.add_subparsers(dest="tree_command", required=True)
     val = tree_sub.add_parser("validate", help="validate a tree file")
     val.add_argument("path")
-    val.set_defaults(func=cmd_tree_validate)
+    val.set_defaults(handler="cmd_tree_validate")
 
     build_p = sub.add_parser("build", help="build a wavelet system from a tree file")
     build_p.add_argument("tree")
     build_p.add_argument("-o", "--out", required=True)
     build_p.add_argument("--phases", choices=["file", "zero", "random"], default="file")
     build_p.add_argument("--seed", type=int, default=0)
-    build_p.set_defaults(func=cmd_build)
+    build_p.set_defaults(handler="cmd_build")
 
     verify_p = sub.add_parser("verify", help="verify the system a file's tree and mask generate")
     verify_p.add_argument("system", nargs="?")
@@ -263,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p.add_argument("--all-trees", type=int, default=None, metavar="P")
     verify_p.add_argument("--jobs", type=int, help="workers for --all-trees, 1..cores (default 1)")
     verify_p.add_argument("--draws", type=int, metavar="K", help="phase draws per tree besides zero (default 0)")
-    verify_p.set_defaults(func=cmd_verify)
+    verify_p.set_defaults(handler="cmd_verify")
 
     trans_p = sub.add_parser("transform", help="run the filter bank")
     trans_sub = trans_p.add_subparsers(dest="action", required=True)
@@ -273,25 +273,25 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--levels", type=int, default=1)
     ana.add_argument("--level", type=int, default=None, help="projection level (default: finest exact)")
     ana.add_argument("-o", "--out", required=True)
-    ana.set_defaults(func=cmd_transform, action="analyze")
+    ana.set_defaults(handler="cmd_transform", action="analyze")
     syn = trans_sub.add_parser("synthesize")
     syn.add_argument("--system", required=True)
     syn.add_argument("--pyramid", required=True)
     syn.add_argument("-o", "--out", required=True)
-    syn.set_defaults(func=cmd_transform, action="synthesize")
+    syn.set_defaults(handler="cmd_transform", action="synthesize")
 
     mask_p = sub.add_parser("mask", help="mask operations")
     mask_sub = mask_p.add_subparsers(dest="mask_command", required=True)
     m2t = mask_sub.add_parser("to-tree", help="recover the tree behind a mask")
     m2t.add_argument("path")
     m2t.add_argument("-o", "--out", required=True)
-    m2t.set_defaults(func=cmd_mask_to_tree)
+    m2t.set_defaults(handler="cmd_mask_to_tree")
 
     show_p = sub.add_parser("show", help="print system tables")
     show_p.add_argument("table", choices=["phi", "psi", "beta"])
     show_p.add_argument("--system", required=True)
     show_p.add_argument("--format", choices=["json", "csv"], default="json")
-    show_p.set_defaults(func=cmd_show)
+    show_p.set_defaults(handler="cmd_show")
     return parser
 
 
@@ -304,7 +304,7 @@ def main(argv=None) -> int:
         if not 0 < args.tol < math.inf:
             raise InputError(f"--tol {args.tol}: expected a finite number > 0")
         size_cap()  # a malformed VILWAV_SIZE_CAP is an input error, whether or not the command reads it
-        return args.func(args)
+        return globals()[args.handler](args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -6,8 +6,9 @@ step file (a signal) is written by `step_dumps`, whose text is that of
 `dumps(step_to_dict(f))` byte for byte: when at least half its cells are +0.0
 in both parts, as in a reconstructed sparse signal, those cells skip the
 float encoder and are written as one shared token `[0.0, 0.0]`.  It is read
-by `load_step`, which parses each token as null in a text that holds no null,
-so only the other cells cost a float parse each.  A wavelet system is stored
+by `load_step`, which parses each token as null in a text that holds no null
+and that the tokens fill to a tenth or more, so only the other cells cost a
+float parse each.  A wavelet system is stored
 as the tree and mask that fix it; its tables are rebuilt on reading.  A
 coefficient grid is {"level": L, "keys": {"first": [k, ...], "count": [n,
 ...]}, "values": "<base64>"}.  The keys ascend, and
@@ -241,10 +242,13 @@ def load_step(path: str) -> StepFunction:
     In a text that holds no null, each +0 cell token is parsed as null and
     read as a +0 cell, so only the other cells cost a float parse each.  A
     text the swap leaves refused, as a token outside a cell would, is then
-    read as it is, for the refusal and message of the plain text.
+    read as it is, for the refusal and message of the plain text.  Where the
+    tokens fill under a tenth of the text (about a third of the cells), the
+    swap and the null cells cost more than the parse they save, so such a
+    text is read as it is.
     """
     text = _read(path)
-    if "null" not in text:
+    if 10 * len(_ZERO_TOKEN) * text.count(_ZERO_TOKEN) >= len(text) and "null" not in text:
         try:
             return _step(_loads(path, text.replace(_ZERO_TOKEN, "null")), _cpx_in_nulls)
         except FormatError:

@@ -346,6 +346,19 @@ def test_tol_must_be_finite_and_positive(monkeypatch, capsys, tol, handler, comm
     assert code == EXIT_INPUT and err.startswith("input error: --tol")
 
 
+def test_handler_is_looked_up_when_main_runs(monkeypatch, tmp_path, capsys):
+    # the shared parser names its handlers, so a patch made after it is built takes
+    # effect, and the real handler runs again once the patch is undone
+    missing = str(tmp_path / "missing.json")
+    cli.build_parser()
+    with monkeypatch.context() as m:
+        m.setattr(cli, "cmd_show", never)
+        with pytest.raises(AssertionError, match="sweep work started"):
+            main(["show", "phi", "--system", missing])
+    assert main(["show", "phi", "--system", missing]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("input error:")
+
+
 def test_stored_beta_l_is_not_read(p3_payloads, tmp_path):
     # older files carry beta_l beside the other tables; no table key is read
     system = serialize.system_from_dict(p3_payloads["system"])

@@ -132,6 +132,18 @@ def test_load_step_converts_only_the_cells_that_are_not_the_zero_token(tmp_path,
     assert sizes == [np.count_nonzero(values)]
 
 
+@pytest.mark.parametrize("share, swapped", [(0.0, False), (0.1, False), (0.5, True)])
+def test_load_step_swaps_only_where_the_tokens_fill_a_tenth_of_the_text(tmp_path, monkeypatch, share, swapped):
+    values = zeroed(share)
+    path = tmp_path / "step.json"
+    path.write_text(serialize.step_dumps(StepFunction(2, -1, 9, values)))
+    calls = []
+    real_cpx_in_nulls = serialize._cpx_in_nulls
+    monkeypatch.setattr(serialize, "_cpx_in_nulls", lambda cells: calls.append(1) or real_cpx_in_nulls(cells))
+    assert serialize.load_step(str(path)).values.tobytes() == values.tobytes()
+    assert bool(calls) == swapped
+
+
 def test_system_roundtrip(chain3):
     data = serialize.system_to_dict(chain3)
     back = serialize.system_from_dict(data)
