@@ -15,6 +15,10 @@ sides' quartiles, the pairs the change won, and a verdict:
   metric's bound, read as a fraction of the parent's median;
 - "within bound": neither.
 
+Below them it prints both sides' medians of the workload's own figures from
+each run's record line, marked "not gated": the build, verify and per-system
+times of a sweep, or the filter bank's signal round trip and rates.
+
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --workload filterbank --seconds 44 --seed-base 701 --pairs 10
 """
@@ -30,9 +34,14 @@ from pathlib import Path
 
 import numpy as np
 
+# the record's figures printed beside the gated metrics: a sweep's, or the filter bank's
+NAMED = (("verify_s", "build_s", "system_p50_ms"),
+         ("signal_roundtrip_s", "coeffs_per_s", "batch_coeffs_per_s", "io_mb_per_s"))
 
-def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The last stdout line of one run: correct, attempted, failed and the metrics."""
+
+def run(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+    """The last two stdout lines of one run: the record's named figures, and correct, attempted,
+    failed and the metrics."""
     cmd = [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
@@ -40,7 +49,7 @@ def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     lines = proc.stdout.strip().splitlines()
     if not lines:
         raise SystemExit(f"{checkout}: exited {proc.returncode} without a result\n{proc.stderr}")
-    return json.loads(lines[-1])
+    return json.loads(lines[-2])["record"]["named"], json.loads(lines[-1])
 
 
 def verdict(parent: list, change: list, better: str, bound: float) -> tuple[str, int]:
@@ -71,12 +80,15 @@ def main(argv=None) -> int:
             print(f"warning: the {side} checkout holds __pycache__ under src", file=sys.stderr)
     metrics = json.loads((sides["change"] / "BENCHMARK.json").read_text())["end_to_end"]
     values = {side: {m["name"]: [] for m in metrics} for side in sides}
+    named = {side: {} for side in sides}
     failed = {side: 0 for side in sides}
     for i in range(args.pairs):
         seed = args.seed_base + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            result = run(sides[side], args.workload, seed, args.seconds)
+            figures, result = run(sides[side], args.workload, seed, args.seconds)
+            for name, figure in figures.items():
+                named[side].setdefault(name, []).append(figure["value"])
             failed[side] += result["failed"] + (not result["correct"])
             for m in metrics:
                 values[side][m["name"]].append(result["metrics"][m["name"]]["value"])
@@ -92,6 +104,9 @@ def main(argv=None) -> int:
         c25, c50, c75 = np.percentile(change, [25, 50, 75])
         print(f"{m['name']:12s} parent {p50:.6g} [{p25:.6g}, {p75:.6g}]  change {c50:.6g} [{c25:.6g}, {c75:.6g}]  "
               f"({(c50 - p50) / p50:+.1%})  change won {wins}/{len(parent)}  {text}")
+    for name in next((group for group in NAMED if group[0] in named["parent"]), ()):
+        p50, c50 = (np.median(named[side][name]) for side in sides)
+        print(f"{name:18s} parent median {p50:.6g}  change median {c50:.6g}  ({(c50 - p50) / p50:+.1%})  not gated")
     return 0 if not any(failed.values()) else 1
 
 

@@ -20,6 +20,8 @@ import numpy as np
 
 from .config import SizeCapError, size_cap
 
+INT64_MAX = int(np.iinfo(np.int64).max)  # the largest key a table index holds
+
 
 def is_prime(p: int) -> bool:
     if p < 2:

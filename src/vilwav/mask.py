@@ -61,30 +61,28 @@ def mask_to_tree(mask: MaskTable, tol: float = DEFAULT_TOL) -> tuple[RootedTree,
     """
     p = mask.p
     mods = np.abs(mask.lam)
-    if np.any(np.minimum(mods, np.abs(mods - 1.0)) > tol):
+    if (np.minimum(mods, np.abs(mods - 1.0)) > tol).any():
         raise MaskError("mask moduli are not {0,1}-valued")
     if abs(mask.lam[0] - 1.0) > tol:
         raise MaskError(f"lambda_0 = {mask.lam[0]}, expected exactly 1")
-    parent = [0] * p
-    phases: dict[tuple[int, int], float] = {}
-    for i in range(1, p):
-        js = [j for j in range(p) if mods[i + p * j] > 0.5]
-        if len(js) != 1:
+    unimodular = mods.reshape(p, p)[:, 1:] > 0.5  # [j, i] for the rows i = 1 .. p-1
+    for i, count in enumerate(unimodular.sum(axis=0).tolist(), 1):
+        if count != 1:
             raise MaskError(
-                f"row i={i} has {len(js)} unimodular entries, expected exactly 1 "
+                f"row i={i} has {count} unimodular entries, expected exactly 1 "
                 "(unit row-sum condition fails)"
             )
-        parent[i] = js[0]
-        value = mask.lam[i + p * js[0]]
-        if abs(value - 1.0) > tol:
-            phases[(js[0], i)] = float(np.angle(value) / (2 * np.pi)) % 1.0
+    parent = [0, *unimodular.argmax(axis=0).tolist()]
+    values = mask.lam[np.arange(p) + p * np.array(parent)]
+    turns = (np.angle(values) / (2 * np.pi) % 1.0).tolist()
+    phases = {(parent[i], i): turns[i] for i in range(1, p) if abs(values[i] - 1.0) > tol}
     return RootedTree.validate(parent, p), phases
 
 
 def residue_sums_check(name: str, sums: np.ndarray, tol: float) -> CheckResult:
     """Every per-residue sum must equal 1; where names the residue furthest off."""
     devs = np.abs(sums - 1.0)
-    worst = int(np.argmax(devs))
+    worst = int(devs.argmax())
     return CheckResult.within(name, devs[worst], tol, f"residue {worst}" if devs[worst] else "")
 
 
@@ -113,13 +111,12 @@ def check_vanishing(mask: MaskTable, M: int) -> CheckResult:
     choices = []
     for _ in range(M + 1):  # digits alpha_0 .. alpha_M
         paths = best[:, None] * weight  # [last digit, next digit]
-        choices.append(np.argmax(paths, axis=0))  # argmax picks a nan, so a nan spreads
-        best = paths[choices[-1], np.arange(p)]
-    string = [1 + int(np.argmax(best[1:] * weight[1:, 0]))]  # alpha_M != 0, the digit above it 0
+        choices.append(paths.argmax(axis=0))  # argmax and max pick a nan, so a nan spreads
+        best = paths.max(axis=0)
+    string = [1 + int((best[1:] * weight[1:, 0]).argmax())]  # alpha_M != 0, the digit above it 0
     for choice in reversed(choices):
         string.insert(0, int(choice[string[0]]))
     # the deviation is the orbit product along that string, as oracle.orbit_product forms it
-    digits = np.array(string)
-    dev = float(np.abs(np.prod(mask.lam[digits + p * np.append(digits[1:], 0)])))
+    dev = float(np.abs(mask.lam[[a + p * b for a, b in zip(string, string[1:] + [0])]].prod()))
     where = f"digits {tuple(string)}" if dev else ""
     return CheckResult("mask-vanishing-shell", dev, dev == 0.0, where)

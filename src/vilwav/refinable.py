@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_TOL, CheckResult, MathError, SizeCapError
-from .group import char_kernel_apply, check_table_size, digit_characters, digit_table
+from .group import INT64_MAX, char_kernel_apply, check_table_size, digit_characters, digit_table
 from .mask import MaskTable, residue_sums_check
 from .tree import RootedTree
 
@@ -34,7 +34,7 @@ class SpectrumTable:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.band >= 63 or self.p ** (self.band + 1) > np.iinfo(np.int64).max:  # no p**(2**70)
+        if self.band >= 63 or self.p ** (self.band + 1) > INT64_MAX:  # no p**(2**70)
             raise SizeCapError(f"spectrum keys of {self.band + 1} digits at p={self.p} do not fit an int64 key")
         for name, dtype in (("keys", np.int64), ("values", complex)):
             column = np.asarray(getattr(self, name), dtype=dtype)
@@ -140,21 +140,17 @@ def check_elementary(spec: SpectrumTable, tol: float = DEFAULT_TOL) -> CheckResu
     mods = np.abs(spec.values)
     support = spec.keys[mods > 0.5]
     residues = len(set((support % p).tolist()))
-    digits = support[:, None] // p ** np.arange(M + 1) % p  # row k: the digits of support coset k
-    missing = [
-        l for l in range(M + 1)
-        if not ((digits[:, l] != 0) & (digits[:, l + 1:] == 0).all(axis=1)).any()
-    ]
-    if np.any(np.minimum(mods, np.abs(mods - 1.0)) > tol):
+    # a key's shell is the position of its highest non-zero digit among digits 0 .. M, -1 for none
+    shells = set(((p ** np.arange(M + 1)).searchsorted(support % p ** (M + 1), side="right") - 1).tolist())
+    if (np.minimum(mods, np.abs(mods - 1.0)) > tol).any():
         why = "values are neither 0 nor unimodular"
     elif len(support) != p or residues != p:
         why = f"support is {len(support)} cosets with {residues} distinct residues, wanted p={p} of each"
     elif 0 not in support:
         why = "trivial coset not in support"
-    elif missing:
-        why = f"empty shells at levels {missing}"
     else:
-        why = ""
+        missing = [l for l in range(M + 1) if l not in shells]
+        why = f"empty shells at levels {missing}" if missing else ""
     return CheckResult("spectrum-elementary", float(bool(why)), not why, why)
 
 

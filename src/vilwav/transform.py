@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import InputError, MathError, SizeCapError
-from .group import check_table_size
+from .group import INT64_MAX, check_table_size
 from .refinable import (
     StepFunction,
     bank_matrix,
@@ -123,7 +123,7 @@ def check_key_range(keys, p: int) -> None:
         raise InputError("a shift key is outside 0, 1, 2, ...")
     width = len(shift_key_digits(max(keys, default=0), p))
     check_table_size(p**width)
-    if p**width > np.iinfo(np.int64).max:
+    if p**width > INT64_MAX:
         raise SizeCapError(f"shift keys of {width} digits at p={p} do not fit an int64 key")
 
 

@@ -23,7 +23,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .config import DEFAULT_TOL, CheckResult, SizeCapError
-from .group import char_kernel_apply, check_table_size, unit_roots
+from .group import INT64_MAX, char_kernel_apply, check_table_size, digit_characters, unit_roots
 from .mask import MaskTable, check_row_condition, check_vanishing, mask_from_tree
 from .refinable import (
     SpectrumTable,
@@ -61,9 +61,9 @@ def _beta_system(p: int) -> np.ndarray:
 
 
 def beta_residual(mask: MaskTable, beta: np.ndarray, tol: float = DEFAULT_TOL) -> CheckResult:
-    """Max deviation when beta is substituted back into the defining system."""
-    dev = np.abs(_beta_system(mask.p) @ beta - mask.lam).max()
-    return CheckResult.within("beta-residual", dev, tol)
+    """Max deviation when beta is substituted back into the defining system; where names its cell."""
+    dev, (cell,) = _worst(np.abs(_beta_system(mask.p) @ beta - mask.lam))
+    return CheckResult.within("beta-residual", dev, tol, f"cell {cell}" if dev else "")
 
 
 def beta_shifted(beta: np.ndarray, l: int, p: int) -> np.ndarray:
@@ -96,16 +96,24 @@ def psi_time(phi: StepFunction, beta_l: np.ndarray) -> StepFunction:
     return assemble_refinement_sum(phi, beta_l)
 
 
+@lru_cache(maxsize=None)
+def _shift_index(p: int) -> np.ndarray:
+    """The [l, b, a] table of a + p*((b - l) mod p), the lambda index behind each m_l entry."""
+    l, b, a = np.ogrid[:p, :p, :p]
+    index = a + p * ((b - l) % p)
+    index.setflags(write=False)
+    return index
+
+
 def shifted_masks(mask: MaskTable) -> np.ndarray:
     """Every m_l as one [l, xi_0, xi_-1] table: entry (l, b, a) is lambda at a + p*((b - l) mod p)."""
-    p = mask.p
-    return mask.lam.reshape(p, p)[(np.arange(p) - np.arange(p)[:, None]) % p]
+    return mask.lam[_shift_index(mask.p)]
 
 
 def wavelet_keys(phi_hat_table: SpectrumTable) -> np.ndarray:
     """The keys a + p*s of the p cosets over each key s of phi_hat, as [s, a]; refused past int64."""
     p = phi_hat_table.p
-    if p ** (phi_hat_table.band + 2) > np.iinfo(np.int64).max:  # a + p*s would wrap
+    if p ** (phi_hat_table.band + 2) > INT64_MAX:  # a + p*s would wrap
         raise SizeCapError(f"wavelet spectrum keys of {phi_hat_table.band + 2} digits at p={p} "
                            "do not fit an int64 key")
     return np.arange(p) + p * phi_hat_table.keys[:, None]
@@ -118,7 +126,12 @@ def family_spectra(phi_hat_table: SpectrumTable, mask: MaskTable) -> tuple[np.nd
     phi_hat's keys s, and zero elsewhere; phi shares the keys it meets.
     """
     p, support, values = mask.p, phi_hat_table.keys, phi_hat_table.values
-    keys, column = np.unique(np.append(support, wavelet_keys(phi_hat_table)), return_inverse=True)
+    flat = np.concatenate([support, wavelet_keys(phi_hat_table).ravel()])
+    order = flat.argsort(kind="stable")
+    first = np.ones(len(flat), dtype=bool)  # the first of each run of equal keys in sorted order
+    np.not_equal(flat[order[1:]], flat[order[:-1]], out=first[1:])
+    keys, column = flat[order[first]], np.empty_like(order)
+    column[order] = first.cumsum() - 1
     check_table_size(p * len(keys), "the family's spectra")
     table = np.zeros((p, len(keys)), dtype=complex)
     table[0, column[: len(support)]] = values
@@ -135,16 +148,12 @@ def refinement_cosets(phi_hat_table: SpectrumTable, m0: np.ndarray, tol: float =
     cells; the root's key 0 maps to itself through lambda_0.  A coset off by d moves each cell
     of that sum by d / p, so the deviation runs about p times a cell one.
     """
-    p = phi_hat_table.p
-    cosets = np.append(phi_hat_table.keys, wavelet_keys(phi_hat_table))
-    order = np.argsort(phi_hat_table.keys)
-    keys, values = phi_hat_table.keys[order], phi_hat_table.values[order]
-
-    def phi_hat(x):  # 0 off the keys
-        at = np.minimum(np.searchsorted(keys, x), len(keys) - 1)
-        return np.where(keys[at] == x, values[at], 0)
-
-    dev, (i,) = _worst(np.abs(phi_hat(cosets) - m0[cosets % p**2] * phi_hat(cosets // p)))
+    p, keys, values = phi_hat_table.p, phi_hat_table.keys, phi_hat_table.values
+    cosets = np.concatenate([keys, wavelet_keys(phi_hat_table).ravel()])
+    x, order = np.concatenate([cosets, cosets // p]), keys.argsort()  # phi_hat at each coset, then at its image
+    at = order[np.minimum(keys[order].searchsorted(x), len(keys) - 1)]
+    here, below = np.where(keys[at] == x, values[at], 0).reshape(2, -1)  # 0 off the keys
+    dev, (i,) = _worst(np.abs(here - m0[cosets % p**2] * below))
     return CheckResult.within("refinement-cosets", dev, tol, f"coset {cosets[i]}" if dev else "")
 
 
@@ -182,14 +191,7 @@ def family_correlation(keys: np.ndarray, table: np.ndarray) -> np.ndarray:
     within tol of the shifted mask on each of the p^2 cosets it meets.
     """
     p = len(table)
-    # each residue's columns, in key order, padded with zero columns to the largest: blocks[r, i, slot]
-    residue = keys % p
-    order = np.argsort(residue, kind="stable")
-    counts = np.bincount(residue, minlength=p)
-    slot = np.arange(len(keys)) - np.repeat(np.cumsum(counts) - counts, counts)
-    blocks = np.zeros((p, p, counts.max(initial=0)), dtype=complex)
-    blocks[residue[order], :, slot] = table[:, order].T
-    gram = blocks @ blocks.conj().transpose(0, 2, 1)
+    gram = (table * (keys % p == np.arange(p)[:, None, None])) @ table.conj().T  # [r, i, k]: G_r
     return (char_kernel_apply(gram, p, 1, +1) / p).transpose(1, 2, 0)
 
 
@@ -222,12 +224,13 @@ class WaveletSystem:
     @cached_property
     def M(self) -> int:
         """The tree's support exponent, height - 2: phi_hat lives on band M."""
-        return self.tree.support_exponent
+        return self.phi_hat.band
 
     @cached_property
     def beta_l(self) -> tuple[np.ndarray, ...]:
-        """The wavelet coefficients, derived from beta, which beta-residual checks."""
-        return tuple(beta_shifted(self.beta, l, self.p) for l in range(1, self.p))
+        """The wavelet coefficients beta_shifted(beta, l) for l = 1 .. p-1, formed in one product."""
+        p = self.p  # beta_j * omega^(l * a_-1) with beta as [a_-2, a_-1]
+        return tuple((self.beta.reshape(p, p) * digit_characters(p)[1:, None]).reshape(p - 1, -1))
 
     # The kernels are looked up when a table is built, so a tracer that
     # rebinds them sees each call.
@@ -255,13 +258,14 @@ def shifted_mask_checks(mask: MaskTable, tol: float = DEFAULT_TOL) -> CheckResul
     """Exhaustive m_l structure checks on the two-digit window.
 
     Verifies m_l * m_k = 0 for k != l and |m_l| = 1 exactly where the
-    unshifted support, rotated by l, sits.  The deviation is the max violation.
+    unshifted support, rotated by l, sits.  The deviation is the max violation;
+    where names its cell a + p*b and the wavelet l (0 for m_0), or the two of a product.
     """
-    mods = np.abs(shifted_masks(mask))  # [l, xi_0, xi_-1]
-    modulus_dev = np.where(mods > 0.5, np.abs(mods - 1.0), mods)
+    p, mods = mask.p, np.abs(shifted_masks(mask))  # [l, xi_0, xi_-1]
     top = np.sort(mods, axis=0)[-2:]  # per cell, the two largest |m_l|, whose product is the largest |m_l m_k|
-    dev = np.max([modulus_dev.max(), (top[0] * top[1]).max()])
-    return CheckResult.within("shifted-mask-structure", dev, tol)
+    dev, (l, b, a) = _worst(np.concatenate([np.where(mods > 0.5, np.abs(mods - 1.0), mods), top[:1] * top[1:]]))
+    which = f"wavelet {l}" if l < p else "wavelets {} and {}".format(*sorted(mods[:, b, a].argsort()[-2:].tolist()))
+    return CheckResult.within("shifted-mask-structure", dev, tol, f"{which}, cell {a + p * b}" if dev else "")
 
 
 # Huge or non-finite values overflow to inf and nan, which every check reads as a failure.
@@ -308,5 +312,5 @@ def verify_wavelet_system(
 
 def _worst(devs: np.ndarray) -> tuple[float, tuple[int, ...]]:
     """The largest deviation and its index; a nan is the largest."""
-    at = np.unravel_index(np.argmax(devs), devs.shape)  # argmax picks the first nan
-    return float(devs[at]), tuple(int(i) for i in at)
+    at = devs.argmax()  # argmax picks the first nan
+    return devs.item(at), np.unravel_index(at, devs.shape)

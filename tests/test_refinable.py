@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from vilwav import oracle, refinable
-from vilwav.config import MathError, SizeCapError
+from vilwav.config import DEFAULT_TOL, MathError, SizeCapError
 from vilwav.group import digit_table
 from vilwav.mask import MaskTable, mask_from_tree
 from vilwav.oracle import forward_transform, gram_matrix, orbit_product, psi_hat, translation_correlation
@@ -26,7 +26,7 @@ from vilwav.refinable import (
     translate_dilate,
 )
 from vilwav.transform import CoeffGrid, analyze_level
-from vilwav.tree import RootedTree, enumerate_trees
+from vilwav.tree import RootedTree, enumerate_trees, sample_tree
 from vilwav.wavelet import build_system, family_spectra, psi_freq
 
 from conftest import dense_table, dense_values
@@ -242,6 +242,62 @@ def test_elementary_failure_modes():
     vals5[np.flatnonzero(vals5 == 0)[0]] = 1e-9  # off the support, but off 0 by more than tol
     spec5 = dense_table(3, spec.band, vals5)
     assert not check_elementary(spec5).passed and check_elementary(spec5, tol=1e-6).passed
+
+
+def elementary_by_digit_table(spec, tol):
+    """check_elementary's verdict and why, with the shells read off a digit table: row k holds
+    support coset k's digits 0 .. band, and level l is a shell when some row's highest non-zero digit is l."""
+    p, M = spec.p, spec.band
+    mods = np.abs(spec.values)
+    support = spec.keys[mods > 0.5]
+    residues = len(set((support % p).tolist()))
+    digits = support[:, None] // p ** np.arange(M + 1) % p
+    missing = [l for l in range(M + 1) if not ((digits[:, l] != 0) & (digits[:, l + 1:] == 0).all(axis=1)).any()]
+    if np.any(np.minimum(mods, np.abs(mods - 1.0)) > tol):
+        why = "values are neither 0 nor unimodular"
+    elif len(support) != p or residues != p:
+        why = f"support is {len(support)} cosets with {residues} distinct residues, wanted p={p} of each"
+    elif 0 not in support:
+        why = "trivial coset not in support"
+    elif missing:
+        why = f"empty shells at levels {missing}"
+    else:
+        why = ""
+    return not why, why
+
+
+@st.composite
+def elementary_candidates(draw):
+    """A SpectrumTable near the elementary ones, and a tol: a tree's phi_hat or p keys of distinct residues or
+    any keys, shifted past p^(band + 1) or not, key 0 put in or taken out, moduli near 0, 0.5 and 1."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    how = draw(st.sampled_from(["tree", "residues", "any"]))
+    if how == "tree":
+        spec = phi_hat_from_tree(tree := sample_tree(p, np.random.default_rng(draw(st.integers(0, 999)))),
+                                 mask_from_tree(tree))
+        band, keys = spec.band, spec.keys.tolist()
+    else:
+        band = draw(st.integers(0, 3))
+        key = st.integers(0, p ** (band + 1) - 1)
+        keys = draw(st.lists(key, min_size=1, max_size=p + 2, unique=True))
+        if how == "residues":  # one key per residue, each keeping its digits above the lowest
+            keys = [r + p * (k // p) for r, k in zip(draw(st.permutations(range(p))), keys)]
+    keys = [k + p ** (band + 1) * draw(st.sampled_from([0, 0, 1, p + 1])) for k in keys]  # digits past the band
+    if draw(st.booleans()):  # key 0 in place of the residue-0 keys, or no key 0
+        keys = [0, *(k for k in keys if k % p)] if draw(st.booleans()) else [k for k in keys if k]
+    keys = list(dict.fromkeys(keys))
+    moduli = st.sampled_from([1.0, 0.0, 0.5, 0.5 + 1e-9, 0.5 - 1e-9, 1e-13, 2e-12, 1 + 2e-12, 1 - 1e-13])
+    clean = draw(st.booleans())  # else each modulus is drawn
+    values = [(1.0 if clean else draw(moduli)) * np.exp(2j * np.pi * draw(st.floats(0, 1))) for _ in keys]
+    return SpectrumTable(p, band, keys, values), draw(st.sampled_from([DEFAULT_TOL, 1e-9, 0.6]))
+
+
+@given(elementary_candidates())
+def test_elementary_shells_by_searchsorted_match_the_digit_table(candidate):
+    spec, tol = candidate
+    report = check_elementary(spec, tol)
+    assert (report.passed, report.where) == elementary_by_digit_table(spec, tol)
+    assert report.max_deviation == float(not report.passed)
 
 
 def test_spectral_ortho_report():

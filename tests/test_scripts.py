@@ -22,6 +22,8 @@ SCRIPT_ARGS = {
 def test_script_exits_zero(script):
     proc = run_script(script, SCRIPT_ARGS[script])
     assert proc.returncode == 0, proc.stdout + proc.stderr
+    if script == "bench_pairs.py":  # the sweep's verify time from the record line, beside the gated metrics
+        assert any(line.startswith("verify_s ") and line.endswith("not gated") for line in proc.stdout.splitlines())
     if script == "seven_vertex_demo.py":  # tree A's spectrum keys, sorted
         assert "spectrum support indices: [0, 3, 5, 22, 23, 39, 279]\n" in proc.stdout.split("== tree B")[0]
 

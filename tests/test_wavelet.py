@@ -109,6 +109,10 @@ def test_beta_shifted_fixes_zero_residue():
         bl = beta_shifted(beta, l, 3)
         assert np.array_equal(bl[::3], beta[::3])  # a_-1 = 0 entries unchanged
         assert (np.abs(bl) ** 2).sum() == pytest.approx((np.abs(beta) ** 2).sum())
+    # a system forms all of its beta_l at once, bit for bit as beta_shifted forms each
+    system = build_system(RootedTree.validate([0, 0, 1, 2, 1], 5), {(0, 1): 0.3, (1, 2): 0.7, (2, 3): 0.1})
+    for l in range(1, 5):
+        assert np.array_equal(system.beta_l[l - 1], beta_shifted(system.beta, l, 5))
 
 
 def test_beta_shifted_range():
@@ -472,6 +476,21 @@ def test_shifted_mask_structure_reads_the_products(phased_chain5):
     assert not check.passed and check.max_deviation == pytest.approx(1.0, abs=1e-15)
 
 
+def test_a_mask_tampered_in_one_cell_is_named_by_the_mask_checks(phased_chain5):
+    # beta stays the untampered mask's, so the residual sits at the cell; m_0 is the first table to hold it
+    lam = phased_chain5.mask.lam.copy()
+    lam[7] *= 0.5
+    checks = {c.name: c for c in verify_wavelet_system(tampered(phased_chain5, mask=MaskTable(5, lam)))}
+    assert not checks["beta-residual"].passed and checks["beta-residual"].where == "cell 7"
+    assert checks["beta-residual"].max_deviation == pytest.approx(0.5, abs=1e-15)
+    structure = checks["shifted-mask-structure"]
+    assert not structure.passed and structure.where == "wavelet 0, cell 7"
+    # a second unimodular entry in row 1, at parent 2 beside parent 0: m_0 and m_3 meet at cell 1
+    lam = phased_chain5.mask.lam.copy()
+    lam[1 + 5 * 2] = 1.0
+    assert shifted_mask_checks(MaskTable(5, lam)).where == "wavelets 0 and 3, cell 1"
+
+
 def test_shifted_masks_gather_every_shift(rng):
     lam = rng.normal(size=25) + 1j * rng.normal(size=25)
     tables = shifted_masks(MaskTable(5, lam))
@@ -561,13 +580,14 @@ def test_family_correlation_is_the_cell_tables_correlation(p, monkeypatch):
 
 
 def test_family_correlation_pads_residues_of_unequal_size():
-    # a tampered family: residues 0, 1, 2 hold 3, 1 and 2 keys, so the batched Grams read zero columns
+    # tampered families whose residues 0, 1, 2 hold 3, 1 and 2 keys; 3, 3 and none; and all six and none
     rng = np.random.default_rng(7)
-    keys = np.array([0, 1, 2, 3, 5, 6])
-    table = rng.normal(size=(3, 6)) + 1j * rng.normal(size=(3, 6))
-    grams = [table[:, keys % 3 == r] @ table[:, keys % 3 == r].conj().T for r in range(3)]
-    want = np.einsum("rik,rd->ikd", grams, OMEGA3 ** np.outer(np.arange(3), np.arange(3))) / 3
-    assert np.abs(wavelet.family_correlation(keys, table) - want).max() < 1e-14  # entries of size 1 to 10
+    for keys in ([0, 1, 2, 3, 5, 6], [0, 1, 3, 4, 6, 7], [0, 3, 6, 9, 12, 15]):
+        keys = np.array(keys)
+        table = rng.normal(size=(3, 6)) + 1j * rng.normal(size=(3, 6))
+        grams = [table[:, keys % 3 == r] @ table[:, keys % 3 == r].conj().T for r in range(3)]
+        want = np.einsum("rik,rd->ikd", grams, OMEGA3 ** np.outer(np.arange(3), np.arange(3))) / 3
+        assert np.abs(wavelet.family_correlation(keys, table) - want).max() < 1e-14  # entries of size 1 to 10
 
 
 def test_family_spectra_refuses_wavelet_keys_past_int64():
