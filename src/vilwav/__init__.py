@@ -11,14 +11,7 @@ from .refinable import (
 )
 from .transform import CoeffGrid, CoeffPyramid, analyze, analyze_level, project, synthesize, synthesize_level
 from .tree import RootedTree, enumerate_trees
-from .wavelet import (
-    WaveletSystem,
-    beta_shifted,
-    build_system,
-    psi_freq,
-    solve_beta,
-    verify_wavelet_system,
-)
+from .wavelet import WaveletSystem, build_system, solve_beta, verify_wavelet_system
 
 __all__ = [
     "MaskTable",
@@ -30,7 +23,6 @@ __all__ = [
     "WaveletSystem",
     "analyze",
     "analyze_level",
-    "beta_shifted",
     "build_system",
     "check_elementary",
     "check_orthonormality_spectral",
@@ -42,7 +34,6 @@ __all__ = [
     "mask_to_tree",
     "phi_hat_from_tree",
     "project",
-    "psi_freq",
     "solve_beta",
     "synthesize",
     "synthesize_level",

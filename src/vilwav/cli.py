@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import os
 import sys
 import time
 
@@ -77,14 +76,13 @@ def _print_report(checks) -> bool:
     return ok
 
 
-def _verify_one_tree(payload) -> tuple[float, list[str]]:
+def _verify_one_tree(i: int, tree: RootedTree, tol: float, draws: int) -> tuple[float, list[str]]:
     """(worst deviation, one FAIL line per failing draw) of tree number i in Prufer order: draw 0
-    has zero phases, draw k those of _random_phases(tree, (p, i, k)), the same on every worker."""
-    i, tree, spectral_only, tol, draws = payload
+    has zero phases, draw k those of _random_phases(tree, (p, i, k))."""
     devs, fails = [], []
     for k in range(draws + 1):
         system = build_system(tree, _random_phases(tree, (tree.p, i, k)) if k else {})
-        checks = verify_wavelet_system(system, spectral_only=spectral_only, tol=tol)
+        checks = verify_wavelet_system(system, tol=tol)
         try:
             round_trip = mask_to_tree(system.mask, tol=tol)[0] == tree
         except MathError:
@@ -97,60 +95,40 @@ def _verify_one_tree(payload) -> tuple[float, list[str]]:
     return max(devs), fails
 
 
-# --all-trees hands trees to the workers in chunks and reports progress at most this often
-SWEEP_CHUNK = 8
+# --all-trees reports progress at most this often
 PROGRESS_EVERY_S = 5.0
 
 
-def _sweep(jobs: list, workers: int):
-    """The results of _verify_one_tree over jobs, lazily and in order."""
-    if workers == 1:
-        yield from map(_verify_one_tree, jobs)
-        return
-    from concurrent.futures import ProcessPoolExecutor  # imports multiprocessing: not on every start
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(_verify_one_tree, jobs, chunksize=SWEEP_CHUNK)
-
-
 def cmd_verify(args) -> int:
-    spectral_only = args.level == "spectral"
     if args.all_trees is None:
-        if args.jobs is not None or args.draws is not None:
-            raise InputError("--jobs and --draws need --all-trees P")
+        if args.draws is not None:
+            raise InputError("--draws needs --all-trees P")
         system = serialize.system_from_dict(serialize.load_json(args.system))
-        checks = verify_wavelet_system(system, spectral_only=spectral_only, tol=args.tol)
-        return EXIT_OK if _print_report(checks) else EXIT_MATH
+        return EXIT_OK if _print_report(verify_wavelet_system(system, tol=args.tol)) else EXIT_MATH
     if args.system is not None:
         raise InputError(f"{args.system}: --all-trees verifies no system file")
     p, draws = args.all_trees, args.draws or 0
     if not is_prime(p):
         raise InputError(f"--all-trees {p}: p must be prime")
-    cores = os.cpu_count() or 1
-    if args.jobs is not None and not 1 <= args.jobs <= cores:
-        raise InputError(f"--jobs {args.jobs}: expected 1 to {cores} workers")
     if draws < 0:
         raise InputError(f"--draws {draws}: expected 0 or more")
     # p^(p-2) trees, clipped as enumerate_trees clips them, of draws + 1 systems each
     check_table_size(p ** min(p - 2, 64) * (draws + 1), "tree × draw sweep", "systems")
-    jobs = [(i, t, spectral_only, args.tol, draws) for i, t in enumerate(enumerate_trees(p))]
+    trees, worst, bad, fail_lines = p ** (p - 2), 0.0, 0, []
     t0 = last = time.time()
-    results = []
-    for result in _sweep(jobs, args.jobs or 1):
-        results.append(result)
+    for i, tree in enumerate(enumerate_trees(p)):
+        dev, fails = _verify_one_tree(i, tree, args.tol, draws)
+        worst, bad = max(worst, dev), bad + bool(fails)
+        fail_lines += fails
         if time.time() - last >= PROGRESS_EVERY_S:
             last = time.time()
-            fails = sum(1 for r in results if r[1])
-            print(f"{len(results)}/{len(jobs)} trees, {fails} FAIL, {last - t0:.0f}s",
-                  file=sys.stderr, flush=True)
-    bad = [r for r in results if r[1]]
-    worst = max(r[0] for r in results)
+            print(f"{i + 1}/{trees} trees, {bad} FAIL, {last - t0:.0f}s", file=sys.stderr, flush=True)
     print(
-        f"{len(results)} trees at p={p}: {len(results) - len(bad)} PASS, "
-        f"{len(bad)} FAIL, worst deviation {worst:.3e}, {time.time() - t0:.1f}s"
+        f"{trees} trees at p={p}: {trees - bad} PASS, {bad} FAIL, "
+        f"worst deviation {worst:.3e}, {time.time() - t0:.1f}s"
     )
-    for _, lines in bad:
-        print("\n".join(lines))
+    for line in fail_lines:
+        print(line)
     return EXIT_OK if not bad else EXIT_MATH
 
 
@@ -259,9 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify_p = sub.add_parser("verify", help="verify the system a file's tree and mask generate")
     verify_p.add_argument("system", nargs="?")
-    verify_p.add_argument("--level", choices=["spectral", "full"], default="full")
     verify_p.add_argument("--all-trees", type=int, default=None, metavar="P")
-    verify_p.add_argument("--jobs", type=int, help="workers for --all-trees, 1..cores (default 1)")
     verify_p.add_argument("--draws", type=int, metavar="K", help="phase draws per tree besides zero (default 0)")
     verify_p.set_defaults(handler="cmd_verify")
 

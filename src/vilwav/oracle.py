@@ -2,8 +2,9 @@
 
 The orbit-product spectrum, the forward transform (a dense keyed table),
 the dense Gram matrix and the cell-table translation correlation, the dense
-beta solve, the wavelet spectrum on all p keys over each key of phi_hat, and
-the refinement identity and the two routes to each wavelet on cell tables.
+beta solve, the wavelet coefficients one l at a time, the wavelet spectrum
+on all p keys over each key of phi_hat, and the refinement identity and the
+two routes to each wavelet on cell tables.
 No module of the package imports this one, so `import vilwav` neither loads
 nor compiles it.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .group import char_kernel_apply, check_table_size, digit_table
+from .group import char_kernel_apply, check_table_size, digit_table, unit_roots
 from .mask import MaskTable
 from .refinable import SpectrumTable, StepFunction, embed, translated_cell_matrix
 from .wavelet import _beta_system, assemble_refinement_sum, family_spectra, psi_freq, shifted_masks
@@ -84,6 +85,17 @@ def translation_correlation(funcs) -> np.ndarray:
         spec = char_kernel_apply(cells.transpose(2, 0, 1), p, 1, -1)
         prod += spec @ spec.conj().transpose(0, 2, 1)
     return (char_kernel_apply(prod, p, 1, +1) * float(p) ** -(hi + 1)).transpose(1, 2, 0)
+
+
+def beta_shifted(beta: np.ndarray, l: int, p: int) -> np.ndarray:
+    """Wavelet coefficients beta_j^(l) = beta_j * omega^(l * a_-1), one l at a time.
+
+    WaveletSystem.beta_l forms all p - 1 of them in one product, bit for bit as this does.
+    """
+    if not (1 <= l <= p - 1):
+        raise ValueError(f"wavelet index l={l} out of range 1..{p - 1}")
+    a_m1 = np.arange(p * p) % p
+    return beta * unit_roots(p)[(l * a_m1) % p]
 
 
 def solve_beta_dense(mask: MaskTable) -> np.ndarray:

@@ -66,14 +66,6 @@ def beta_residual(mask: MaskTable, beta: np.ndarray, tol: float = DEFAULT_TOL) -
     return CheckResult.within("beta-residual", dev, tol, f"cell {cell}" if dev else "")
 
 
-def beta_shifted(beta: np.ndarray, l: int, p: int) -> np.ndarray:
-    """Wavelet coefficients beta_j^(l) = beta_j * omega^(l * a_-1)."""
-    if not (1 <= l <= p - 1):
-        raise ValueError(f"wavelet index l={l} out of range 1..{p - 1}")
-    a_m1 = np.arange(p * p) % p
-    return beta * unit_roots(p)[(l * a_m1) % p]
-
-
 def assemble_refinement_sum(phi: StepFunction, coeffs: np.ndarray) -> StepFunction:
     """sum_j coeffs_j * phi(A x - h_j) over the two-digit lattice, cell-exact.
 
@@ -228,8 +220,8 @@ class WaveletSystem:
 
     @cached_property
     def beta_l(self) -> tuple[np.ndarray, ...]:
-        """The wavelet coefficients beta_shifted(beta, l) for l = 1 .. p-1, formed in one product."""
-        p = self.p  # beta_j * omega^(l * a_-1) with beta as [a_-2, a_-1]
+        """The wavelet coefficients beta_j * omega^(l * a_-1) for l = 1 .. p-1, formed in one product."""
+        p = self.p  # beta as [a_-2, a_-1]; oracle.beta_shifted forms one l at a time
         return tuple((self.beta.reshape(p, p) * digit_characters(p)[1:, None]).reshape(p - 1, -1))
 
     # The kernels are looked up when a table is built, so a tracer that

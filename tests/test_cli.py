@@ -1,6 +1,7 @@
 import base64
 import copy
 import dataclasses
+import functools
 import json
 import os
 import re
@@ -113,12 +114,6 @@ def test_verify_built_system(tmp_path, capsys):
     assert "overall: PASS" in out and "gram-orthonormal-family" in out
 
 
-def test_verify_spectral_level(tmp_path, capsys):
-    sys_file = build_system_file(tmp_path, {"p": 3, "parent": [0, 0, 1]})
-    assert main(["verify", sys_file, "--level", "spectral"]) == EXIT_OK
-    assert "gram" not in capsys.readouterr().out
-
-
 def test_verify_corrupted_lambda(tmp_path, capsys):
     sys_file = build_system_file(tmp_path, {"p": 3, "parent": [0, 0, 1]})
     data = serialize.load_json(sys_file)
@@ -142,7 +137,7 @@ def test_verify_extreme_lambda_cell_fails_without_warnings(tmp_path, capsys, val
     assert any(line.startswith("FAIL ") for line in out.splitlines()) and err == ""
 
 
-def verify_corrupted(tmp_path, monkeypatch, corrupt, *flags):
+def verify_corrupted(tmp_path, monkeypatch, corrupt):
     """Exit code of `verify` on the p=3 chain's file, whose system corrupt changes after reading.
 
     A file holds only the tree and mask, so tables that disagree with them are made in memory.
@@ -150,7 +145,7 @@ def verify_corrupted(tmp_path, monkeypatch, corrupt, *flags):
     sys_file = build_system_file(tmp_path, {"p": 3, "parent": [0, 0, 1]})
     system = serialize.system_from_dict(serialize.load_json(sys_file))
     monkeypatch.setattr(cli.serialize, "system_from_dict", lambda data: corrupt(system))
-    return main(["verify", *flags, sys_file])
+    return main(["verify", sys_file])
 
 
 def with_mask_cell(system, value):
@@ -206,8 +201,7 @@ def test_verify_report_says_where_a_check_fails(tmp_path, capsys, monkeypatch):
     def drop_trivial_coset(spec):
         return dataclasses.replace(spec, values=np.where(spec.keys == 0, 0.0, spec.values))
 
-    code = verify_corrupted(tmp_path, monkeypatch, lambda s: with_phi_hat(s, drop_trivial_coset),
-                            "--level", "spectral")
+    code = verify_corrupted(tmp_path, monkeypatch, lambda s: with_phi_hat(s, drop_trivial_coset))
     assert code == EXIT_MATH
     out = capsys.readouterr().out
     lines = {line.split()[1]: line for line in out.splitlines() if line.startswith(("PASS", "FAIL"))}
@@ -222,7 +216,7 @@ def test_verify_dense_phi_hat_fails_without_traceback(tmp_path, capsys, monkeypa
     def fill(spec):
         return dense_table(spec.p, spec.band, np.full(spec.p ** (spec.band + 1), 0.5 + 0.25j))
 
-    code = verify_corrupted(tmp_path, monkeypatch, lambda s: with_phi_hat(s, fill), "--level", "full")
+    code = verify_corrupted(tmp_path, monkeypatch, lambda s: with_phi_hat(s, fill))
     assert code == EXIT_MATH
     out, err = capsys.readouterr()
     assert "Traceback" not in out + err
@@ -255,32 +249,33 @@ def test_p11_and_p13_chains_fully_verify_and_the_p17_chain_is_refused(no_tables,
     monkeypatch.delenv("VILWAV_SIZE_CAP", raising=False)
     for p, parent in [(11, list(P11_M5_PARENT)), (11, chain_parent(11)), (13, chain_parent(13))]:
         sys_file = build_system_file(tmp_path, {"p": p, "parent": parent})
-        for level, count in (("spectral", 8), ("full", 10)):
-            capsys.readouterr()
-            assert main(["verify", "--level", level, sys_file]) == EXIT_OK
-            lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith(("PASS", "FAIL"))]
-            assert len(lines) == count and all(line.startswith("PASS ") for line in lines)
+        capsys.readouterr()
+        assert main(["verify", sys_file]) == EXIT_OK
+        lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith(("PASS", "FAIL"))]
+        assert len(lines) == 10 and all(line.startswith("PASS ") for line in lines)
     # the p = 17 chain's spectrum keys pass int64: its file, written out by hand, is refused
     tree = RootedTree.validate(chain_parent(17), 17)
     payload = {"p": 17, "M": 15, "parent": chain_parent(17), "lambda": serialize._cpx_out(mask_from_tree(tree).lam)}
     code, line, _ = run_one_line(["verify", write_json(tmp_path / "p17.json", payload)], capsys)
     assert code == EXIT_MATH and line.startswith("failed: ") and "16 digits at p=17 do not fit an int64" in line
-    # with 1 a leaf of the root, M = 14: the spectrum fits, and the wavelets' keys do not, at either level
+    # with 1 a leaf of the root, M = 14: the spectrum fits, and the wavelets' keys do not
     sys_file = build_system_file(tmp_path, {"p": 17, "parent": [0, 0, *range(3, 17), 0]})
-    for level in ("spectral", "full"):
-        code, line, _ = run_one_line(["verify", "--level", level, sys_file], capsys)
-        assert code == EXIT_MATH and line.startswith("failed: ") and "16 digits at p=17 do not fit an int64" in line
+    code, line, _ = run_one_line(["verify", sys_file], capsys)
+    assert code == EXIT_MATH and line.startswith("failed: ") and "16 digits at p=17 do not fit an int64" in line
 
 
-@pytest.mark.parametrize("level", ["spectral", "full"])
-def test_lambda_0_off_1_fails_refinement_cosets_at_both_levels(tmp_path, capsys, level):
+@pytest.mark.parametrize("spectral_only", [True, False], ids=["spectral", "full"])
+def test_lambda_0_off_1_fails_refinement_cosets_at_both_levels(tmp_path, capsys, monkeypatch, spectral_only):
     # phi_hat and every other check read lambda_0 only through its modulus; the root's
-    # coset 0 maps to itself through it, off by |e^(0.6 pi i) - 1| = 2 sin(0.3 pi)
+    # coset 0 maps to itself through it, off by |e^(0.6 pi i) - 1| = 2 sin(0.3 pi).
+    # verify runs every check; the library's spectral subset, which the deep7 benchmark runs, catches it too
+    monkeypatch.setattr(cli, "verify_wavelet_system",
+                        functools.partial(verify_wavelet_system, spectral_only=spectral_only))
     data = serialize.load_json(build_system_file(tmp_path, {"p": 5, "parent": [0, 4, 1, 2, 0]}))
     data["lambda"][0] = [float(np.cos(0.6 * np.pi)), float(np.sin(0.6 * np.pi))]
     bad = write_json(tmp_path / "lambda0.json", data)
     capsys.readouterr()
-    assert main(["verify", "--level", level, bad]) == EXIT_MATH
+    assert main(["verify", bad]) == EXIT_MATH
     out, err = capsys.readouterr()
     failed = [line for line in out.splitlines() if line.startswith("FAIL ")]
     assert len(failed) == 1 and re.fullmatch(r"FAIL +refinement-cosets +max_dev=1\.618e\+00 at coset 0", failed[0])
@@ -395,24 +390,32 @@ def test_failed_round_trip_is_a_fail_line(capsys):
 
 def test_verify_all_trees_reports_progress_on_stderr(monkeypatch, capsys):
     monkeypatch.setattr(cli, "PROGRESS_EVERY_S", 0.0)
-    assert main(["verify", "--all-trees", "3", "--jobs", "1"]) == EXIT_OK
+    assert main(["verify", "--all-trees", "3"]) == EXIT_OK
     out, err = capsys.readouterr()
     assert out.startswith("3 trees at p=3: 3 PASS, 0 FAIL, worst deviation ") and out.count("\n") == 1
     done = [re.fullmatch(r"(\d)/3 trees, 0 FAIL, \d+s", line) for line in err.splitlines()]
     assert [m and m[1] for m in done] == ["1", "2", "3"]
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores for two workers")
-def test_verify_all_trees_two_workers_match_one(capsys):
-    # a tree's phase draws are seeded by its position, so they do not depend on the worker
-    for draws in ("0", "2"):
-        summaries = []
-        for jobs in ("1", "2"):
-            argv = ["verify", "--all-trees", "5", "--level", "spectral", "--jobs", jobs, "--draws", draws]
-            assert main(argv) == EXIT_OK
-            summaries.append(capsys.readouterr().out.rsplit(",", 1)[0])  # drop the time
-        assert summaries[0] == summaries[1]
-        assert summaries[0].startswith("125 trees at p=5: 125 PASS, 0 FAIL")
+def test_verify_all_trees_passes_every_tree_and_draw(capsys):
+    for p, draws, trees in [(5, 0, 125), (5, 2, 125), (3, 3, 3)]:
+        assert main(["verify", "--all-trees", str(p), "--draws", str(draws)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.startswith(f"{trees} trees at p={p}: {trees} PASS, 0 FAIL, worst deviation ")
+        assert out.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag, argv", [("--jobs", ["--all-trees", "3", "--jobs", "2"]),
+                                        ("--level", ["--level", "spectral", "system.json"])],
+                         ids=["jobs", "level"])
+def test_removed_verify_flags_are_usage_errors(no_sweep, capsys, flag, argv):
+    # verify has one check set and runs in one process
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", *argv])
+    out, err = capsys.readouterr()
+    assert exit_info.value.code == EXIT_INPUT and out == ""
+    usage, error = err.splitlines()  # and no traceback
+    assert usage.startswith("usage: vilwav ") and error.startswith(f"vilwav: error: unrecognized arguments: {flag}")
 
 
 def test_verify_all_trees_nonprime_is_input_error(monkeypatch, capsys):
@@ -1039,13 +1042,10 @@ def never(*args, **kwargs):
 
 @pytest.fixture
 def no_sweep(monkeypatch):
-    """Fail the test if a tree is decoded or a worker pool is made."""
-    import concurrent.futures
-
+    """Fail the test if a tree is decoded."""
     from vilwav import tree as tree_module
 
     monkeypatch.setattr(tree_module, "prufer_to_parent", never)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", never)  # _sweep imports it when called
 
 
 def test_cli_import_leaves_multiprocessing_out():
@@ -1066,20 +1066,20 @@ def test_oversized_sweep_is_refused_up_front(no_sweep, capsys):
 
 
 def test_sweep_counts_every_draw_against_the_cap(monkeypatch, capsys):
-    # 625 is the largest table a spectral verify at p=5 builds, and 125 trees x 5 systems
+    # 125 trees x 5 systems; a full verify at p=5 counts at most 125 entries against the cap
+    # (the family's spectra), so the sweep's own count is what meets it
     monkeypatch.setenv("VILWAV_SIZE_CAP", "625")
-    assert main(["verify", "--all-trees", "5", "--level", "spectral", "--draws", "4"]) == EXIT_OK
+    assert main(["verify", "--all-trees", "5", "--draws", "4"]) == EXIT_OK
     from vilwav import tree as tree_module
 
     monkeypatch.setattr(tree_module, "prufer_to_parent", never)
-    code, out, _ = run_one_line(["verify", "--all-trees", "5", "--level", "spectral", "--draws", "5"], capsys)
+    code, out, _ = run_one_line(["verify", "--all-trees", "5", "--draws", "5"], capsys)
     assert code == EXIT_MATH and out == "failed: tree × draw sweep of 750 systems exceeds cap 625\n"
 
 
 @pytest.mark.parametrize("argv, message", [
     (["verify", "system.py", "--all-trees", "3"], "--all-trees verifies no system file"),
-    (["verify", "system.json", "--jobs", "2"], "need --all-trees"),
-    (["verify", "system.json", "--draws", "1"], "need --all-trees"),
+    (["verify", "system.json", "--draws", "1"], "--draws needs --all-trees P"),
     (["verify", "--all-trees", "3", "--draws", "-1"], "--draws -1"),
 ])
 def test_sweep_flags_out_of_place_are_input_errors(no_sweep, capsys, argv, message):
@@ -1087,20 +1087,13 @@ def test_sweep_flags_out_of_place_are_input_errors(no_sweep, capsys, argv, messa
     assert code == EXIT_INPUT and message in err
 
 
-@pytest.mark.parametrize("jobs", [0, -1, (os.cpu_count() or 1) + 1])
-def test_jobs_out_of_range_is_input_error(no_sweep, monkeypatch, capsys, jobs):
-    monkeypatch.setattr(cli, "enumerate_trees", never)
-    code, _, err = run_one_line(["verify", "--all-trees", "3", "--jobs", str(jobs)], capsys)
-    assert code == EXIT_INPUT and "--jobs" in err
-
-
 def test_all_trees_fail_lines_name_the_failing_check(monkeypatch, capsys):
-    def one_check_fails(system, spectral_only=False, tol=None):
+    def one_check_fails(system, tol=None):
         return [CheckResult("mask-row-sums", 0.0, True),
                 CheckResult("gram-orthonormal-family", 0.5, False)]
 
     monkeypatch.setattr(cli, "verify_wavelet_system", one_check_fails)
-    assert main(["verify", "--all-trees", "3", "--jobs", "1"]) == EXIT_MATH
+    assert main(["verify", "--all-trees", "3"]) == EXIT_MATH
     fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL ")]
     assert len(fails) == 3
     assert all(line.endswith("dev=5.000e-01 checks=gram-orthonormal-family") for line in fails)
